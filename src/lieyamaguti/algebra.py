@@ -60,12 +60,6 @@ class LYAlgebra:
     ternary: tuple  # ternary[i][j][k] is the d-vector of {e_i, e_j, e_k}
     name: str = ""
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.binary[i][j]
-
-    def triple_basis(self, i: int, j: int, k: int) -> Vector:
-        return self.ternary[i][j][k]
-
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         """Bilinear extension of the binary bracket to coordinate vectors."""
         out = list(zero_vector(self.dim))
@@ -107,9 +101,6 @@ class LYAlgebra:
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(int(j == i)) for j in range(self.dim))
-
-    def with_name(self, name: str) -> "LYAlgebra":
-        return LYAlgebra(self.dim, self.binary, self.ternary, name)
 
 
 @dataclass

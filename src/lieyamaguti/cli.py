@@ -247,26 +247,18 @@ def _cmd_cohomology(args) -> int:
         raise ShapeMismatch("--p must be >= 1")
     if args.level == 1:
         res = coh.h23(a, r)
-        dim_h1, _ = coh.h1(a, r)
-        payload = {
-            "p": 1,
-            "dimZ": res.dim_z,
-            "dimB": res.dim_b,
-            "dimH": res.dim,
-            "dimH23": res.dim,
-            "dimH1": dim_h1,
-            "delta_squared_zero": True,
-            "reading": res.reading,
-        }
+        extra = {"dimH23": res.dim, "dimH1": coh.h1(a, r)[0], "reading": res.reading}
     else:
         res = coh.h_upper(a, r, args.level, cap=args.cap)
-        payload = {
-            "p": res.p,
-            "dimZ": res.dim_z,
-            "dimB": res.dim_b,
-            "dimH": res.dim,
-            "delta_squared_zero": res.delta_squared_zero,
-        }
+        extra = {}
+    payload = {
+        "p": args.level,
+        "dimZ": res.dim_z,
+        "dimB": res.dim_b,
+        "dimH": res.dim,
+        "delta_squared_zero": res.delta_squared_zero,
+        **extra,
+    }
     _emit(args, _report("cohomology", "pass", payload, []))
     return 0
 

@@ -6,17 +6,22 @@ pair, so coefficients are stored on the pair-index basis: p = floor(n/2)
 unordered pairs (i < j), a trailing basis index for odd n, and a module
 coordinate.  ``cochain_dim`` counts exactly these coordinates.
 
-The coboundary delta = (delta_I, delta_II) raises a (2p, 2p+1)-pair by one
-level; the auxiliary operator delta* maps C^(2,3) to C^(3,4).  The sign
-convention of delta*_I's rho-block,
+Each coboundary -- delta_zero: C^1 -> C^(2,3), delta = (delta_I, delta_II):
+C^(2p,2p+1) -> C^(2p+2,2p+3) and the auxiliary delta*: C^(2,3) -> C^(3,4) --
+is one sparse operator, defined only by a private term generator.  Applying
+it to a cochain, densifying it (``*_matrix``) and taking its kernel and image
+(``h1``, ``h23``, ``h_upper``) all go through that operator.  Validity of the
+base algebra is checked once per public entry point, never inside an operator.
+
+The sign convention of delta*'s rho-block,
 
     - rho(x1) f(x2, x3) - rho(x2) f(x3, x1) - rho(x3) f(x1, x2),
 
 is the unique one (given its cyclic f- and g-blocks) for which
 delta* o delta vanishes identically on C^0; the test suite pins this with
-exact randomized checks.  The same kernels characterize twist-validity: a
-(2,3)-pair twists the semi-direct product into a Lie-Yamaguti algebra exactly
-when delta and delta* both kill it.
+exact randomized checks and the operators entrywise.  The same kernels
+characterize twist-validity: a (2,3)-pair twists the semi-direct product into
+a Lie-Yamaguti algebra exactly when delta and delta* both kill it.
 """
 
 from __future__ import annotations
@@ -25,13 +30,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .algebra import LYAlgebra
+from .algebra import LYAlgebra, is_valid
 from .errors import (
     CocycleContainmentFailure,
     InvalidAlgebra,
-    NotASubspace,
     ShapeMismatch,
     SizeCapExceeded,
 )
@@ -39,7 +43,6 @@ from .linalg import (
     Matrix,
     SubspaceBasis,
     Vector,
-    quotient_dim,
     vec_add,
     vec_scale,
     zero_vector,
@@ -96,9 +99,6 @@ class Cochain:
     def has_tail(self) -> bool:
         return self.n % 2 == 1
 
-    def copy(self) -> "Cochain":
-        return Cochain(self.n, self.d, self.e, list(self.coeffs))
-
     def rep_tuples(self):
         """Representative basis tuples: increasing pairs, free trailing slot."""
         pair_list = [(i, j) for i in range(self.d) for j in range(i + 1, self.d)]
@@ -134,16 +134,6 @@ class Cochain:
         block = self.coeffs[base : base + self.e]
         return tuple(block) if sign == 1 else tuple(-x for x in block)
 
-    def eval_weighted(self, tup: tuple, slot: int, weights: Sequence[Fraction]) -> Vector:
-        """Value with one slot carrying a coordinate vector instead of a basis index."""
-        out = zero_vector(self.e)
-        lst = list(tup)
-        for l, w in enumerate(weights):
-            if w:
-                lst[slot] = l
-                out = vec_add(out, vec_scale(w, self.eval_basis(tuple(lst))))
-        return out
-
     def eval_vectors(self, args: Sequence[Sequence[Fraction]]) -> Vector:
         """Full multilinear evaluation on arbitrary coordinate vectors."""
         if len(args) != self.n:
@@ -168,15 +158,6 @@ class Cochain:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coeffs)
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        if (self.n, self.d, self.e) != (other.n, other.d, other.e):
-            raise ShapeMismatch("cochain shape mismatch")
-        return Cochain(self.n, self.d, self.e, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, c) -> "Cochain":
-        c = Fraction(c)
-        return Cochain(self.n, self.d, self.e, [c * a for a in self.coeffs])
 
 
 @dataclass(frozen=True)
@@ -212,15 +193,147 @@ class CochainPair:
 
 
 def _require_rep(a: LYAlgebra, r: Representation) -> None:
-    from .algebra import is_valid
-
     if not is_valid(a):
         raise InvalidAlgebra("cohomology needs a valid base algebra")
     _check_shapes(a, r)
 
 
 # ---------------------------------------------------------------------------
-# coboundaries
+# coboundaries: one term generator each, assembled into a sparse operator
+
+
+class _Operator(NamedTuple):
+    """Sparse rows x cols operator; ``entries[row * cols + col]`` is a coefficient."""
+
+    rows: int
+    cols: int
+    entries: dict
+
+    def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
+        out = [Fraction(0)] * self.rows
+        for key, c in self.entries.items():
+            row, col = divmod(key, self.cols)
+            if vec[col]:
+                out[row] += c * vec[col]
+        return out
+
+    def dense(self) -> Matrix:
+        entries = [0] * (self.rows * self.cols)
+        for key, c in self.entries.items():
+            entries[key] = c
+        return Matrix(self.rows, self.cols, entries)
+
+    def stack(self, other: "_Operator") -> "_Operator":
+        shift = self.rows * self.cols
+        below = {key + shift: c for key, c in other.entries.items()}
+        return _Operator(self.rows + other.rows, self.cols, {**self.entries, **below})
+
+
+def _assemble(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, terms) -> _Operator:
+    """Operator from C^src[0] (+) C^src[1] to C^dst[0] (+) C^dst[1], in flat order.
+
+    The e rows of each representative target tuple xs hold the sum of
+    coeff * mat * h(tup) over the terms (coeff, mat, tup) of ``terms(a, r, xs)``:
+    h is the source component of arity len(tup), and mat None is the identity.
+    C^1 = Hom(g, V) has coordinate s*e + m for f(e_s)_m.
+    """
+    d, e = a.dim, r.e
+    blocks, cols = {}, 0
+    for n in src:
+        blocks[n] = (Cochain(n, d, e) if n > 1 else None, cols)
+        cols += cochain_dim(n, d, e)
+    entries, row = {}, 0
+    for n in dst:
+        for xs in Cochain(n, d, e).rep_tuples():
+            for coeff, mat, tup in terms(a, r, xs):
+                shape, col = blocks[len(tup)]
+                sign, base = shape._base_offset(tup) if shape else (1, tup[0] * e)
+                if not sign:
+                    continue
+                for m in range(e):
+                    for l, x in enumerate(mat.row(m)) if mat is not None else ((m, 1),):
+                        if x:
+                            key = (row + m) * cols + col + base + l
+                            entries[key] = entries.get(key, 0) + sign * coeff * x
+            row += e
+    return _Operator(row, cols, entries)
+
+
+def _weighted(coeff, tup: tuple, slot: int, weights: Sequence[Fraction]):
+    """Terms of h(tup) with the argument in ``slot`` replaced by the vector ``weights``."""
+    args = list(tup)
+    for l, w in enumerate(weights):
+        if w:
+            args[slot] = l
+            yield coeff * w, None, tuple(args)
+
+
+def _delta_zero_terms(a: LYAlgebra, r: Representation, xs: tuple):
+    """delta_zero f on (x1, x2) and (x1, x2, x3)."""
+    i, j = xs[:2]
+    if len(xs) == 2:
+        yield 1, r.rho[i], (j,)
+        yield -1, r.rho[j], (i,)
+        yield from _weighted(-1, (0,), 0, a.binary[i][j])
+    else:
+        k = xs[2]
+        yield 1, r.theta[j][k], (i,)
+        yield -1, r.theta[i][k], (j,)
+        yield 1, r.dmap[i][j], (k,)
+        yield from _weighted(-1, (0,), 0, a.ternary[i][j][k])
+
+
+def _delta_terms(a: LYAlgebra, r: Representation, xs: tuple):
+    """delta_I (f, g) on 2p+2 arguments and delta_II (f, g) on 2p+3 arguments."""
+    p = (len(xs) - 2) // 2
+    sgn_p = (-1) ** p
+    head = xs[: 2 * p]
+    if len(xs) == 2 * p + 2:
+        x_a, x_b = xs[2 * p :]
+        yield sgn_p, r.rho[x_a], head + (x_b,)
+        yield -sgn_p, r.rho[x_b], head + (x_a,)
+        yield from _weighted(-sgn_p, head + (0,), 2 * p, a.binary[x_a][x_b])
+        ks = range(1, p + 1)
+    else:
+        x_a, x_b, x_c = xs[2 * p :]
+        yield sgn_p, r.theta[x_b][x_c], head + (x_a,)
+        yield -sgn_p, r.theta[x_a][x_c], head + (x_b,)
+        ks = range(1, p + 2)
+    for k in ks:
+        i, j = xs[2 * k - 2], xs[2 * k - 1]
+        reduced = xs[: 2 * k - 2] + xs[2 * k :]
+        yield (-1) ** (k + 1), r.dmap[i][j], reduced
+        for pos in range(2 * k, len(xs)):
+            yield from _weighted((-1) ** k, reduced, pos - 2, a.ternary[i][j][xs[pos]])
+
+
+def _delta_star_terms(a: LYAlgebra, r: Representation, xs: tuple):
+    """delta* (f, g) on (x1, x2, x3) and (x1, x2, x3, x4): cyclic sums over x1, x2, x3."""
+    x0, x1, x2 = xs[:3]
+    tail = xs[3:]
+    for u, v, w in ((x0, x1, x2), (x1, x2, x0), (x2, x0, x1)):
+        yield from _weighted(1, (0, w) + tail, 0, a.binary[u][v])
+        if tail:
+            yield 1, r.theta[u][tail[0]], (v, w)
+        else:
+            yield -1, r.rho[u], (v, w)
+            yield 1, None, (u, v, w)
+
+
+def _delta_zero_op(a: LYAlgebra, r: Representation) -> _Operator:
+    return _assemble(a, r, (1,), (2, 3), _delta_zero_terms)
+
+
+def _delta_op(a: LYAlgebra, r: Representation, p: int) -> _Operator:
+    return _assemble(a, r, (2 * p, 2 * p + 1), (2 * p + 2, 2 * p + 3), _delta_terms)
+
+
+def _delta_star_op(a: LYAlgebra, r: Representation) -> _Operator:
+    return _assemble(a, r, (2, 3), (3, 4), _delta_star_terms)
+
+
+# ---------------------------------------------------------------------------
+# coboundaries applied to one cochain
 
 
 def delta_zero(a: LYAlgebra, r: Representation, f: Matrix) -> CochainPair:
@@ -228,73 +341,8 @@ def delta_zero(a: LYAlgebra, r: Representation, f: Matrix) -> CochainPair:
     _require_rep(a, r)
     if f.rows != r.e or f.cols != a.dim:
         raise ShapeMismatch(f"C^1 element must be {r.e} x {a.dim}")
-    d, e = a.dim, r.e
-    fcol = [f.col(s) for s in range(d)]
-    out_f = Cochain(2, d, e)
-    out_g = Cochain(3, d, e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = r.rho[i].matvec(fcol[j])
-            v = vec_add(v, vec_scale(Fraction(-1), r.rho[j].matvec(fcol[i])))
-            v = vec_add(v, vec_scale(Fraction(-1), f.matvec(a.binary[i][j])))
-            out_f.set_block((i, j), v)
-            for k in range(d):
-                w = r.theta[j][k].matvec(fcol[i])
-                w = vec_add(w, vec_scale(Fraction(-1), r.theta[i][k].matvec(fcol[j])))
-                w = vec_add(w, r.dmap[i][j].matvec(fcol[k]))
-                w = vec_add(w, vec_scale(Fraction(-1), f.matvec(a.ternary[i][j][k])))
-                out_g.set_block((i, j, k), w)
-    return CochainPair(1, out_f, out_g)
-
-
-def _delta_i_at(a: LYAlgebra, r: Representation, c: CochainPair, xs: tuple) -> Vector:
-    p = c.p
-    sgn_p = Fraction(-1) ** p
-    g, f = c.g, c.f
-    head = xs[: 2 * p]
-    x_a, x_b = xs[2 * p], xs[2 * p + 1]
-    v = r.rho[x_a].matvec(g.eval_basis(head + (x_b,)))
-    v = vec_add(v, vec_scale(Fraction(-1), r.rho[x_b].matvec(g.eval_basis(head + (x_a,)))))
-    v = vec_add(v, vec_scale(Fraction(-1), g.eval_weighted(head + (0,), 2 * p, a.binary[x_a][x_b])))
-    out = vec_scale(sgn_p, v)
-    for k in range(1, p + 1):
-        i, j = xs[2 * k - 2], xs[2 * k - 1]
-        reduced = xs[: 2 * k - 2] + xs[2 * k :]
-        term = r.dmap[i][j].matvec(f.eval_basis(reduced))
-        out = vec_add(out, vec_scale(Fraction(-1) ** (k + 1), term))
-    for k in range(1, p + 2):
-        i, j = xs[2 * k - 2], xs[2 * k - 1]
-        reduced = xs[: 2 * k - 2] + xs[2 * k :]
-        sgn = Fraction(-1) ** k
-        for pos_orig in range(2 * k, 2 * p + 2):
-            slot = pos_orig - 2
-            weights = a.ternary[i][j][xs[pos_orig]]
-            term = f.eval_weighted(reduced, slot, weights)
-            out = vec_add(out, vec_scale(sgn, term))
-    return out
-
-
-def _delta_ii_at(a: LYAlgebra, r: Representation, c: CochainPair, xs: tuple) -> Vector:
-    p = c.p
-    sgn_p = Fraction(-1) ** p
-    g = c.g
-    head = xs[: 2 * p]
-    x_a, x_b, x_c = xs[2 * p], xs[2 * p + 1], xs[2 * p + 2]
-    v = r.theta[x_b][x_c].matvec(g.eval_basis(head + (x_a,)))
-    v = vec_add(v, vec_scale(Fraction(-1), r.theta[x_a][x_c].matvec(g.eval_basis(head + (x_b,)))))
-    out = vec_scale(sgn_p, v)
-    for k in range(1, p + 2):
-        i, j = xs[2 * k - 2], xs[2 * k - 1]
-        reduced = xs[: 2 * k - 2] + xs[2 * k :]
-        term = r.dmap[i][j].matvec(g.eval_basis(reduced))
-        out = vec_add(out, vec_scale(Fraction(-1) ** (k + 1), term))
-        sgn = Fraction(-1) ** k
-        for pos_orig in range(2 * k, 2 * p + 3):
-            slot = pos_orig - 2
-            weights = a.ternary[i][j][xs[pos_orig]]
-            term = g.eval_weighted(reduced, slot, weights)
-            out = vec_add(out, vec_scale(sgn, term))
-    return out
+    flat = [f[m, s] for s in range(a.dim) for m in range(r.e)]
+    return CochainPair.from_flat(1, a.dim, r.e, _delta_zero_op(a, r).apply(flat))
 
 
 def delta(a: LYAlgebra, r: Representation, c: CochainPair) -> CochainPair:
@@ -302,19 +350,7 @@ def delta(a: LYAlgebra, r: Representation, c: CochainPair) -> CochainPair:
     _require_rep(a, r)
     if (c.f.d, c.f.e) != (a.dim, r.e):
         raise ShapeMismatch("cochain shaped for a different (algebra, module)")
-    p = c.p
-    d, e = a.dim, r.e
-    out_f = Cochain(2 * p + 2, d, e)
-    out_g = Cochain(2 * p + 3, d, e)
-    for xs in out_f.rep_tuples():
-        v = _delta_i_at(a, r, c, xs)
-        if any(v):
-            out_f.set_block(xs, v)
-    for xs in out_g.rep_tuples():
-        v = _delta_ii_at(a, r, c, xs)
-        if any(v):
-            out_g.set_block(xs, v)
-    return CochainPair(p + 1, out_f, out_g)
+    return CochainPair.from_flat(c.p + 1, a.dim, r.e, _delta_op(a, r, c.p).apply(c.flat()))
 
 
 def delta_star(a: LYAlgebra, r: Representation, c: CochainPair) -> tuple[Cochain, Cochain]:
@@ -325,103 +361,37 @@ def delta_star(a: LYAlgebra, r: Representation, c: CochainPair) -> tuple[Cochain
     if (c.f.d, c.f.e) != (a.dim, r.e):
         raise ShapeMismatch("cochain shaped for a different (algebra, module)")
     d, e = a.dim, r.e
-    f, g = c.f, c.g
-    out3 = Cochain(3, d, e)
-    out4 = Cochain(4, d, e)
-    for xs in out3.rep_tuples():
-        x0, x1, x2 = xs
-        v = vec_scale(Fraction(-1), r.rho[x0].matvec(f.eval_basis((x1, x2))))
-        v = vec_add(v, vec_scale(Fraction(-1), r.rho[x1].matvec(f.eval_basis((x2, x0)))))
-        v = vec_add(v, vec_scale(Fraction(-1), r.rho[x2].matvec(f.eval_basis((x0, x1)))))
-        v = vec_add(v, f.eval_weighted((0, x2), 0, a.binary[x0][x1]))
-        v = vec_add(v, f.eval_weighted((0, x0), 0, a.binary[x1][x2]))
-        v = vec_add(v, f.eval_weighted((0, x1), 0, a.binary[x2][x0]))
-        v = vec_add(v, g.eval_basis((x0, x1, x2)))
-        v = vec_add(v, g.eval_basis((x1, x2, x0)))
-        v = vec_add(v, g.eval_basis((x2, x0, x1)))
-        if any(v):
-            out3.set_block(xs, v)
-    for xs in out4.rep_tuples():
-        x0, x1, x2, x3 = xs
-        v = r.theta[x0][x3].matvec(f.eval_basis((x1, x2)))
-        v = vec_add(v, r.theta[x1][x3].matvec(f.eval_basis((x2, x0))))
-        v = vec_add(v, r.theta[x2][x3].matvec(f.eval_basis((x0, x1))))
-        v = vec_add(v, g.eval_weighted((0, x2, x3), 0, a.binary[x0][x1]))
-        v = vec_add(v, g.eval_weighted((0, x0, x3), 0, a.binary[x1][x2]))
-        v = vec_add(v, g.eval_weighted((0, x1, x3), 0, a.binary[x2][x0]))
-        if any(v):
-            out4.set_block(xs, v)
-    return out3, out4
+    out = _delta_star_op(a, r).apply(c.flat())
+    n3 = cochain_dim(3, d, e)
+    return Cochain(3, d, e, out[:n3]), Cochain(4, d, e, out[n3:])
 
 
 # ---------------------------------------------------------------------------
 # operator matrices and cohomology groups
 
 
-def _matrix_from_columns(cols: list[list[Fraction]], nrows: int) -> Matrix:
-    return Matrix(nrows, len(cols), [cols[j][i] for i in range(nrows) for j in range(len(cols))])
-
-
-def c1_unit(d: int, e: int, flat_index: int) -> Matrix:
-    """Unit element of C^1 = Hom(g, V) for flat index s*e + m."""
-    s, m = divmod(flat_index, e)
-    entries = [Fraction(0)] * (e * d)
-    entries[m * d + s] = Fraction(1)
-    return Matrix(e, d, entries)
-
-
-def c1_flatten(f: Matrix) -> list[Fraction]:
-    """Flatten an e x d map as coordinates indexed by s*e + m."""
-    return [f[m, s] for s in range(f.cols) for m in range(f.rows)]
-
-
 def delta_zero_matrix(a: LYAlgebra, r: Representation) -> Matrix:
-    d, e = a.dim, r.e
-    nrows = cochain_dim(2, d, e) + cochain_dim(3, d, e)
-    cols = []
-    for idx in range(d * e):
-        img = delta_zero(a, r, c1_unit(d, e, idx))
-        cols.append(img.flat())
-    return _matrix_from_columns(cols, nrows)
+    """Matrix of delta_zero; column s*e + m is the C^1 coordinate f(e_s)_m."""
+    _check_shapes(a, r)
+    return _delta_zero_op(a, r).dense()
 
 
 def delta_matrix(a: LYAlgebra, r: Representation, p: int) -> Matrix:
-    d, e = a.dim, r.e
-    src = cochain_dim(2 * p, d, e) + cochain_dim(2 * p + 1, d, e)
-    dst = cochain_dim(2 * p + 2, d, e) + cochain_dim(2 * p + 3, d, e)
-    cols = []
-    for idx in range(src):
-        flat = [Fraction(0)] * src
-        flat[idx] = Fraction(1)
-        img = delta(a, r, CochainPair.from_flat(p, d, e, flat))
-        cols.append(img.flat())
-    return _matrix_from_columns(cols, dst)
+    """Matrix of delta on C^(2p,2p+1), columns and rows in ``CochainPair.flat`` order."""
+    _check_shapes(a, r)
+    return _delta_op(a, r, p).dense()
 
 
 def delta_star_matrix(a: LYAlgebra, r: Representation) -> Matrix:
-    d, e = a.dim, r.e
-    src = cochain_dim(2, d, e) + cochain_dim(3, d, e)
-    dst = cochain_dim(3, d, e) + cochain_dim(4, d, e)
-    cols = []
-    for idx in range(src):
-        flat = [Fraction(0)] * src
-        flat[idx] = Fraction(1)
-        o3, o4 = delta_star(a, r, CochainPair.from_flat(1, d, e, flat))
-        cols.append(list(o3.coeffs) + list(o4.coeffs))
-    return _matrix_from_columns(cols, dst)
-
-
-def _stack(m1: Matrix, m2: Matrix) -> Matrix:
-    if m1.cols != m2.cols:
-        raise ShapeMismatch("stack needs equal column counts")
-    return Matrix(m1.rows + m2.rows, m1.cols, list(m1.entries) + list(m2.entries))
+    """Matrix of delta* on C^(2,3), rows in C^3-then-C^4 order."""
+    _check_shapes(a, r)
+    return _delta_star_op(a, r).dense()
 
 
 def h1(a: LYAlgebra, r: Representation) -> tuple[int, SubspaceBasis]:
     """Joint kernel of delta_zero's two components inside C^1."""
     _require_rep(a, r)
-    m = delta_zero_matrix(a, r)
-    basis = m.kernel_basis()
+    basis = delta_zero_matrix(a, r).kernel_basis()
     return basis.dim, basis
 
 
@@ -430,6 +400,7 @@ class H23Result:
     dim: int
     z_basis: SubspaceBasis
     b_basis: SubspaceBasis
+    delta_squared_zero: bool
     reading: str = Z23_READING
 
     @property
@@ -444,19 +415,18 @@ class H23Result:
 def h23(a: LYAlgebra, r: Representation) -> H23Result:
     """H^(2,3) = Z/B with Z = ker(delta) ∩ ker(delta_star), B = delta(C^0).
 
-    Containment B <= Z is asserted, never assumed: failure raises
+    Containment B <= Z, i.e. delta o delta_zero = 0 and delta* o delta_zero = 0,
+    is tested exactly and reported as ``delta_squared_zero``; failure raises
     CocycleContainmentFailure, which signals a formula-transcription bug.
     """
     _require_rep(a, r)
-    stacked = _stack(delta_matrix(a, r, 1), delta_star_matrix(a, r))
-    z = stacked.kernel_basis()
+    z = _delta_op(a, r, 1).stack(_delta_star_op(a, r)).dense().kernel_basis()
     b_mat = delta_zero_matrix(a, r)
     b = SubspaceBasis(b_mat.rows, [b_mat.col(j) for j in range(b_mat.cols)])
-    try:
-        dim = quotient_dim(z, b)
-    except NotASubspace as exc:
-        raise CocycleContainmentFailure(f"B^(2,3) is not contained in Z^(2,3): {exc}") from exc
-    return H23Result(dim, z, b)
+    contained = z.contains_basis(b)
+    if not contained:
+        raise CocycleContainmentFailure("B^(2,3) is not contained in Z^(2,3)")
+    return H23Result(z.dim - b.dim, z, b, contained)
 
 
 @dataclass
@@ -469,7 +439,11 @@ class HUpperResult:
 
 
 def h_upper(a: LYAlgebra, r: Representation, p: int, cap: int = DEFAULT_SIZE_CAP) -> HUpperResult:
-    """H^(2p,2p+1) for p >= 2 by exact kernel/image computation."""
+    """H^(2p,2p+1) for p >= 2 by exact kernel/image computation.
+
+    ``delta_squared_zero`` is the exact containment test B <= Z, which is
+    delta_p o delta_(p-1) = 0; failure raises CocycleContainmentFailure.
+    """
     if p < 2:
         raise ShapeMismatch("h_upper is for p >= 2; use h23 for p = 1")
     _require_rep(a, r)
@@ -482,13 +456,10 @@ def h_upper(a: LYAlgebra, r: Representation, p: int, cap: int = DEFAULT_SIZE_CAP
     z = delta_matrix(a, r, p).kernel_basis()
     prev = delta_matrix(a, r, p - 1)
     b = SubspaceBasis(prev.rows, [prev.col(j) for j in range(prev.cols)])
-    try:
-        dim = quotient_dim(z, b)
-    except NotASubspace as exc:
-        raise CocycleContainmentFailure(
-            f"B^(2p,2p+1) is not contained in Z^(2p,2p+1) at p={p}: {exc}"
-        ) from exc
-    return HUpperResult(p, dim, z.dim, b.dim, True)
+    contained = z.contains_basis(b)
+    if not contained:
+        raise CocycleContainmentFailure(f"B^(2p,2p+1) is not contained in Z^(2p,2p+1) at p={p}")
+    return HUpperResult(p, z.dim - b.dim, z.dim, b.dim, contained)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ from typing import Iterable, Sequence
 
 from .errors import NotASubspace, ShapeMismatch
 
-Q = Fraction
-
 Vector = tuple[Fraction, ...]
 
 
@@ -145,9 +143,6 @@ class Matrix:
                     s += ri[k] * v[k]
             out.append(s)
         return tuple(out)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
@@ -299,7 +294,3 @@ def quotient_dim(z: SubspaceBasis, b: SubspaceBasis) -> int:
         if not z.contains(v):
             raise NotASubspace("basis vector outside the enclosing subspace")
     return z.dim - b.dim
-
-
-def span_of_columns(m: Matrix) -> SubspaceBasis:
-    return SubspaceBasis(m.rows, [m.col(j) for j in range(m.cols)])

@@ -204,14 +204,6 @@ def cochain_pair_from_json(obj, d: int, e: int) -> CochainPair:
 # bundles
 
 
-def _point_to_json(pt) -> list[str]:
-    return vec_to_json(pt)
-
-
-def _point_from_json(v, arity: int | None = None):
-    return vec_from_json(v, arity)
-
-
 def bundle_from_json(obj) -> BundleSpec:
     if not isinstance(obj, dict) or "fiber" not in obj or "charts" not in obj:
         raise ShapeMismatch("bundle JSON must carry 'fiber' and 'charts'")
@@ -222,7 +214,7 @@ def bundle_from_json(obj) -> BundleSpec:
             Chart(
                 str(c["name"]),
                 tuple(str(x) for x in c.get("coords", [])),
-                tuple(_point_from_json(p) for p in c.get("samples", [])),
+                tuple(vec_from_json(p) for p in c.get("samples", [])),
             )
         )
     transitions = []
@@ -236,7 +228,7 @@ def bundle_from_json(obj) -> BundleSpec:
                 str(t["from"]),
                 str(t["to"]),
                 matrix,
-                tuple(_point_from_json(p) for p in t.get("samples", [])),
+                tuple(vec_from_json(p) for p in t.get("samples", [])),
             )
         )
     triples = []
@@ -248,7 +240,7 @@ def bundle_from_json(obj) -> BundleSpec:
                     "triple samples are [point_in_chart_i, point_in_chart_j, point_in_chart_k]"
                 )
             samples.append(
-                (_point_from_json(s[0]), _point_from_json(s[1]), _point_from_json(s[2]))
+                (vec_from_json(s[0]), vec_from_json(s[1]), vec_from_json(s[2]))
             )
         triples.append(TripleOverlap(str(t["i"]), str(t["j"]), str(t["k"]), tuple(samples)))
     return BundleSpec(fiber, tuple(charts), tuple(transitions), tuple(triples))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -17,10 +18,14 @@ from lieyamaguti import (
     trivial_rep,
     zero_algebra,
 )
+import lieyamaguti.algebra
 from lieyamaguti.cohomology import (
     Cochain,
     CochainPair,
     cochain_dim,
+    delta_matrix,
+    delta_star_matrix,
+    delta_zero_matrix,
     random_c1,
     random_cochain,
     random_cochain_pair,
@@ -169,6 +174,7 @@ def test_h23_corpus_containment_and_dims(corpus):
     for name, (a, r) in corpus.items():
         res = h23(a, r)
         assert (res.dim_z, res.dim_b, res.dim) == expected[name], name
+        assert res.delta_squared_zero, name
         for v in res.b_basis:
             assert res.z_basis.contains(v), name
 
@@ -223,3 +229,104 @@ def test_h_upper_rejects_p1():
     a = example_3dim()
     with pytest.raises(ShapeMismatch):
         h_upper(a, adjoint(a), 1)
+
+
+# SHA-256 of "ROWSxCOLS:" followed by the comma-joined entries of each operator
+# matrix, recorded from an independent implementation that applied pointwise
+# coboundary formulas to one unit cochain per column.  They pin every entry,
+# including the cyclic signs of delta*'s first block and its storage on
+# pair-antisymmetric representatives.
+OPERATOR_DIGESTS = {
+    "3dim/adjoint/delta_zero": "b4a2547f0d6474279c5fe1118a90a78431019dc084bd7a3ae1ac45e9c57e23a6",
+    "3dim/adjoint/delta_p1": "44f16286660634c89e529ae89374c1cac434a06954635bce9eb7b62558579ab9",
+    "3dim/adjoint/delta_p2": "4ff5336df0b6e34b7cbf0de9cd63f4f2375d3f8352b6580cfdf553d5509c959a",
+    "3dim/adjoint/delta_star": "c66be3f44c328b47a1fe70b39996c35e7e799d1ecf417990374d625de5c102dd",
+    "3dim/trivial1/delta_zero": "0c950dd746069b7ddf6cd556b536c267ebdd2639a7be6ba30a1df574a6e4898b",
+    "3dim/trivial1/delta_p1": "6949cb68e380bb083031d74e64c7c6cf746fb7b719008fd4de5a02a663631dc3",
+    "3dim/trivial1/delta_p2": "83cb9fb5093107fb451d2420b7ac59363e381c74a08f2d1f3a419416f090a122",
+    "3dim/trivial1/delta_star": "ae27c34f19635d41bb360d597b79a039f0a498ee5734aa1a331fae79e73cfc3f",
+    "3dim/trivial2/delta_zero": "e9bf61a2f86f5b2dfc0b47bc6c11fe8ec2f884d1e6901a90a53899ae7a224ee4",
+    "3dim/trivial2/delta_p1": "ad046ffb03dffd887bea5271cd50e29ae574295a6a60d348a8eefd96f0d75a8a",
+    "3dim/trivial2/delta_p2": "88c2b14df0c16ea1288da81adda2bae862af65cadbe4444ba468550805f8b94b",
+    "3dim/trivial2/delta_star": "3ce57291136a146be2b7f3497f343a382513248f73cf4f8dc895e4526f0a1446",
+    "meson2/adjoint/delta_zero": "35ce366672e128b8140543aea98c5e94d577b0f525b96ca5c16202e687f33b9e",
+    "meson2/adjoint/delta_p1": "dc3bc703bd1efbdaef55454dfef75f4b8cbe1c7f038017b7119fee038874359d",
+    "meson2/adjoint/delta_p2": "0b9afa92d5846fee7c18d8259d5cc1a81395562fe8df5df34d8b4e9a4509bf92",
+    "meson2/adjoint/delta_star": "7e0fa2370b690c6f032e543d69b2fef5691c6acdf837d61bf8928bb6196cdfa9",
+    "meson2/trivial1/delta_zero": "15b3926bf928249e05aa910b844c99dd12b464d88c338533c3d010fac0134950",
+    "meson2/trivial1/delta_p1": "0ef49ef960106c6ae17e93f289bb007c5d7ff6d02c046d1baaed157daf11678c",
+    "meson2/trivial1/delta_p2": "b60e92fa0b456db00e316f932d3d613cbb6e4634c9dda69713185d8c0fb72cd1",
+    "meson2/trivial1/delta_star": "0ef49ef960106c6ae17e93f289bb007c5d7ff6d02c046d1baaed157daf11678c",
+    "meson2/trivial2/delta_zero": "1afe129f298d0e15667f916cdce95ab37843cfb19c3d7729a2b8333d1d7feee6",
+    "meson2/trivial2/delta_p1": "7e0fa2370b690c6f032e543d69b2fef5691c6acdf837d61bf8928bb6196cdfa9",
+    "meson2/trivial2/delta_p2": "96a1b862a31c9a7ce155c275e70ab1759d92459bc62660062c4aca95c67f9075",
+    "meson2/trivial2/delta_star": "7e0fa2370b690c6f032e543d69b2fef5691c6acdf837d61bf8928bb6196cdfa9",
+    "meson3/adjoint/delta_zero": "286f72380d869ae38b158baa385aaca20785187856e0ef7666e5e5b70585a2d4",
+    "meson3/adjoint/delta_p1": "b847ae85e3374d652f445d2ff706b2efcbabaab9bb0fb936d464d435fff65217",
+    "meson3/adjoint/delta_p2": "987cd7c852f215ac47f4709c89458d754d6c0bfff1091815b2433f5e02da41dc",
+    "meson3/adjoint/delta_star": "f13acffff9cca0bd901203211a905ec6d9c2a60fd4c21474cd3e7a6859cb041e",
+    "meson3/trivial1/delta_zero": "1eee881c1abeb04462583e8831281107e0e5e8fbfb99f51e6bea60c04190b46a",
+    "meson3/trivial1/delta_p1": "e0715e1f74bfd30ad9ffa850b3f8a26accabd431f955561be3e1565b8e1a9b48",
+    "meson3/trivial1/delta_p2": "5a5219734e9855690c75f0864a1f7914e33ab26a30f3a6802daebb7f03cf1429",
+    "meson3/trivial1/delta_star": "ae27c34f19635d41bb360d597b79a039f0a498ee5734aa1a331fae79e73cfc3f",
+    "meson3/trivial2/delta_zero": "5e203c5eaebd4028fd7f1cae5cec7c33afbe2d3040cdf727314bb7fccb9ff82d",
+    "meson3/trivial2/delta_p1": "e846911e0bcea714435b0aef02ab94c43f9dfaa5d8088a731bebe79bb5546d49",
+    "meson3/trivial2/delta_p2": "93152483c8869052d2cdc9b2a8755a7cc9e2b26487e4b25beee6d3907d308381",
+    "meson3/trivial2/delta_star": "3ce57291136a146be2b7f3497f343a382513248f73cf4f8dc895e4526f0a1446",
+    "crossproduct-lie/adjoint/delta_zero": "e4fa421d27043fb74cbc8e689bb58636ca90f8b0c4da7b9a196ca9f0a9f846ca",
+    "crossproduct-lie/adjoint/delta_p1": "ba61ea4791e0de432cd8278c0fa57c6e5306cd60cb1222c58e64d54d10535ccb",
+    "crossproduct-lie/adjoint/delta_p2": "ca14944c7890153388a7131f3f00fb3b719c3890a71dae46cfcece3448cbd4a1",
+    "crossproduct-lie/adjoint/delta_star": "038fd21b4ae1d2d10cfc2bf667d30fe0f2a80aa5ead810efbfea55f7ac9c4ef2",
+    "crossproduct-lie/trivial1/delta_zero": "8caa8f8ce0a696eba9b455f5be8d0bc03f68dedfca4a9751cd75127772d55cda",
+    "crossproduct-lie/trivial1/delta_p1": "ef7b0a889eb48ba92fa0fa91e5fdcd31bc39a71800c4796389e4d6bd9e246963",
+    "crossproduct-lie/trivial1/delta_p2": "5ae9d1834d53acd64aaf3f133e41d1462556355e131342d3d89cde2ff040d9ee",
+    "crossproduct-lie/trivial1/delta_star": "ae27c34f19635d41bb360d597b79a039f0a498ee5734aa1a331fae79e73cfc3f",
+    "crossproduct-lie/trivial2/delta_zero": "3f4f28e0c8ac033c01929d9c95e904581d242b47ea02d87df5df6626c673c548",
+    "crossproduct-lie/trivial2/delta_p1": "c6f45ceb14b47be5eb78687546ccbf01dea10aa02d919eebbed3b571cd3166a9",
+    "crossproduct-lie/trivial2/delta_p2": "8c7c13ff4def9599b82c331d802f0716f4a3cd6f3c0c936a8f95c6ca54c3497c",
+    "crossproduct-lie/trivial2/delta_star": "3ce57291136a146be2b7f3497f343a382513248f73cf4f8dc895e4526f0a1446",
+}
+
+
+def _digest(m: Matrix) -> str:
+    return hashlib.sha256(f"{m.rows}x{m.cols}:{','.join(map(str, m.entries))}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("rep", ["adjoint", "trivial1", "trivial2"])
+def test_operator_matrices_pinned_entrywise(corpus, rep):
+    for name, (a, ad) in corpus.items():
+        r = ad if rep == "adjoint" else trivial_rep(a, int(rep[-1]))
+        operators = {
+            "delta_zero": delta_zero_matrix(a, r),
+            "delta_p1": delta_matrix(a, r, 1),
+            "delta_p2": delta_matrix(a, r, 2),
+            "delta_star": delta_star_matrix(a, r),
+        }
+        for op, m in operators.items():
+            key = f"{name}/{rep}/{op}"
+            assert _digest(m) == OPERATOR_DIGESTS[key], key
+
+
+def test_validation_runs_once_per_entry_point(monkeypatch, rng):
+    a = meson(3)
+    r = adjoint(a)
+    c = random_cochain_pair(1, a.dim, r.e, rng)
+    f = random_c1(a.dim, r.e, rng)
+    calls = []
+    check_axioms = lieyamaguti.algebra.check_axioms
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check_axioms(*args, **kwargs)
+
+    monkeypatch.setattr(lieyamaguti.algebra, "check_axioms", counting)
+    entry_points = {
+        "h23": lambda: h23(a, r),
+        "delta": lambda: delta(a, r, c),
+        "delta_star": lambda: delta_star(a, r, c),
+        "delta_zero": lambda: delta_zero(a, r, f),
+    }
+    for name, call in entry_points.items():
+        calls.clear()
+        call()
+        assert len(calls) == 1, name
