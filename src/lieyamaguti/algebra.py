@@ -9,7 +9,12 @@ Constructors that build from i<j data derive the antisymmetric mirrors, which
 makes LY1/LY2 violations impossible along that path.
 
 Axiom checking runs over basis tuples only; multilinearity over Q makes that
-equivalent to the universally quantified identities.
+equivalent to the universally quantified identities.  It works on sparse
+integer structure constants (``integer_tables``): with den the LCM of every
+denominator, den * binary and den**2 * ternary are integer, each identity is
+homogeneous of weight w (``LY_WEIGHTS``), and its integer defect is den**w
+times the exact one.  Only a violated tuple's defect is converted back, to
+exact Fractions, for the report.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     InvalidAlgebra,
@@ -30,7 +35,9 @@ from .linalg import (
     Matrix,
     SubspaceBasis,
     Vector,
+    denominator_lcm,
     qvec,
+    scaled_sparse,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -134,39 +141,108 @@ class AxiomReport:
         return "; ".join(parts)
 
 
-def _ly3_defect(a: LYAlgebra, i: int, j: int, k: int) -> Vector:
-    acc = zero_vector(a.dim)
-    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-        acc = vec_add(acc, a.bracket(a.binary[x][y], a.basis_vector(z)))
-        acc = vec_add(acc, a.ternary[x][y][z])
-    return acc
+# Weight of each identity in the cleared structure constants: the integer
+# defect is den**weight times the exact one.
+LY_WEIGHTS = {"LY1": 1, "LY2": 2, "LY3": 2, "LY4": 3, "LY5": 3, "LY6": 4}
 
 
-def _ly4_defect(a: LYAlgebra, i: int, j: int, k: int, u: int) -> Vector:
-    eu = a.basis_vector(u)
-    acc = zero_vector(a.dim)
-    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-        acc = vec_add(acc, a.triple(a.binary[x][y], a.basis_vector(z), eu))
-    return acc
+def integer_tables(a: LYAlgebra, extra: Iterable[Fraction] = ()) -> tuple[int, list, list]:
+    """Structure constants with denominators cleared, as sparse integer vectors.
 
-
-def _ly5_defect(a: LYAlgebra, i: int, j: int, u: int, v: int) -> Vector:
-    lhs = a.triple(a.basis_vector(i), a.basis_vector(j), a.binary[u][v])
-    rhs = vec_add(
-        a.bracket(a.ternary[i][j][u], a.basis_vector(v)),
-        a.bracket(a.basis_vector(u), a.ternary[i][j][v]),
+    Returns ``(den, B, T)``: ``den`` is the LCM of every denominator in ``a``
+    and in ``extra``; ``B[i][j]`` holds den * [e_i, e_j] and ``T[i][j][k]``
+    holds den**2 * {e_i, e_j, e_k}, each as a list of nonzero (index, int)
+    pairs.
+    """
+    entries = itertools.chain(
+        (x for row in a.binary for v in row for x in v),
+        (x for plane in a.ternary for row in plane for v in row for x in v),
+        extra,
     )
-    return vec_sub(lhs, rhs)
+    den = denominator_lcm(entries)
+    b = [[scaled_sparse(v, den) for v in row] for row in a.binary]
+    t = [[[scaled_sparse(v, den * den) for v in row] for row in plane] for plane in a.ternary]
+    return den, b, t
 
 
-def _ly6_defect(a: LYAlgebra, i: int, j: int, u: int, v: int, w: int) -> Vector:
-    ei, ej = a.basis_vector(i), a.basis_vector(j)
-    eu, ev, ew = a.basis_vector(u), a.basis_vector(v), a.basis_vector(w)
-    lhs = a.triple(ei, ej, a.ternary[u][v][w])
-    rhs = a.triple(a.ternary[i][j][u], ev, ew)
-    rhs = vec_add(rhs, a.triple(eu, a.ternary[i][j][v], ew))
-    rhs = vec_add(rhs, a.triple(eu, ev, a.ternary[i][j][w]))
-    return vec_sub(lhs, rhs)
+def _ly_defects(d: int, B: list, T: list):
+    """Yield (axiom, basis tuple, integer defect) for each violated identity.
+
+    Works on the tables of ``integer_tables``, in the scan order documented
+    on ``check_axioms``; each defect is a dense list of d ints.
+    """
+    rng = range(d)
+    reduced = True
+    for i, j in itertools.product(rng, rng):
+        acc = [0] * d
+        for n, x in B[i][j] + B[j][i]:
+            acc[n] += x
+        if any(acc):
+            reduced = False
+            yield "LY1", (i, j), acc
+    for i, j, k in itertools.product(rng, rng, rng):
+        acc = [0] * d
+        for n, x in T[i][j][k] + T[j][i][k]:
+            acc[n] += x
+        if any(acc):
+            reduced = False
+            yield "LY2", (i, j, k), acc
+
+    triples = list(itertools.combinations(rng, 3) if reduced else itertools.product(rng, rng, rng))
+    for i, j, k in triples:
+        # [[x, y], z] + {x, y, z}, cyclically
+        acc = [0] * d
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in B[x][y]:
+                for n, v in B[m][z]:
+                    acc[n] += c * v
+            for n, v in T[x][y][z]:
+                acc[n] += v
+        if any(acc):
+            yield "LY3", (i, j, k), acc
+    for (i, j, k), u in itertools.product(triples, rng):
+        # {[x, y], z, u}, cyclically in (x, y, z)
+        acc = [0] * d
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in B[x][y]:
+                for n, v in T[m][z][u]:
+                    acc[n] += c * v
+        if any(acc):
+            yield "LY4", (i, j, k, u), acc
+    pairs = list(itertools.combinations(rng, 2) if reduced else itertools.product(rng, rng))
+    for (i, j), (u, v) in itertools.product(pairs, pairs):
+        # {i, j, [u, v]} - [{i, j, u}, v] - [u, {i, j, v}]
+        tij = T[i][j]
+        acc = [0] * d
+        for m, c in B[u][v]:
+            for n, x in tij[m]:
+                acc[n] += c * x
+        for m, c in tij[u]:
+            for n, x in B[m][v]:
+                acc[n] -= c * x
+        for m, c in tij[v]:
+            for n, x in B[u][m]:
+                acc[n] -= c * x
+        if any(acc):
+            yield "LY5", (i, j, u, v), acc
+    for (i, j), (u, v), w in itertools.product(pairs, pairs, rng):
+        # {i, j, {u, v, w}} - {{i, j, u}, v, w} - {u, {i, j, v}, w} - {u, v, {i, j, w}}
+        tij = T[i][j]
+        acc = [0] * d
+        for m, c in T[u][v][w]:
+            for n, x in tij[m]:
+                acc[n] += c * x
+        for m, c in tij[u]:
+            for n, x in T[m][v][w]:
+                acc[n] -= c * x
+        for m, c in tij[v]:
+            for n, x in T[u][m][w]:
+                acc[n] -= c * x
+        for m, c in tij[w]:
+            for n, x in T[u][v][m]:
+                acc[n] -= c * x
+        if any(acc):
+            yield "LY6", (i, j, u, v, w), acc
 
 
 def check_axioms(a: LYAlgebra, first_only: bool = False) -> AxiomReport:
@@ -180,60 +256,17 @@ def check_axioms(a: LYAlgebra, first_only: bool = False) -> AxiomReport:
     identities are scanned on representative tuples only (strictly increasing
     where the defect alternates); the remaining tuples vanish identically.
     When LY1 or LY2 fails, everything is scanned in full.
+
+    The identities are evaluated in integers on ``integer_tables(a)``; a
+    violated tuple's defect is reported as exact Fractions.
     """
-    d = a.dim
-    rng = range(d)
+    den, B, T = integer_tables(a)
     report = AxiomReport()
-
-    def done() -> bool:
-        return first_only and not report.ok
-
-    for i in rng:
-        for j in rng:
-            defect = vec_add(a.binary[i][j], a.binary[j][i])
-            if not vec_is_zero(defect):
-                report.add("LY1", (i, j), defect)
-                if done():
-                    return report
-    for i, j, k in itertools.product(rng, rng, rng):
-        defect = vec_add(a.ternary[i][j][k], a.ternary[j][i][k])
-        if not vec_is_zero(defect):
-            report.add("LY2", (i, j, k), defect)
-            if done():
-                return report
-
-    reduced = report.ok
-    triples = (
-        itertools.combinations(rng, 3) if reduced else itertools.product(rng, rng, rng)
-    )
-    for i, j, k in triples:
-        defect = _ly3_defect(a, i, j, k)
-        if not vec_is_zero(defect):
-            report.add("LY3", (i, j, k), defect)
-            if done():
-                return report
-    triples = (
-        itertools.combinations(rng, 3) if reduced else itertools.product(rng, rng, rng)
-    )
-    for (i, j, k), u in itertools.product(list(triples), rng):
-        defect = _ly4_defect(a, i, j, k, u)
-        if not vec_is_zero(defect):
-            report.add("LY4", (i, j, k, u), defect)
-            if done():
-                return report
-    pairs = list(itertools.combinations(rng, 2) if reduced else itertools.product(rng, rng))
-    for (i, j), (u, v) in itertools.product(pairs, pairs):
-        defect = _ly5_defect(a, i, j, u, v)
-        if not vec_is_zero(defect):
-            report.add("LY5", (i, j, u, v), defect)
-            if done():
-                return report
-    for (i, j), (u, v), w in itertools.product(pairs, pairs, rng):
-        defect = _ly6_defect(a, i, j, u, v, w)
-        if not vec_is_zero(defect):
-            report.add("LY6", (i, j, u, v, w), defect)
-            if done():
-                return report
+    for axiom, tup, acc in _ly_defects(a.dim, B, T):
+        scale = den ** LY_WEIGHTS[axiom]
+        report.add(axiom, tup, tuple(Fraction(x, scale) for x in acc))
+        if first_only:
+            break
     return report
 
 

@@ -101,11 +101,20 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest expression the parser accepts.  Depth counts every operator node
+# and every parenthesised group, so it bounds the tree the evaluators recurse
+# over as well as the parser's own recursion.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, depth)."""
+
     def __init__(self, src: str):
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.open = 0  # groups, call arguments and unary minus being parsed
 
     def peek(self):
         return self.tokens[self.pos]
@@ -121,44 +130,59 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", off)
         return self.advance()
 
+    def bounded(self, depth: int, off: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", off)
+        return depth
+
+    def nested(self, rule, off: int):
+        """Parse one level down, refusing before the recursion gets too deep."""
+        self.open = self.bounded(self.open + 1, off)
+        node, depth = rule()
+        self.open -= 1
+        return node, self.bounded(depth + 1, off)
+
     def parse(self) -> Expr:
-        node = self.expr()
+        node, _ = self.expr()
         kind, val, off = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {val!r}", off)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self):
+        node, depth = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, off = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                node = BinOp(val, node, self.term())
+                right, rdepth = self.term()
+                node, depth = BinOp(val, node, right), self.bounded(max(depth, rdepth) + 1, off)
             else:
-                return node
+                return node, depth
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self):
+        node, depth = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, off = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
-                node = BinOp(val, node, self.factor())
+                right, rdepth = self.factor()
+                node, depth = BinOp(val, node, right), self.bounded(max(depth, rdepth) + 1, off)
             else:
-                return node
+                return node, depth
 
-    def factor(self) -> Expr:
-        kind, val, _ = self.peek()
+    def factor(self):
+        kind, val, off = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.factor())
-        node = self.base()
-        kind, val, _ = self.peek()
+            arg, depth = self.nested(self.factor, off)
+            return Neg(arg), depth
+        node, depth = self.base()
+        kind, val, off = self.peek()
         if kind == "op" and val == "^":
             self.advance()
-            node = Pow(node, self.integer())
-        return node
+            node, depth = Pow(node, self.integer()), self.bounded(depth + 1, off)
+        return node, depth
 
     def integer(self) -> int:
         sign = 1
@@ -172,7 +196,7 @@ class _Parser:
         self.advance()
         return sign * int(val)
 
-    def base(self) -> Expr:
+    def base(self):
         kind, val, off = self.advance()
         if kind == "int":
             # greedy rational literal: integer "/" positive-integer
@@ -182,19 +206,19 @@ class _Parser:
                 if k2 == "int" and int(v2) > 0:
                     self.advance()
                     self.advance()
-                    return Lit(Fraction(int(val), int(v2)))
-            return Lit(Fraction(int(val)))
+                    return Lit(Fraction(int(val), int(v2))), 1
+            return Lit(Fraction(int(val))), 1
         if kind == "ident":
             if val in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg, depth = self.nested(self.expr, off)
                 self.expect_op(")")
-                return Call(val, arg)
-            return Var(val)
+                return Call(val, arg), depth
+            return Var(val), 1
         if kind == "op" and val == "(":
-            node = self.expr()
+            node, depth = self.nested(self.expr, off)
             self.expect_op(")")
-            return node
+            return node, depth
         raise ExprSyntaxError(f"unexpected token {val!r}", off)
 
 

@@ -3,11 +3,13 @@
 Scalars are ``fractions.Fraction`` throughout (arbitrary precision, always in
 lowest terms, positive denominator).  Matrices are immutable and row-major.
 Everything here is a pure function of its inputs, so values can be shared
-freely across threads.
+freely across threads.  ``denominator_lcm`` and ``scaled_sparse`` turn
+rational data into sparse integer vectors for the axiom checkers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -37,6 +39,19 @@ def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
 
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
+
+
+def denominator_lcm(values: Iterable[Fraction]) -> int:
+    """Least common multiple of the denominators of ``values`` (1 if empty)."""
+    return math.lcm(*{x.denominator for x in values})
+
+
+def scaled_sparse(v: Sequence[Fraction], scale: int) -> list[tuple[int, int]]:
+    """Nonzero entries of ``scale * v`` as (index, int) pairs.
+
+    ``scale`` must be a multiple of every denominator in ``v``.
+    """
+    return [(k, x.numerator * (scale // x.denominator)) for k, x in enumerate(v) if x]
 
 
 class Matrix:
@@ -107,10 +122,6 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, [-a for a in self.entries])
-
-    def scale(self, c) -> "Matrix":
-        c = Fraction(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.entries])
 
     def _same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:

@@ -15,6 +15,13 @@ the completions compatible with RLYB1 this is the one whose twisted version
 matches the cohomology operators: a (2,3)-pair twists it into a Lie-Yamaguti
 algebra exactly when delta and delta_star both kill the pair, and shifting a
 twist by a coboundary is the shear isomorphism (x, u) -> (x, u + h(x)).
+
+RLYB1..RLYB7 are evaluated on sparse integer data: with den the LCM of every
+denominator of the algebra and the representation, rho and the binary
+bracket are scaled by den, and D, theta and the ternary bracket by den**2.
+Each condition is homogeneous of weight w (``RLYB_WEIGHTS``), so its integer
+defect is den**w times the exact one; a violated tuple's defect is reported
+as a Matrix of exact Fractions.
 """
 
 from __future__ import annotations
@@ -22,11 +29,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
-from .algebra import LYAlgebra, from_tensors, is_valid
+from .algebra import LYAlgebra, from_tensors, integer_tables, is_valid
 from .errors import InvalidAlgebra, ShapeMismatch
-from .linalg import Matrix, Vector, zero_vector
+from .linalg import Matrix, Vector, scaled_sparse, zero_vector
 
 RLYB_CONDITIONS = ("RLYB1", "RLYB2", "RLYB3", "RLYB4", "RLYB5", "RLYB6")
 
@@ -43,33 +49,6 @@ class Representation:
     @property
     def d(self) -> int:
         return len(self.rho)
-
-    def rho_vec(self, x: Sequence[Fraction]) -> Matrix:
-        out = Matrix.zero(self.e, self.e)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + self.rho[i].scale(xi)
-        return out
-
-    def dmap_vec(self, x, y) -> Matrix:
-        out = Matrix.zero(self.e, self.e)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    out = out + self.dmap[i][j].scale(xi * yj)
-        return out
-
-    def theta_vec(self, x, y) -> Matrix:
-        out = Matrix.zero(self.e, self.e)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    out = out + self.theta[i][j].scale(xi * yj)
-        return out
 
     def replace_theta(self, i: int, j: int, m: Matrix) -> "Representation":
         theta = [list(row) for row in self.theta]
@@ -111,95 +90,154 @@ def _check_shapes(a: LYAlgebra, r: Representation) -> None:
                     raise ShapeMismatch("D/theta matrices must be e x e")
 
 
+# Weight of each condition in the cleared data (rho and the binary tensor
+# scaled by den, D, theta and the ternary tensor by den**2).
+RLYB_WEIGHTS = {"RLYB1": 2, "RLYB2": 3, "RLYB3": 3, "RLYB4": 4, "RLYB5": 3, "RLYB6": 4, "RLYB7": 3}
+
+
+def _integer_data(a: LYAlgebra, r: Representation):
+    """``integer_tables`` of a with den also clearing r, plus r cleared by den.
+
+    Returns ``(den, B, T, rho, dmap, theta)``; every matrix becomes a list of
+    its rows, each a list of nonzero (column, int) pairs.
+    """
+    mats = [*r.rho, *(m for row in r.dmap for m in row), *(m for row in r.theta for m in row)]
+    den, B, T = integer_tables(a, (x for m in mats for x in m.entries))
+
+    def rows(m: Matrix, scale: int) -> list:
+        return [scaled_sparse(m.row(i), scale) for i in range(m.rows)]
+
+    rho = [rows(m, den) for m in r.rho]
+    dmap = [[rows(m, den * den) for m in row] for row in r.dmap]
+    theta = [[rows(m, den * den) for m in row] for row in r.theta]
+    return den, B, T, rho, dmap, theta
+
+
+def _add_matrix(acc: list, e: int, c: int, m: list) -> None:
+    """acc += c * m, with acc a flat e*e list and m in row form."""
+    for i, row in enumerate(m):
+        base = i * e
+        for j, x in row:
+            acc[base + j] += c * x
+
+
+def _add_product(acc: list, e: int, c: int, m1: list, m2: list) -> None:
+    """acc += c * (m1 @ m2)."""
+    for i, row in enumerate(m1):
+        base = i * e
+        for k, x in row:
+            cx = c * x
+            for j, y in m2[k]:
+                acc[base + j] += cx * y
+
+
+def _add_combination(acc: list, e: int, c: int, coeffs: list, mats) -> None:
+    """acc += c * sum of coeff * mats[m] over the (m, coeff) pairs."""
+    for m, x in coeffs:
+        _add_matrix(acc, e, c * x, mats[m])
+
+
+def _rlyb_defects(d: int, e: int, B, T, rho, dmap, theta):
+    """Yield (condition, basis tuple, integer defect) for each violated RLYB1-6.
+
+    Works on the data of ``_integer_data``; each defect is a flat e*e list
+    of ints, scanned in the order documented on ``check_representation``.
+    """
+    rng = range(d)
+    theta_t = [[theta[m][k] for m in rng] for k in rng]  # theta_t[k][m] = theta[m][k]
+    for i, j in itertools.product(rng, rng):
+        # D(i,j) + theta(i,j) - theta(j,i) - [rho_i, rho_j] + rho([i,j])
+        acc = [0] * (e * e)
+        _add_matrix(acc, e, 1, dmap[i][j])
+        _add_matrix(acc, e, 1, theta[i][j])
+        _add_matrix(acc, e, -1, theta[j][i])
+        _add_product(acc, e, -1, rho[i], rho[j])
+        _add_product(acc, e, 1, rho[j], rho[i])
+        _add_combination(acc, e, 1, B[i][j], rho)
+        if any(acc):
+            yield "RLYB1", (i, j), acc
+    for i, j, k in itertools.product(rng, rng, rng):
+        # theta(i, [j,k]) - rho_j theta(i,k) + rho_k theta(i,j)
+        acc = [0] * (e * e)
+        _add_combination(acc, e, 1, B[j][k], theta[i])
+        _add_product(acc, e, -1, rho[j], theta[i][k])
+        _add_product(acc, e, 1, rho[k], theta[i][j])
+        if any(acc):
+            yield "RLYB2", (i, j, k), acc
+    for i, j, k in itertools.product(rng, rng, rng):
+        # theta([i,j], k) - theta(i,k) rho_j + theta(j,k) rho_i
+        acc = [0] * (e * e)
+        _add_combination(acc, e, 1, B[i][j], theta_t[k])
+        _add_product(acc, e, -1, theta[i][k], rho[j])
+        _add_product(acc, e, 1, theta[j][k], rho[i])
+        if any(acc):
+            yield "RLYB3", (i, j, k), acc
+    for i, j, k, l in itertools.product(rng, rng, rng, rng):
+        # theta(k,l) theta(i,j) - theta(j,l) theta(i,k) - theta(i, {j,k,l}) + D(j,k) theta(i,l)
+        acc = [0] * (e * e)
+        _add_product(acc, e, 1, theta[k][l], theta[i][j])
+        _add_product(acc, e, -1, theta[j][l], theta[i][k])
+        _add_combination(acc, e, -1, T[j][k][l], theta[i])
+        _add_product(acc, e, 1, dmap[j][k], theta[i][l])
+        if any(acc):
+            yield "RLYB4", (i, j, k, l), acc
+    for i, j, k in itertools.product(rng, rng, rng):
+        # D(i,j) rho_k - rho_k D(i,j) - rho({i,j,k})
+        acc = [0] * (e * e)
+        _add_product(acc, e, 1, dmap[i][j], rho[k])
+        _add_product(acc, e, -1, rho[k], dmap[i][j])
+        _add_combination(acc, e, -1, T[i][j][k], rho)
+        if any(acc):
+            yield "RLYB5", (i, j, k), acc
+    for i, j, k, l in itertools.product(rng, rng, rng, rng):
+        # D(i,j) theta(k,l) - theta(k,l) D(i,j) - theta({i,j,k}, l) - theta(k, {i,j,l})
+        acc = [0] * (e * e)
+        _add_product(acc, e, 1, dmap[i][j], theta[k][l])
+        _add_product(acc, e, -1, theta[k][l], dmap[i][j])
+        _add_combination(acc, e, -1, T[i][j][k], theta_t[l])
+        _add_combination(acc, e, -1, T[i][j][l], theta[k])
+        if any(acc):
+            yield "RLYB6", (i, j, k, l), acc
+
+
+def _rlyb7_defects(d: int, e: int, B, dmap):
+    """Yield (basis triple, integer defect) where D([i,j],k) + D([j,k],i) + D([k,i],j) != 0."""
+    rng = range(d)
+    dmap_t = [[dmap[m][k] for m in rng] for k in rng]  # dmap_t[k][m] = dmap[m][k]
+    for i, j, k in itertools.product(rng, rng, rng):
+        acc = [0] * (e * e)
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            _add_combination(acc, e, 1, B[x][y], dmap_t[z])
+        if any(acc):
+            yield (i, j, k), acc
+
+
+def _exact(acc: list, e: int, den: int, cond: str) -> Matrix:
+    scale = den ** RLYB_WEIGHTS[cond]
+    return Matrix(e, e, [Fraction(x, scale) for x in acc])
+
+
 def check_representation(a: LYAlgebra, r: Representation, first_only: bool = False) -> RepReport:
     """Evaluate RLYB1-RLYB6 on all basis tuples; RLYB7 is reported as info.
 
     RLYB1 scans pairs, RLYB2/RLYB3/RLYB5 triples, RLYB4/RLYB6 quadruples
-    (RLYB5 has only three arguments).
+    (RLYB5 has only three arguments).  The conditions are evaluated in
+    integers on ``_integer_data``; a violated tuple's defect is reported as
+    a matrix of exact Fractions.  RLYB7 is skipped with ``first_only``.
     """
     if not is_valid(a):
         raise InvalidAlgebra("check_representation needs a valid base algebra")
     _check_shapes(a, r)
-    d = a.dim
-    rng = range(d)
+    den, B, T, rho, dmap, theta = _integer_data(a, r)
     report = RepReport()
-
-    def done() -> bool:
-        return first_only and not report.ok
-
-    for i, j in itertools.product(rng, rng):
-        defect = (
-            r.dmap[i][j]
-            + r.theta[i][j]
-            - r.theta[j][i]
-            - (r.rho[i] @ r.rho[j] - r.rho[j] @ r.rho[i])
-            + r.rho_vec(a.binary[i][j])
-        )
-        if not defect.is_zero():
-            report.add("RLYB1", (i, j), defect)
-            if done():
-                return report
-    for i, j, k in itertools.product(rng, rng, rng):
-        defect = (
-            r.theta_vec(a.basis_vector(i), a.binary[j][k])
-            - r.rho[j] @ r.theta[i][k]
-            + r.rho[k] @ r.theta[i][j]
-        )
-        if not defect.is_zero():
-            report.add("RLYB2", (i, j, k), defect)
-            if done():
-                return report
-    for i, j, k in itertools.product(rng, rng, rng):
-        defect = (
-            r.theta_vec(a.binary[i][j], a.basis_vector(k))
-            - r.theta[i][k] @ r.rho[j]
-            + r.theta[j][k] @ r.rho[i]
-        )
-        if not defect.is_zero():
-            report.add("RLYB3", (i, j, k), defect)
-            if done():
-                return report
-    for i, j, k, l in itertools.product(rng, rng, rng, rng):
-        defect = (
-            r.theta[k][l] @ r.theta[i][j]
-            - r.theta[j][l] @ r.theta[i][k]
-            - r.theta_vec(a.basis_vector(i), a.ternary[j][k][l])
-            + r.dmap[j][k] @ r.theta[i][l]
-        )
-        if not defect.is_zero():
-            report.add("RLYB4", (i, j, k, l), defect)
-            if done():
-                return report
-    for i, j, k in itertools.product(rng, rng, rng):
-        defect = (
-            r.dmap[i][j] @ r.rho[k]
-            - r.rho[k] @ r.dmap[i][j]
-            - r.rho_vec(a.ternary[i][j][k])
-        )
-        if not defect.is_zero():
-            report.add("RLYB5", (i, j, k), defect)
-            if done():
-                return report
-    for i, j, k, l in itertools.product(rng, rng, rng, rng):
-        defect = (
-            r.dmap[i][j] @ r.theta[k][l]
-            - r.theta[k][l] @ r.dmap[i][j]
-            - r.theta_vec(a.ternary[i][j][k], a.basis_vector(l))
-            - r.theta_vec(a.basis_vector(k), a.ternary[i][j][l])
-        )
-        if not defect.is_zero():
-            report.add("RLYB6", (i, j, k, l), defect)
-            if done():
-                return report
+    for cond, tup, acc in _rlyb_defects(a.dim, r.e, B, T, rho, dmap, theta):
+        report.add(cond, tup, _exact(acc, r.e, den, cond))
+        if first_only:
+            return report
     if not first_only:
-        for i, j, k in itertools.product(rng, rng, rng):
-            defect = (
-                r.dmap_vec(a.binary[i][j], a.basis_vector(k))
-                + r.dmap_vec(a.binary[j][k], a.basis_vector(i))
-                + r.dmap_vec(a.binary[k][i], a.basis_vector(j))
-            )
-            if not defect.is_zero():
-                report.rlyb7_violations.append(((i, j, k), defect))
+        report.rlyb7_violations = [
+            (tup, _exact(acc, r.e, den, "RLYB7")) for tup, acc in _rlyb7_defects(a.dim, r.e, B, dmap)
+        ]
     return report
 
 
@@ -212,15 +250,8 @@ def check_rlyb7(a: LYAlgebra, r: Representation) -> bool:
     if not is_valid(a):
         raise InvalidAlgebra("check_rlyb7 needs a valid base algebra")
     _check_shapes(a, r)
-    for i, j, k in itertools.product(range(a.dim), repeat=3):
-        defect = (
-            r.dmap_vec(a.binary[i][j], a.basis_vector(k))
-            + r.dmap_vec(a.binary[j][k], a.basis_vector(i))
-            + r.dmap_vec(a.binary[k][i], a.basis_vector(j))
-        )
-        if not defect.is_zero():
-            return False
-    return True
+    _, B, _, _, dmap, _ = _integer_data(a, r)
+    return next(_rlyb7_defects(a.dim, r.e, B, dmap), None) is None
 
 
 def trivial_rep(a: LYAlgebra, e: int) -> Representation:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from lieyamaguti.cli import run
 from lieyamaguti.fixtures import FIXTURES, fixture, render
 
@@ -221,6 +223,22 @@ def test_bundle_check_float_mode(tmp_path, capsys):
     # exact mode cannot evaluate exp away from 0
     code, report = run_cli(capsys, "bundle-check", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["(" * 3000 + "t" + ")" * 3000, "-" * 3000 + "t", " + ".join(["t"] * 3000)],
+    ids=["parentheses", "unary-minus", "sum"],
+)
+def test_bundle_check_deep_expression_exit_2(tmp_path, capsys, entry):
+    obj = fixture("circle-bundle")
+    obj["transitions"][0]["matrix"][0][0] = entry
+    path = tmp_path / "deep.json"
+    path.write_text(render(obj), encoding="utf-8")
+    code, report = run_cli(capsys, "bundle-check", str(path))
+    assert code == 2
+    assert report["status"] == "error"
+    assert "nested deeper than" in report["diagnostics"][0]
 
 
 def test_bundle_cohomology_command(tmp_path, capsys):

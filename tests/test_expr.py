@@ -95,3 +95,26 @@ def test_unexpected_character():
 
 def test_nested_function_calls():
     assert ev("exp(sin(0) * cos(0))") == 1
+
+
+def test_depth_limit_rejects_with_offset():
+    from lieyamaguti.exprs import MAX_DEPTH
+
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("(" * 3000 + "t" + ")" * 3000)
+    assert err.value.offset == MAX_DEPTH  # the first "(" past the limit
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("-" * 3000 + "t")
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("sin(" * 3000 + "0" + ")" * 3000)
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("+".join(["1"] * 3000))
+
+
+def test_depth_limit_admits_depth_max():
+    from lieyamaguti.exprs import MAX_DEPTH
+
+    # each group is one level and the leaf another
+    assert ev("(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1), t=2) == 2
+    assert ev("-" * (MAX_DEPTH - 1) + "t", t=2) == (-1) ** (MAX_DEPTH - 1) * 2
+    assert ev("+".join(["1"] * MAX_DEPTH)) == MAX_DEPTH
