@@ -68,8 +68,8 @@ class LYAlgebra:
     name: str = ""
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        """Bilinear extension of the binary bracket to coordinate vectors."""
-        out = list(zero_vector(self.dim))
+        """Bilinear extension of the binary bracket to coordinate vectors of any scalar type."""
+        out = [0] * self.dim
         for i, xi in enumerate(x):
             if not xi:
                 continue
@@ -85,8 +85,8 @@ class LYAlgebra:
         return tuple(out)
 
     def triple(self, x, y, z) -> Vector:
-        """Trilinear extension of the ternary bracket."""
-        out = list(zero_vector(self.dim))
+        """Trilinear extension of the ternary bracket, for any scalar type."""
+        out = [0] * self.dim
         for i, xi in enumerate(x):
             if not xi:
                 continue

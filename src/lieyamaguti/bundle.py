@@ -11,26 +11,32 @@ cohomology) is pointwise, so sampling verifies exactly what can be verified
 at this scale; nothing here claims smoothness.
 
 An undeclared self transition g_ii is the identity.  In chart coordinates
-the trivialization is the identity map, so the fibre algebra at any sample
-equals the fibre model; ``fiber_algebra_at`` exists to make the clutching
-identity executable.
+the trivialization is the identity map, so every fibre is the fibre model:
+fibrewise groups are computed once and listed at every chart sample.  Their
+``constant`` flag reports ``transport_failures``: transport of cochains along
+each sampled transition value s, (s.f)(x1, ..., xn) = s f(s^-1 x1, ...,
+s^-1 xn), must preserve the fibre's cocycles and coboundaries.
+
+Both evaluation modes run one code path over rows of scalars: Fractions in
+exact mode, floats in float mode, where a difference up to the tolerance
+counts as zero.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LYAlgebra, derivations, is_automorphism, is_derivation, is_homomorphism, is_valid
-from .cohomology import DEFAULT_SIZE_CAP, h1, h23, h_upper
+from .algebra import LYAlgebra, derivations, is_homomorphism, is_valid
+from .cohomology import DEFAULT_SIZE_CAP, h1, h23, h_upper, transport_defects
 from .errors import (
     CocycleCheckFailed,
     InvalidAlgebra,
     NotASubalgebra,
     ShapeMismatch,
     UnknownIdentifier,
-    UnknownSample,
 )
 from .exprs import Expr, eval_exact, eval_float, variables
 from .linalg import Matrix, SubspaceBasis
@@ -47,8 +53,13 @@ class EvalMode:
     def __post_init__(self):
         if self.kind not in ("exact", "float"):
             raise ShapeMismatch(f"unknown evaluation mode {self.kind!r}")
-        if self.tol <= 0:
-            raise ShapeMismatch("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ShapeMismatch(f"tolerance must be a finite positive number, got {self.tol!r}")
+
+    @property
+    def bound(self):
+        """Largest absolute difference that counts as zero: 0 exact, ``tol`` in float mode."""
+        return 0 if self.kind == "exact" else self.tol
 
 
 EXACT = EvalMode("exact")
@@ -146,12 +157,6 @@ class BundleSpec:
                             f"triple overlap {tr.label()} sample arity mismatch in chart {nm!r}"
                         )
 
-    def chart(self, name: str) -> Chart:
-        for c in self.charts:
-            if c.name == name:
-                return c
-        raise UnknownSample(f"unknown chart {name!r}")
-
     def transition(self, frm: str, to: str) -> TransitionFamily | None:
         for tf in self.transitions:
             if tf.frm == frm and tf.to == to:
@@ -166,43 +171,83 @@ def eval_transition(tf: TransitionFamily, pt: Point, mode: EvalMode = EXACT):
     """
     if len(pt) != len(tf.coords):
         raise ShapeMismatch(f"point arity {len(pt)} != chart arity {len(tf.coords)}")
+    env = dict(zip(tf.coords, pt))
     if mode.kind == "exact":
-        env = {c: Fraction(v) for c, v in zip(tf.coords, pt)}
         return Matrix.from_rows([[eval_exact(x, env) for x in row] for row in tf.matrix])
-    envf = {c: float(v) for c, v in zip(tf.coords, pt)}
-    return [[eval_float(x, envf) for x in row] for row in tf.matrix]
+    return [[eval_float(x, env) for x in row] for row in tf.matrix]
 
 
-def _identity_value(d: int, mode: EvalMode):
+def _value(tf: TransitionFamily, pt: Point, mode: EvalMode) -> list:
+    """``eval_transition`` as rows of Fractions or floats."""
+    value = eval_transition(tf, pt, mode)
+    return value.row_list() if mode.kind == "exact" else value
+
+
+def _fibre(b: BundleSpec, mode: EvalMode) -> LYAlgebra:
+    """The fibre model with structure constants in the mode's scalar type."""
+    a = b.fiber
     if mode.kind == "exact":
-        return Matrix.identity(d)
-    return [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
+        return a
+    binary = tuple(tuple(tuple(map(float, v)) for v in row) for row in a.binary)
+    ternary = tuple(tuple(tuple(tuple(map(float, v)) for v in vs) for vs in row) for row in a.ternary)
+    return LYAlgebra(a.dim, binary, ternary, a.name)
 
 
-def _mat_mul(a, b, mode: EvalMode):
-    if mode.kind == "exact":
-        return a @ b
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+def _identity(d: int) -> list:
+    return [[int(i == j) for j in range(d)] for i in range(d)]
 
 
-def _max_abs_diff(a, b, mode: EvalMode):
-    if mode.kind == "exact":
-        return max((abs(x - y) for x, y in zip(a.entries, b.entries)), default=Fraction(0))
-    return max(
-        (abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)), default=0.0
-    )
+def _matmul(a: list, b: list) -> list:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col) if y) for col in cols] for row in a]
 
 
-def _is_zero_defect(norm, mode: EvalMode) -> bool:
-    if mode.kind == "exact":
-        return norm == 0
-    return norm <= mode.tol
+def _distance(a: list, b: list):
+    """Largest entrywise |a - b| of two equally shaped row lists."""
+    return max((abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)), default=0)
+
+
+def _invert(rows: list):
+    """(det, inverse) by Gauss-Jordan elimination with partial pivoting.
+
+    Works over Fractions (exactly) and floats; the inverse is None when a
+    pivot is zero.
+    """
+    n = len(rows)
+    m = [list(row) + unit for row, unit in zip(rows, _identity(n))]
+    det = 1
+    for c in range(n):
+        piv = max(range(c, n), key=lambda r: abs(m[r][c]))
+        if not m[piv][c]:
+            return 0, None
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        p = m[c][c]
+        det *= p
+        m[c] = [x / p for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det, [row[n:] for row in m]
+
+
+def _bracket_defect(s: list, a: LYAlgebra):
+    """Largest entry of s[x, y] - [sx, sy] and s{x, y, z} - {sx, sy, sz} over basis tuples."""
+    d = a.dim
+    cols = list(zip(*s))
+    pairs = list(itertools.product(range(d), repeat=2))
+    triples = list(itertools.product(range(d), repeat=3))
+    brackets = [a.binary[i][j] for i, j in pairs] + [a.ternary[i][j][k] for i, j, k in triples]
+    images = [a.bracket(cols[i], cols[j]) for i, j in pairs]
+    images += [a.triple(cols[i], cols[j], cols[k]) for i, j, k in triples]
+    return _distance(_matmul(s, list(zip(*brackets))), list(zip(*images)))
 
 
 @dataclass
 class CocycleFailure:
-    kind: str  # identity | triple | inverse | automorphism | structural
+    kind: str  # identity | triple | inverse | automorphism | structural | transport
     where: str
     point: tuple | None
     defect_norm: object
@@ -223,108 +268,6 @@ class CocycleReport:
         self.failures.append(CocycleFailure(kind, where, point, norm, detail))
 
 
-def _bracket_defect_exact(phi: Matrix, a: LYAlgebra) -> Fraction:
-    """Largest absolute bracket-preservation defect of phi on basis tuples."""
-    worst = Fraction(0)
-    cols = [phi.col(j) for j in range(a.dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = phi.matvec(a.binary[i][j])
-            rhs = a.bracket(cols[i], cols[j])
-            worst = max(worst, max((abs(x - y) for x, y in zip(lhs, rhs)), default=Fraction(0)))
-    for i, j, k in itertools.product(range(a.dim), repeat=3):
-        lhs = phi.matvec(a.ternary[i][j][k])
-        rhs = a.triple(cols[i], cols[j], cols[k])
-        worst = max(worst, max((abs(x - y) for x, y in zip(lhs, rhs)), default=Fraction(0)))
-    return worst
-
-
-def _bracket_defect_float(rows: list[list[float]], a: LYAlgebra) -> float:
-    d = a.dim
-    binf = [[[float(x) for x in a.binary[i][j]] for j in range(d)] for i in range(d)]
-    terf = [
-        [[[float(x) for x in a.ternary[i][j][k]] for k in range(d)] for j in range(d)]
-        for i in range(d)
-    ]
-
-    def mv(v):
-        return [sum(rows[r][c] * v[c] for c in range(d)) for r in range(d)]
-
-    def br(x, y):
-        out = [0.0] * d
-        for i in range(d):
-            if not x[i]:
-                continue
-            for j in range(d):
-                if y[j]:
-                    c = x[i] * y[j]
-                    for k in range(d):
-                        out[k] += c * binf[i][j][k]
-        return out
-
-    def tr(x, y, z):
-        out = [0.0] * d
-        for i in range(d):
-            if not x[i]:
-                continue
-            for j in range(d):
-                if not y[j]:
-                    continue
-                for k in range(d):
-                    if z[k]:
-                        c = x[i] * y[j] * z[k]
-                        for l in range(d):
-                            out[l] += c * terf[i][j][k][l]
-        return out
-
-    cols = [[rows[r][c] for r in range(d)] for c in range(d)]
-    worst = 0.0
-    for i in range(d):
-        for j in range(d):
-            lhs = mv(binf[i][j])
-            rhs = br(cols[i], cols[j])
-            worst = max(worst, max(abs(x - y) for x, y in zip(lhs, rhs)))
-    for i, j, k in itertools.product(range(d), repeat=3):
-        lhs = mv(terf[i][j][k])
-        rhs = tr(cols[i], cols[j], cols[k])
-        worst = max(worst, max(abs(x - y) for x, y in zip(lhs, rhs)))
-    return worst
-
-
-def _float_det(rows: list[list[float]]) -> float:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = 1.0
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(m[r][c]))
-        if abs(m[piv][c]) == 0.0:
-            return 0.0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            for k in range(c, n):
-                m[r][k] -= f * m[c][k]
-    return det
-
-
-def _automorphism_defect(value, fiber: LYAlgebra, mode: EvalMode):
-    """(is_automorphism, defect_norm, detail) for one evaluated transition."""
-    if mode.kind == "exact":
-        if is_automorphism(value, fiber):
-            return True, Fraction(0), ""
-        if not value.is_invertible():
-            return False, None, "matrix is singular"
-        return False, _bracket_defect_exact(value, fiber), "bracket preservation fails"
-    det = _float_det(value)
-    if abs(det) <= mode.tol:
-        return False, None, "matrix is numerically singular"
-    defect = _bracket_defect_float(value, fiber)
-    return defect <= mode.tol, defect, "" if defect <= mode.tol else "bracket preservation fails"
-
-
 def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
     """Verify the clutching data of a sampled bundle.
 
@@ -333,32 +276,37 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
     satisfy g_ji(m) = g_ij(m)^-1 under the positional sample correspondence;
     and every evaluated transition value is a fibrewise automorphism of the
     fibre model.  All failures are reported with their point and the largest
-    entrywise defect.
+    entrywise defect.  Each (transition, point) is evaluated once.
     """
     report = CocycleReport(mode)
-    d = b.fiber.dim
-    ident = _identity_value(d, mode)
+    bound = mode.bound
+    fiber = _fibre(b, mode)
+    ident = _identity(fiber.dim)
+    values: dict = {}
+
+    def value(tf: TransitionFamily, pt: Point) -> list:
+        key = (tf.frm, tf.to, pt)
+        if key not in values:
+            values[key] = _value(tf, pt, mode)
+        return values[key]
 
     for tf in b.transitions:
         if tf.frm == tf.to:
             for pt in tf.samples:
                 report.checks += 1
-                val = eval_transition(tf, pt, mode)
-                norm = _max_abs_diff(val, ident, mode)
-                if not _is_zero_defect(norm, mode):
+                norm = _distance(value(tf, pt), ident)
+                if norm > bound:
                     report.add("identity", tf.label(), pt, norm, "g_ii is not the identity")
 
     for tr in b.triples:
         for (pi, pj, pk) in tr.samples:
             report.checks += 1
             legs = []
-            ok = True
             for (frm, to, pt) in ((tr.i, tr.j, pi), (tr.j, tr.k, pj), (tr.i, tr.k, pi)):
+                tf = b.transition(frm, to)
                 if frm == to:
                     legs.append(ident)
-                    continue
-                tf = b.transition(frm, to)
-                if tf is None:
+                elif tf is None:
                     report.add(
                         "structural",
                         tr.label(),
@@ -366,14 +314,13 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
                         None,
                         f"no declared transition {frm}->{to} for this triple overlap",
                     )
-                    ok = False
                     break
-                legs.append(eval_transition(tf, pt, mode))
-            if not ok:
-                continue
-            norm = _max_abs_diff(_mat_mul(legs[0], legs[1], mode), legs[2], mode)
-            if not _is_zero_defect(norm, mode):
-                report.add("triple", tr.label(), (pi, pj, pk), norm, "g_ij g_jk != g_ik")
+                else:
+                    legs.append(value(tf, pt))
+            else:
+                norm = _distance(_matmul(legs[0], legs[1]), legs[2])
+                if norm > bound:
+                    report.add("triple", tr.label(), (pi, pj, pk), norm, "g_ij g_jk != g_ik")
 
     seen = set()
     for tf in b.transitions:
@@ -394,35 +341,22 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
             continue
         for pt_f, pt_r in zip(tf.samples, rev.samples):
             report.checks += 1
-            prod = _mat_mul(
-                eval_transition(tf, pt_f, mode), eval_transition(rev, pt_r, mode), mode
-            )
-            norm = _max_abs_diff(prod, ident, mode)
-            if not _is_zero_defect(norm, mode):
+            norm = _distance(_matmul(value(tf, pt_f), value(rev, pt_r)), ident)
+            if norm > bound:
                 report.add("inverse", f"{tf.label()} / {rev.label()}", (pt_f, pt_r), norm, "g_ji != g_ij^-1")
 
+    singular = "matrix is singular" if mode.kind == "exact" else "matrix is numerically singular"
     for tf in b.transitions:
         for pt in tf.samples:
             report.checks += 1
-            val = eval_transition(tf, pt, mode)
-            good, norm, detail = _automorphism_defect(val, b.fiber, mode)
-            if not good:
-                report.add("automorphism", tf.label(), pt, norm, detail or "not a fibrewise automorphism")
+            s = value(tf, pt)
+            if abs(_invert(s)[0]) <= bound:
+                report.add("automorphism", tf.label(), pt, None, singular)
+                continue
+            norm = _bracket_defect(s, fiber)
+            if norm > bound:
+                report.add("automorphism", tf.label(), pt, norm, "bracket preservation fails")
     return report
-
-
-def fiber_algebra_at(b: BundleSpec, chart: str, pt: Point) -> LYAlgebra:
-    """Fibre algebra at a declared sample point.
-
-    In chart coordinates the trivialization is the identity, so the fibre
-    equals the fibre model; the operation makes the clutching identity
-    (transport commutes with brackets at overlap samples) executable.
-    """
-    c = b.chart(chart)
-    pt = tuple(Fraction(v) for v in pt)
-    if pt not in c.samples:
-        raise UnknownSample(f"{pt} is not a declared sample of chart {chart!r}")
-    return b.fiber
 
 
 @dataclass
@@ -528,19 +462,39 @@ class BundleCohomologyReport:
     which: str
     p: int | None
     points: list[FiberCohomologyPoint]
-    constant: bool
-    note: str = ""
+    transport_failures: list[CocycleFailure]
+
+    @property
+    def constant(self) -> bool:
+        return not self.transport_failures
 
 
-def _gate_cocycle(b: BundleSpec, mode: EvalMode) -> None:
-    rep = check_cocycle(b, mode)
-    if not rep.ok:
-        first = rep.failures[0]
-        raise CocycleCheckFailed(
-            f"cocycle verification failed ({first.kind} at {first.where}); "
-            "fibrewise computations need a verified bundle",
-            rep,
-        )
+def transport_failures(
+    b: BundleSpec, which: str = "h1", p: int = 2, mode: EvalMode = EXACT
+) -> list[CocycleFailure]:
+    """Sampled transition values whose transport does not preserve the fibre's ``which`` group.
+
+    Adjoint coefficients; "der" is "h1", whose cocycles are the derivations,
+    and transport acts on them as T -> s T s^-1.  ``cohomology.transport_defects``
+    names the coboundaries checked.  Exact in exact mode, within the tolerance
+    in float mode; every automorphism passes.
+    """
+    failures, where, maps = [], [], []
+    for tf in b.transitions:
+        for pt in tf.samples:
+            s = _value(tf, pt, mode)
+            s_inv = _invert(s)[1]
+            if s_inv is None:
+                failures.append(CocycleFailure("transport", tf.label(), pt, None, "matrix is singular"))
+            else:
+                where.append((tf.label(), pt))
+                maps.append((s, s_inv))
+    group = "h1" if which == "der" else which
+    defects = transport_defects(b.fiber, adjoint(b.fiber), group, p, maps)
+    for (label, pt), norm in zip(where, defects):
+        if norm > mode.bound:
+            failures.append(CocycleFailure("transport", label, pt, norm, "transport does not preserve the fibre group"))
+    return failures
 
 
 def bundle_cohomology(
@@ -550,33 +504,36 @@ def bundle_cohomology(
     mode: EvalMode = EXACT,
     cap: int = DEFAULT_SIZE_CAP,
 ) -> BundleCohomologyReport:
-    """Fibrewise cohomology dims with adjoint coefficients, per sample point.
+    """Fibrewise cohomology dims with adjoint coefficients, listed per sample point.
 
-    Requires a passing cocycle check.  Local triviality predicts constant
-    dimensions across sample points; the report carries that flag.
+    Requires a passing cocycle check.  The fibre group is computed once;
+    ``constant`` reports that transport along every sampled transition value
+    preserves it, that is, no ``transport_failures``.
     """
-    _gate_cocycle(b, mode)
-    points = []
-    for chart in b.charts:
-        for pt in chart.samples:
-            fib = fiber_algebra_at(b, chart.name, pt)
-            r = adjoint(fib)
-            if which == "h1":
-                dims = {"dimH1": h1(fib, r)[0]}
-            elif which == "h23":
-                res = h23(fib, r)
-                dims = {"dimZ": res.dim_z, "dimB": res.dim_b, "dimH23": res.dim}
-            elif which == "upper":
-                res = h_upper(fib, r, p, cap=cap)
-                dims = {"dimZ": res.dim_z, "dimB": res.dim_b, f"dimH{2*p}{2*p+1}": res.dim}
-            elif which == "der":
-                dims = {"dimDer": derivations(fib).dim}
-            else:
-                raise ShapeMismatch(f"unknown cohomology selector {which!r}")
-            points.append(FiberCohomologyPoint(chart.name, pt, dims))
-    dims0 = points[0].dims if points else {}
-    constant = all(pt.dims == dims0 for pt in points)
-    return BundleCohomologyReport(which, p if which == "upper" else None, points, constant)
+    gate = check_cocycle(b, mode)
+    if not gate.ok:
+        first = gate.failures[0]
+        raise CocycleCheckFailed(
+            f"cocycle verification failed ({first.kind} at {first.where}); "
+            "fibrewise computations need a verified bundle",
+            gate,
+        )
+    fiber = b.fiber
+    if which == "h1":
+        dims = {"dimH1": h1(fiber, adjoint(fiber))[0]}
+    elif which == "h23":
+        res = h23(fiber, adjoint(fiber))
+        dims = {"dimZ": res.dim_z, "dimB": res.dim_b, "dimH23": res.dim}
+    elif which == "upper":
+        res = h_upper(fiber, adjoint(fiber), p, cap=cap)
+        dims = {"dimZ": res.dim_z, "dimB": res.dim_b, f"dimH{2*p}{2*p+1}": res.dim}
+    elif which == "der":
+        dims = {"dimDer": derivations(fiber).dim}
+    else:
+        raise ShapeMismatch(f"unknown cohomology selector {which!r}")
+    points = [FiberCohomologyPoint(c.name, pt, dims) for c in b.charts for pt in c.samples]
+    failures = transport_failures(b, which, p, mode)
+    return BundleCohomologyReport(which, p if which == "upper" else None, points, failures)
 
 
 @dataclass
@@ -591,37 +548,10 @@ class DerivationBundleReport:
 
 
 def der_bundle_dims(b: BundleSpec, mode: EvalMode = EXACT) -> DerivationBundleReport:
-    """Per-point derivation dimensions plus the conjugation-invariance check.
+    """``bundle_cohomology`` with "der": the derivation dimension, listed per sample point.
 
-    For every evaluated transition automorphism s and every derivation basis
-    element T of the fibre, s T s^-1 must again satisfy both derivation
-    identities; that makes the derivation sub-bundle construction concrete.
+    Its transport check asks that s T s^-1 be a derivation for every
+    derivation T; the failures are ``conjugation_failures``.
     """
-    _gate_cocycle(b, mode)
-    fiber = b.fiber
-    der = derivations(fiber)
-    dmats = [Matrix(fiber.dim, fiber.dim, v) for v in der.vectors]
-    dims = []
-    for chart in b.charts:
-        for pt in chart.samples:
-            fib = fiber_algebra_at(b, chart.name, pt)
-            dims.append(FiberCohomologyPoint(chart.name, pt, {"dimDer": derivations(fib).dim}))
-    failures = []
-    for tf in b.transitions:
-        for pt in tf.samples:
-            s = eval_transition(tf, pt, EXACT)
-            s_inv = s.inverse()
-            for idx, t in enumerate(dmats):
-                conj = s @ t @ s_inv
-                if not is_derivation(conj, fiber):
-                    failures.append(
-                        CocycleFailure(
-                            "conjugation",
-                            tf.label(),
-                            pt,
-                            None,
-                            f"s·T·s^-1 fails a derivation identity for basis element {idx}",
-                        )
-                    )
-    dims0 = dims[0].dims if dims else {}
-    return DerivationBundleReport(dims, failures, all(x.dims == dims0 for x in dims))
+    res = bundle_cohomology(b, "der", mode=mode)
+    return DerivationBundleReport(res.points, res.transport_failures, res.constant)

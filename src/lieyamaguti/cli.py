@@ -35,6 +35,7 @@ from .schemas import (
     algebra_from_json,
     algebra_to_json,
     cochain_pair_from_json,
+    frac_to_str,
     matrix_to_json,
     representation_from_json,
     vec_to_json,
@@ -85,11 +86,7 @@ def _rep_report_json(report: rep.RepReport) -> dict:
 
 def _cocycle_report_json(report: bnd.CocycleReport) -> dict:
     def norm_json(n):
-        if n is None:
-            return None
-        if isinstance(n, Fraction):
-            return f"{n.numerator}/{n.denominator}" if n.denominator != 1 else str(n.numerator)
-        return n
+        return frac_to_str(n) if isinstance(n, Fraction) else n
 
     def point_json(p):
         if p is None:
@@ -117,13 +114,14 @@ def _cocycle_report_json(report: bnd.CocycleReport) -> dict:
 
 
 def _parse_mode(args) -> bnd.EvalMode:
-    tol = 1e-9
-    if getattr(args, "tol", None):
-        try:
-            tol = float(Fraction(args.tol))
-        except ValueError:
-            tol = float(args.tol)
-    return bnd.EvalMode(getattr(args, "mode", "exact"), tol)
+    """EvalMode from --mode and --tol; EvalMode holds the default tolerance."""
+    if args.tol is None:
+        return bnd.EvalMode(args.mode)
+    try:
+        tol = float(Fraction(args.tol))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ShapeMismatch(f"--tol {args.tol!r} is not a finite positive number") from None
+    return bnd.EvalMode(args.mode, tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,38 +336,25 @@ def _cmd_bundle_cohomology(args) -> int:
     try:
         if args.which == "der":
             res = bnd.der_bundle_dims(b, mode)
+            points, ok = res.dims, res.ok
             payload = {
                 "which": "der",
-                "per_point": [
-                    {"chart": x.chart, "point": vec_to_json(x.point), **x.dims} for x in res.dims
-                ],
-                "constant": res.constant,
                 "conjugation_ok": res.ok,
                 "conjugation_failures": [
-                    {
-                        "where": f.where,
-                        "point": vec_to_json(f.point) if f.point else None,
-                        "detail": f.detail,
-                    }
+                    {"where": f.where, "point": vec_to_json(f.point), "detail": f.detail}
                     for f in res.conjugation_failures
                 ],
             }
-            ok = res.ok
         else:
             res = bnd.bundle_cohomology(b, args.which, args.level, mode, cap=args.cap)
-            payload = {
-                "which": res.which,
-                "p": res.p,
-                "per_point": [
-                    {"chart": x.chart, "point": vec_to_json(x.point), **x.dims} for x in res.points
-                ],
-                "constant": res.constant,
-            }
-            ok = True
+            points, ok = res.points, True
+            payload = {"which": res.which, "p": res.p}
     except CocycleCheckFailed as exc:
         payload = {"cocycle": _cocycle_report_json(exc.report)}
         _emit(args, _report("bundle-cohomology", "fail", payload, [str(exc)]))
         return 1
+    payload["per_point"] = [{"chart": x.chart, "point": vec_to_json(x.point), **x.dims} for x in points]
+    payload["constant"] = res.constant
     _emit(args, _report("bundle-cohomology", "pass" if ok else "fail", payload, []))
     return 0 if ok else 1
 

@@ -223,6 +223,19 @@ class _Operator(NamedTuple):
             entries[key] = c
         return Matrix(self.rows, self.cols, entries)
 
+    def __matmul__(self, other: "_Operator") -> "_Operator":
+        """The composite ``self`` after ``other``."""
+        by_row: dict[int, list] = {}
+        for key, c in other.entries.items():
+            by_row.setdefault(key // other.cols, []).append((key % other.cols, c))
+        entries: dict = {}
+        for key, c in self.entries.items():
+            row, k = divmod(key, self.cols)
+            for col, x in by_row.get(k, ()):
+                out = row * other.cols + col
+                entries[out] = entries.get(out, 0) + c * x
+        return _Operator(self.rows, other.cols, entries)
+
     def stack(self, other: "_Operator") -> "_Operator":
         shift = self.rows * self.cols
         below = {key + shift: c for key, c in other.entries.items()}
@@ -235,7 +248,7 @@ def _assemble(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, terms) ->
     The e rows of each representative target tuple xs hold the sum of
     coeff * mat * h(tup) over the terms (coeff, mat, tup) of ``terms(a, r, xs)``:
     h is the source component of arity len(tup), and mat None is the identity.
-    C^1 = Hom(g, V) has coordinate s*e + m for f(e_s)_m.
+    C^1 = Hom(g, V) has coordinate s*e + m for f(e_s)_m, as source or target.
     """
     d, e = a.dim, r.e
     blocks, cols = {}, 0
@@ -244,7 +257,7 @@ def _assemble(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, terms) ->
         cols += cochain_dim(n, d, e)
     entries, row = {}, 0
     for n in dst:
-        for xs in Cochain(n, d, e).rep_tuples():
+        for xs in Cochain(n, d, e).rep_tuples() if n > 1 else ((x,) for x in range(d)):
             for coeff, mat, tup in terms(a, r, xs):
                 shape, col = blocks[len(tup)]
                 sign, base = shape._base_offset(tup) if shape else (1, tup[0] * e)
@@ -318,6 +331,45 @@ def _delta_star_terms(a: LYAlgebra, r: Representation, xs: tuple):
         else:
             yield -1, r.rho[u], (v, w)
             yield 1, None, (u, v, w)
+
+
+class _Rows(tuple):
+    """A square matrix over any scalar type as a tuple of rows, read like ``Matrix.row``."""
+
+    def row(self, m: int):
+        return self[m]
+
+
+def _transport_terms(value, inverse):
+    """Term generator of the transport (s.h)(x1, ..., xn) = s h(s^-1 x1, ..., s^-1 xn).
+
+    ``value`` and ``inverse`` are the rows of s and s^-1.  h vanishes on equal
+    pair arguments, so a pair slot (u, v) contributes the 2x2 minors of s^-1
+    on columns u, v; a trailing slot (all of C^1) contributes column u.
+    """
+    value = _Rows(value)
+
+    def terms(a: LYAlgebra, r: Representation, xs: tuple):
+        d = a.dim
+        npairs, odd = divmod(len(xs), 2)
+        slots = [
+            [
+                ((i, j), inverse[i][u] * inverse[j][v] - inverse[j][u] * inverse[i][v])
+                for i in range(d)
+                for j in range(i + 1, d)
+            ]
+            for u, v in zip(xs[0 : 2 * npairs : 2], xs[1 : 2 * npairs : 2])
+        ]
+        if odd:
+            slots.append([((i,), inverse[i][xs[-1]]) for i in range(d)])
+        for combo in itertools.product(*([t for t in slot if t[1]] for slot in slots)):
+            coeff, tup = 1, ()
+            for idx, c in combo:
+                coeff *= c
+                tup += idx
+            yield coeff, value, tup
+
+    return terms
 
 
 def _delta_zero_op(a: LYAlgebra, r: Representation) -> _Operator:
@@ -460,6 +512,49 @@ def h_upper(a: LYAlgebra, r: Representation, p: int, cap: int = DEFAULT_SIZE_CAP
     if not contained:
         raise CocycleContainmentFailure(f"B^(2p,2p+1) is not contained in Z^(2p,2p+1) at p={p}")
     return HUpperResult(p, z.dim - b.dim, z.dim, b.dim, contained)
+
+
+# ---------------------------------------------------------------------------
+# transport of cochains along module automorphisms
+
+
+def transport_defects(a: LYAlgebra, r: Representation, which: str, p: int, maps) -> list:
+    """Per (s, s^-1) in ``maps``: how far transport T fails to preserve a group.
+
+    s (acting on the module) and s^-1 (on the arguments) are row lists of
+    Fractions or floats.  The result is the largest entry of T o delta -
+    delta o T over delta_zero for "h1", delta_(p-1) and delta_p for "upper",
+    and delta_zero and delta for "h23", together with delta* on T(Z^(2,3)):
+    delta*'s C^4 block is stored on representatives x3 < x4 although it is
+    not antisymmetric in (x3, x4), so its target is not closed under T.
+    0 means T maps cocycles and coboundaries into themselves.
+    """
+    _require_rep(a, r)
+    if which == "h1":
+        ops = [((1,), (2, 3), _delta_zero_op(a, r))]
+    elif which == "h23":
+        ops = [((1,), (2, 3), _delta_zero_op(a, r)), ((2, 3), (4, 5), _delta_op(a, r, 1))]
+        star = _delta_star_op(a, r)
+        cycles = ops[1][2].stack(star).dense().kernel_basis().vectors
+    elif which == "upper":
+        ops = [((2 * q, 2 * q + 1), (2 * q + 2, 2 * q + 3), _delta_op(a, r, q)) for q in (p - 1, p)]
+    else:
+        raise ShapeMismatch(f"unknown cohomology selector {which!r}")
+    defects = []
+    for value, inverse in maps:
+        terms = _transport_terms(value, inverse)
+        transport = {space: _assemble(a, r, space, space, terms) for op in ops for space in op[:2]}
+        worst = 0
+        for src, dst, op in ops:
+            left = (transport[dst] @ op).entries
+            right = (op @ transport[src]).entries
+            for key in left.keys() | right.keys():
+                worst = max(worst, abs(left.get(key, 0) - right.get(key, 0)))
+        if which == "h23":
+            for z in cycles:
+                worst = max(worst, *map(abs, star.apply(transport[(2, 3)].apply(z))))
+        defects.append(worst)
+    return defects
 
 
 # ---------------------------------------------------------------------------

@@ -61,10 +61,6 @@ class EvalError(LieYamagutiError):
     pass
 
 
-class UnknownSample(LieYamagutiError):
-    pass
-
-
 class UnknownExample(LieYamagutiError):
     pass
 

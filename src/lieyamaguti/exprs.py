@@ -16,7 +16,8 @@ unary minus binds looser than ^, so "-2^2" is -(2^2).
 
 Exact evaluation uses Fractions and rejects sin/cos/exp away from argument 0
 (where they take the exact values 0, 1, 1); float evaluation uses the math
-module.  Identifiers resolve at evaluation time against a chart environment.
+module and raises EvalError on overflow or a non-finite result.  Identifiers
+resolve at evaluation time against a chart environment.
 """
 
 from __future__ import annotations
@@ -240,18 +241,22 @@ def variables(node: Expr) -> set[str]:
     return set()
 
 
-def eval_exact(node: Expr, env: dict[str, Fraction]) -> Fraction:
+def _evaluate(node: Expr, env: dict, scalar, call):
+    """Value of ``node`` over the scalar type ``scalar`` (Fraction or float).
+
+    ``call(func, a)`` evaluates sin/cos/exp at a scalar argument.
+    """
     if isinstance(node, Lit):
-        return node.value
+        return scalar(node.value)
     if isinstance(node, Var):
         if node.name not in env:
             raise UnknownIdentifier(f"identifier {node.name!r} is not a chart coordinate")
-        return Fraction(env[node.name])
+        return scalar(env[node.name])
     if isinstance(node, Neg):
-        return -eval_exact(node.arg, env)
+        return -_evaluate(node.arg, env, scalar, call)
     if isinstance(node, BinOp):
-        a = eval_exact(node.left, env)
-        b = eval_exact(node.right, env)
+        a = _evaluate(node.left, env, scalar, call)
+        b = _evaluate(node.right, env, scalar, call)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -262,45 +267,31 @@ def eval_exact(node: Expr, env: dict[str, Fraction]) -> Fraction:
             raise EvalError("division by zero")
         return a / b
     if isinstance(node, Pow):
-        b = eval_exact(node.base, env)
+        b = _evaluate(node.base, env, scalar, call)
         if node.exponent < 0 and b == 0:
             raise EvalError("zero raised to a negative power")
         return b**node.exponent
     if isinstance(node, Call):
-        a = eval_exact(node.arg, env)
-        if a != 0:
-            raise EvalError(f"{node.func} is only exact at argument 0 (got {a})")
-        return Fraction(0) if node.func == "sin" else Fraction(1)
+        return call(node.func, _evaluate(node.arg, env, scalar, call))
     raise EvalError(f"cannot evaluate node {node!r}")
 
 
-def eval_float(node: Expr, env: dict[str, float]) -> float:
-    if isinstance(node, Lit):
-        return float(node.value)
-    if isinstance(node, Var):
-        if node.name not in env:
-            raise UnknownIdentifier(f"identifier {node.name!r} is not a chart coordinate")
-        return float(env[node.name])
-    if isinstance(node, Neg):
-        return -eval_float(node.arg, env)
-    if isinstance(node, BinOp):
-        a = eval_float(node.left, env)
-        b = eval_float(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0.0:
-            raise EvalError("division by zero")
-        return a / b
-    if isinstance(node, Pow):
-        b = eval_float(node.base, env)
-        if node.exponent < 0 and b == 0.0:
-            raise EvalError("zero raised to a negative power")
-        return b**node.exponent
-    if isinstance(node, Call):
-        a = eval_float(node.arg, env)
-        return {"sin": math.sin, "cos": math.cos, "exp": math.exp}[node.func](a)
-    raise EvalError(f"cannot evaluate node {node!r}")
+def _exact_call(func: str, a: Fraction) -> Fraction:
+    if a != 0:
+        raise EvalError(f"{func} is only exact at argument 0 (got {a})")
+    return Fraction(int(func != "sin"))
+
+
+def eval_exact(node: Expr, env: dict) -> Fraction:
+    return _evaluate(node, env, Fraction, _exact_call)
+
+
+def eval_float(node: Expr, env: dict) -> float:
+    """Float value of ``node``; an overflow or a non-finite result raises EvalError."""
+    try:
+        value = _evaluate(node, env, float, lambda func, a: getattr(math, func)(a))
+    except OverflowError as exc:
+        raise EvalError(f"float overflow: {exc}") from None
+    if not math.isfinite(value):
+        raise EvalError(f"float evaluation is not finite ({value})")
+    return value

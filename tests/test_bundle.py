@@ -14,17 +14,16 @@ from lieyamaguti.bundle import (
     check_subbundle,
     der_bundle_dims,
     eval_transition,
-    fiber_algebra_at,
+    transport_failures,
 )
 from lieyamaguti.errors import (
     CocycleCheckFailed,
     NotASubalgebra,
     ShapeMismatch,
     UnknownIdentifier,
-    UnknownSample,
 )
 from lieyamaguti.exprs import parse_expr
-from lieyamaguti.fixtures import fixture_circle_bundle
+from lieyamaguti.fixtures import fixture, fixture_circle_bundle
 from lieyamaguti.linalg import Matrix, SubspaceBasis
 from lieyamaguti.schemas import bundle_from_json
 
@@ -157,19 +156,6 @@ def test_unknown_identifier_rejected_at_load():
         bundle_from_json(spec)
 
 
-def test_fiber_algebra_at_known_sample(circle):
-    fib = fiber_algebra_at(circle, "U1", (q(0),))
-    assert fib.binary == circle.fiber.binary
-    assert fib.ternary == circle.fiber.ternary
-
-
-def test_fiber_algebra_at_unknown_sample(circle):
-    with pytest.raises(UnknownSample):
-        fiber_algebra_at(circle, "U1", (q(7),))
-    with pytest.raises(UnknownSample):
-        fiber_algebra_at(circle, "nowhere", (q(0),))
-
-
 def test_clutching_identity_at_overlap_samples(circle):
     """Transporting through g then bracketing equals bracketing then
     transporting, at every overlap sample (restatement of the automorphism
@@ -273,3 +259,100 @@ def test_der_bundle_dims_and_conjugation(circle):
     assert report.constant
     expect = derivations(circle.fiber).dim
     assert all(p.dims["dimDer"] == expect for p in report.dims)
+
+
+CAYLEY = [
+    ["(1 - {v}^2)/(1 + {v}^2)", "-2*{v}/(1 + {v}^2)", "0"],
+    ["2*{v}/(1 + {v}^2)", "(1 - {v}^2)/(1 + {v}^2)", "0"],
+    ["0", "0", "1"],
+]
+
+
+def _cayley_bundle(samples=(("1/2",), ("2",))):
+    """crossproduct-lie over two charts glued by rotations R(t) about e3, reversed by R(-s)."""
+
+    def rotation(v):
+        return [[entry.format(v=v) for entry in row] for row in CAYLEY]
+
+    pts = [list(x) for x in samples]
+    return bundle_from_json(
+        {
+            "fiber": fixture("crossproduct-lie"),
+            "charts": [
+                {"name": "U1", "coords": ["t"], "samples": [["0"], ["1"]]},
+                {"name": "U2", "coords": ["s"], "samples": [["0"]]},
+            ],
+            "transitions": [
+                {"from": "U1", "to": "U2", "matrix": rotation("t"), "samples": pts},
+                {"from": "U2", "to": "U1", "matrix": rotation("(-s)"), "samples": pts},
+            ],
+        }
+    )
+
+
+def _diag211_bundle():
+    bad = fixture_circle_bundle()
+    bad["transitions"][0]["matrix"] = [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    return bundle_from_json(bad)
+
+
+@pytest.mark.parametrize("which", ["h1", "h23", "upper", "der"])
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_transport_fails_off_the_automorphisms(which, kind):
+    b = _diag211_bundle()
+    failures = transport_failures(b, which, 2, EvalMode(kind))
+    assert [(f.kind, f.where, f.point) for f in failures] == [
+        ("transport", "U1->U2", pt) for pt in b.transitions[0].samples
+    ]
+    assert all(f.defect_norm > EvalMode(kind).bound for f in failures)
+
+
+def test_transport_passes_on_rotations():
+    b = _cayley_bundle()
+    assert check_cocycle(b).ok
+    for kind in ("exact", "float"):
+        for which in ("h1", "h23", "der"):
+            assert transport_failures(b, which, mode=EvalMode(kind)) == [], (which, kind)
+    assert transport_failures(_cayley_bundle(samples=(("1/3",),)), "upper", 2) == []
+
+
+def test_constant_reports_the_transport_check(monkeypatch):
+    from lieyamaguti import bundle
+
+    # let a non-automorphism past the cocycle gate to reach the transport check
+    monkeypatch.setattr(bundle, "check_cocycle", lambda b, mode: bundle.CocycleReport(mode))
+    b = _diag211_bundle()
+    assert not bundle_cohomology(b, "h1").constant
+    report = der_bundle_dims(b)
+    assert not report.ok and not report.constant
+    assert {f.where for f in report.conjugation_failures} == {"U1->U2"}
+
+
+def test_float_failures_report_kind_point_and_norm():
+    tol = 1e-9
+    mode = EvalMode("float", tol)
+    cases = {
+        "automorphism": (0, [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "bracket preservation fails"),
+        "singular": (0, [["1", "0", "0"], ["0", "t - 1", "0"], ["0", "0", "1"]], "matrix is numerically singular"),
+        "inverse": (1, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "g_ji != g_ij^-1"),
+    }
+    for name, (idx, matrix, detail) in cases.items():
+        spec = fixture_circle_bundle()
+        spec["transitions"][idx]["matrix"] = matrix
+        b = bundle_from_json(spec)
+        report = check_cocycle(b, mode)
+        hits = [f for f in report.failures if f.detail == detail]
+        assert hits, name
+        if name == "singular":
+            # only the sample t = 1 makes the middle entry vanish
+            assert [(f.kind, f.where, f.point, f.defect_norm) for f in hits] == [
+                ("automorphism", "U1->U2", (q(1),), None)
+            ]
+            continue
+        kind = "automorphism" if name == "automorphism" else "inverse"
+        where = "U1->U2" if name == "automorphism" else "U1->U2 / U2->U1"
+        points = list(b.transitions[0].samples)
+        if name == "inverse":
+            points = list(zip(b.transitions[0].samples, b.transitions[1].samples))
+        assert [(f.kind, f.where, f.point) for f in hits] == [(kind, where, pt) for pt in points]
+        assert all(isinstance(f.defect_norm, float) and f.defect_norm > tol for f in hits)

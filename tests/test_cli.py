@@ -241,6 +241,67 @@ def test_bundle_check_deep_expression_exit_2(tmp_path, capsys, entry):
     assert "nested deeper than" in report["diagnostics"][0]
 
 
+@pytest.mark.parametrize("tol", ["1/0", "nan", "inf", "-inf", "0", "-1", "1e400", "1e-400", "abc"])
+def test_bundle_check_rejects_bad_tolerance(tmp_path, capsys, tol):
+    path = write_fixture(tmp_path, "circle-bundle")
+    code, report = run_cli(capsys, "bundle-check", path, "--mode", "float", f"--tol={tol}")
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["payload"] == {}
+
+
+def test_bundle_check_accepts_rational_tolerance(tmp_path, capsys):
+    path = write_fixture(tmp_path, "circle-bundle")
+    code, report = run_cli(capsys, "bundle-check", path, "--mode", "float", "--tol", "1/1000")
+    assert code == 0
+    assert report["payload"]["tolerance"] == 0.001
+
+
+@pytest.mark.parametrize(
+    "entry, point",
+    [("exp(t)", "1000"), ("1/(1 + t^2)", "10" + "0" * 200)],
+    ids=["exp", "power"],
+)
+def test_bundle_float_overflow_exit_2(tmp_path, capsys, entry, point):
+    obj = fixture("circle-bundle")
+    obj["transitions"][0]["matrix"][1][1] = entry
+    obj["transitions"][0]["samples"] = [[point]] * 3
+    path = tmp_path / "overflow.json"
+    path.write_text(render(obj), encoding="utf-8")
+    for command in ("bundle-check", "bundle-cohomology"):
+        code = run([command, str(path), "--mode", "float"])
+        out = capsys.readouterr().out
+        assert code == 2
+        report = json.loads(out)
+        assert report["status"] == "error"
+        assert "NaN" not in out and "Infinity" not in out
+
+
+def test_bundle_cohomology_der_float_on_trig_atlas(tmp_path, capsys):
+    rotation = [["cos({v})", "-sin({v})", "0"], ["sin({v})", "cos({v})", "0"], ["0", "0", "1"]]
+    obj = {
+        "fiber": fixture("crossproduct-lie"),
+        "charts": [
+            {"name": "U1", "coords": ["t"], "samples": [["0"], ["1"]]},
+            {"name": "U2", "coords": ["s"], "samples": [["-3/2"]]},
+        ],
+        "transitions": [
+            {"from": "U1", "to": "U2", "samples": [["1/2"], ["3"]],
+             "matrix": [[x.format(v="t") for x in row] for row in rotation]},
+            {"from": "U2", "to": "U1", "samples": [["1/2"], ["3"]],
+             "matrix": [[x.format(v="(-s)") for x in row] for row in rotation]},
+        ],
+    }
+    path = tmp_path / "trig.json"
+    path.write_text(render(obj), encoding="utf-8")
+    code, report = run_cli(capsys, "bundle-cohomology", str(path), "--which", "der", "--mode", "float")
+    assert code == 0, report
+    payload = report["payload"]
+    assert payload["conjugation_ok"] is True and payload["conjugation_failures"] == []
+    assert payload["constant"] is True
+    assert [x["dimDer"] for x in payload["per_point"]] == [3, 3, 3]
+
+
 def test_bundle_cohomology_command(tmp_path, capsys):
     path = write_fixture(tmp_path, "circle-bundle")
     code, report = run_cli(capsys, "bundle-cohomology", path, "--which", "h1")

@@ -118,3 +118,19 @@ def test_depth_limit_admits_depth_max():
     assert ev("(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1), t=2) == 2
     assert ev("-" * (MAX_DEPTH - 1) + "t", t=2) == (-1) ** (MAX_DEPTH - 1) * 2
     assert ev("+".join(["1"] * MAX_DEPTH)) == MAX_DEPTH
+
+
+@pytest.mark.parametrize(
+    "src, t",
+    [
+        ("exp(t)", 1000),
+        ("1/(1 + t^2)", 10**200),
+        ("t * t", Fraction(10**200)),
+        ("t", 10**400),
+        ("t * t - t * t", 10**200),
+    ],
+    ids=["exp", "power", "infinite-product", "coordinate", "nan"],
+)
+def test_float_mode_refuses_overflow_and_non_finite(src, t):
+    with pytest.raises(EvalError):
+        eval_float(parse_expr(src), {"t": t})
