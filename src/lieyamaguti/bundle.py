@@ -522,7 +522,7 @@ def bundle_cohomology(
     if which == "h1":
         dims = {"dimH1": h1(fiber, adjoint(fiber))[0]}
     elif which == "h23":
-        res = h23(fiber, adjoint(fiber))
+        res = h23(fiber, adjoint(fiber), cap=cap)
         dims = {"dimZ": res.dim_z, "dimB": res.dim_b, "dimH23": res.dim}
     elif which == "upper":
         res = h_upper(fiber, adjoint(fiber), p, cap=cap)

@@ -124,8 +124,25 @@ def _parse_mode(args) -> bnd.EvalMode:
     return bnd.EvalMode(args.mode, tol)
 
 
+class _UsageError(Exception):
+    """An argparse usage error, carrying the command it happened in ("?" if unknown)."""
+
+    def __init__(self, command: str, message: str):
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError instead of exiting, so ``run`` can write the envelope."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        words = self.prog.split()
+        raise _UsageError(words[1] if len(words) > 1 else "?", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="lieyamaguti",
         description="Exact checks and cohomology for Lie-Yamaguti algebras and sampled bundles",
     )
@@ -244,7 +261,7 @@ def _cmd_cohomology(args) -> int:
     if args.level < 1:
         raise ShapeMismatch("--p must be >= 1")
     if args.level == 1:
-        res = coh.h23(a, r)
+        res = coh.h23(a, r, cap=args.cap)
         extra = {"dimH23": res.dim, "dimH1": coh.h1(a, r)[0], "reading": res.reading}
     else:
         res = coh.h_upper(a, r, args.level, cap=args.cap)
@@ -387,6 +404,9 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except _UsageError as exc:
+        _emit(None, _report(exc.command, "error", {}, [str(exc)]))
+        return 2
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -10,8 +10,10 @@ Each coboundary -- delta_zero: C^1 -> C^(2,3), delta = (delta_I, delta_II):
 C^(2p,2p+1) -> C^(2p+2,2p+3) and the auxiliary delta*: C^(2,3) -> C^(3,4) --
 is one sparse operator, defined only by a private term generator.  Applying
 it to a cochain, densifying it (``*_matrix``) and taking its kernel and image
-(``h1``, ``h23``, ``h_upper``) all go through that operator.  Validity of the
-base algebra is checked once per public entry point, never inside an operator.
+(``h1``, ``h23``, ``h_upper``) all go through that operator.  Kernels and
+images are read off the operator's nonzero entries by ``linalg``'s sparse
+fraction-free elimination; they are never densified.  Validity of the base
+algebra is checked once per public entry point, never inside an operator.
 
 The sign convention of delta*'s rho-block,
 
@@ -43,6 +45,7 @@ from .linalg import (
     Matrix,
     SubspaceBasis,
     Vector,
+    sparse_kernel,
     vec_add,
     vec_scale,
     zero_vector,
@@ -216,6 +219,23 @@ class _Operator(NamedTuple):
             if vec[col]:
                 out[row] += c * vec[col]
         return out
+
+    def _lines(self, by_column: bool) -> list:
+        """The (index, coefficient) entries of each nonzero row, or of each nonzero column."""
+        lines: dict[int, list] = {}
+        for key, c in self.entries.items():
+            row, col = divmod(key, self.cols)
+            if by_column:
+                row, col = col, row
+            lines.setdefault(row, []).append((col, c))
+        return list(lines.values())
+
+    def kernel(self) -> SubspaceBasis:
+        return sparse_kernel(self.cols, self._lines(by_column=False))
+
+    def image(self) -> SubspaceBasis:
+        """The column span."""
+        return SubspaceBasis.from_sparse(self.rows, self._lines(by_column=True))
 
     def dense(self) -> Matrix:
         entries = [0] * (self.rows * self.cols)
@@ -443,7 +463,7 @@ def delta_star_matrix(a: LYAlgebra, r: Representation) -> Matrix:
 def h1(a: LYAlgebra, r: Representation) -> tuple[int, SubspaceBasis]:
     """Joint kernel of delta_zero's two components inside C^1."""
     _require_rep(a, r)
-    basis = delta_zero_matrix(a, r).kernel_basis()
+    basis = _delta_zero_op(a, r).kernel()
     return basis.dim, basis
 
 
@@ -464,17 +484,28 @@ class H23Result:
         return self.b_basis.dim
 
 
-def h23(a: LYAlgebra, r: Representation) -> H23Result:
+def _check_cap(a: LYAlgebra, r: Representation, p: int, cap: int) -> None:
+    """Refuse levels whose largest target space, C^(2p+3), has more than ``cap`` coordinates."""
+    largest = cochain_dim(2 * p + 3, a.dim, r.e)
+    if largest > cap:
+        raise SizeCapExceeded(
+            f"target cochain space has {largest} coordinates, cap is {cap}"
+        )
+
+
+def h23(a: LYAlgebra, r: Representation, cap: int = DEFAULT_SIZE_CAP) -> H23Result:
     """H^(2,3) = Z/B with Z = ker(delta) ∩ ker(delta_star), B = delta(C^0).
 
     Containment B <= Z, i.e. delta o delta_zero = 0 and delta* o delta_zero = 0,
     is tested exactly and reported as ``delta_squared_zero``; failure raises
     CocycleContainmentFailure, which signals a formula-transcription bug.
+    SizeCapExceeded is raised before assembly if C^5 has more than ``cap``
+    coordinates.
     """
     _require_rep(a, r)
-    z = _delta_op(a, r, 1).stack(_delta_star_op(a, r)).dense().kernel_basis()
-    b_mat = delta_zero_matrix(a, r)
-    b = SubspaceBasis(b_mat.rows, [b_mat.col(j) for j in range(b_mat.cols)])
+    _check_cap(a, r, 1, cap)
+    z = _delta_op(a, r, 1).stack(_delta_star_op(a, r)).kernel()
+    b = _delta_zero_op(a, r).image()
     contained = z.contains_basis(b)
     if not contained:
         raise CocycleContainmentFailure("B^(2,3) is not contained in Z^(2,3)")
@@ -499,15 +530,9 @@ def h_upper(a: LYAlgebra, r: Representation, p: int, cap: int = DEFAULT_SIZE_CAP
     if p < 2:
         raise ShapeMismatch("h_upper is for p >= 2; use h23 for p = 1")
     _require_rep(a, r)
-    d, e = a.dim, r.e
-    largest = max(cochain_dim(2 * p + 2, d, e), cochain_dim(2 * p + 3, d, e))
-    if largest > cap:
-        raise SizeCapExceeded(
-            f"target cochain space has {largest} coordinates, cap is {cap}"
-        )
-    z = delta_matrix(a, r, p).kernel_basis()
-    prev = delta_matrix(a, r, p - 1)
-    b = SubspaceBasis(prev.rows, [prev.col(j) for j in range(prev.cols)])
+    _check_cap(a, r, p, cap)
+    z = _delta_op(a, r, p).kernel()
+    b = _delta_op(a, r, p - 1).image()
     contained = z.contains_basis(b)
     if not contained:
         raise CocycleContainmentFailure(f"B^(2p,2p+1) is not contained in Z^(2p,2p+1) at p={p}")
@@ -535,7 +560,7 @@ def transport_defects(a: LYAlgebra, r: Representation, which: str, p: int, maps)
     elif which == "h23":
         ops = [((1,), (2, 3), _delta_zero_op(a, r)), ((2, 3), (4, 5), _delta_op(a, r, 1))]
         star = _delta_star_op(a, r)
-        cycles = ops[1][2].stack(star).dense().kernel_basis().vectors
+        cycles = ops[1][2].stack(star).kernel().vectors
     elif which == "upper":
         ops = [((2 * q, 2 * q + 1), (2 * q + 2, 2 * q + 3), _delta_op(a, r, q)) for q in (p - 1, p)]
     else:

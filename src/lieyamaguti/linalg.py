@@ -1,10 +1,20 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` throughout (arbitrary precision, always in
-lowest terms, positive denominator).  Matrices are immutable and row-major.
+Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
+terms, positive denominator).  Matrices are immutable and row-major.
 Everything here is a pure function of its inputs, so values can be shared
 freely across threads.  ``denominator_lcm`` and ``scaled_sparse`` turn
 rational data into sparse integer vectors for the axiom checkers.
+
+Every RREF, kernel and span (``Matrix.rref``, ``Matrix.kernel_basis``,
+``SubspaceBasis``, ``sparse_kernel``) runs one fraction-free sparse core,
+``_eliminate``.  A row is a ``{col: int}`` dict of its nonzero entries, made
+by clearing the row's denominators.  A row r is reduced by a pivot row s with
+pivot column c as ``s[c] r - r[c] s`` (each factor divided by their gcd) and
+then divided by its content, so entries stay integers, zeros are never
+touched, and the cost follows the nonzeros.  The reduced rows define the
+unique reduced row echelon form, so the results equal those of dense
+``Fraction`` Gauss-Jordan exactly.
 """
 
 from __future__ import annotations
@@ -52,6 +62,77 @@ def scaled_sparse(v: Sequence[Fraction], scale: int) -> list[tuple[int, int]]:
     ``scale`` must be a multiple of every denominator in ``v``.
     """
     return [(k, x.numerator * (scale // x.denominator)) for k, x in enumerate(v) if x]
+
+
+def _integer_row(entries: Iterable[tuple[int, object]]) -> dict[int, int]:
+    """The nonzero (col, value) entries of a rational row times the LCM of their denominators."""
+    row = {}
+    for k, x in entries:
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        if x:
+            row[k] = x
+    den = math.lcm(*(x.denominator for x in row.values()))
+    return {k: x.numerator * (den // x.denominator) for k, x in row.items()}
+
+
+def _combine(r: dict[int, int], s: dict[int, int], c: int) -> dict[int, int]:
+    """The primitive multiple of ``s[c] r - r[c] s``, whose entry in column c is zero."""
+    g = math.gcd(s[c], r[c])
+    a, b = s[c] // g, r[c] // g
+    out = {k: a * x for k, x in r.items()} if a != 1 else dict(r)
+    for k, y in s.items():
+        v = out.get(k, 0) - b * y
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    g = math.gcd(*out.values())
+    return {k: x // g for k, x in out.items()} if g > 1 else out
+
+
+def _reduce(row: dict[int, int], pivot_rows: dict[int, dict[int, int]]) -> dict[int, int]:
+    """``row`` with every pivot column cleared; zero (empty) iff it lies in their span.
+
+    Each pivot row is zero in every other pivot column, so one pass over the
+    pivot columns present in ``row`` suffices.
+    """
+    for c in [c for c in row if c in pivot_rows]:
+        row = _combine(row, pivot_rows[c], c)
+    return row
+
+
+def _eliminate(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Fraction-free sparse Gauss-Jordan elimination of integer rows.
+
+    Returns ``{pivot column: row}`` for the span of ``rows``: each row is
+    primitive, its pivot column holds its leading entry, and it is zero in
+    every other pivot column.  Dividing a row by its pivot entry gives the
+    corresponding row of the reduced row echelon form.
+    """
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = _reduce(row, pivot_rows)
+        if not row:
+            continue
+        q = min(row)
+        g = math.gcd(*row.values())
+        if g > 1:
+            row = {k: x // g for k, x in row.items()}
+        for p, other in pivot_rows.items():
+            if q in other:
+                pivot_rows[p] = _combine(other, row, q)
+        pivot_rows[q] = row
+    return pivot_rows
+
+
+def _rational_row(row: dict[int, int], pivot: int, n: int) -> Vector:
+    """The dense RREF row of an eliminated integer row (pivot entry 1)."""
+    out = list(zero_vector(n))
+    lead = row[pivot]
+    for k, x in row.items():
+        out[k] = Fraction(x, lead)
+    return tuple(out)
 
 
 class Matrix:
@@ -160,47 +241,18 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
-        m = self.row_list()
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            # normalize immediately; keeps entries in lowest terms
-            p = m[r][c]
-            if p != 1:
-                m[r] = [x / p for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix.from_rows(m) if self.rows else self, pivots
+        pivot_rows = _eliminate(_integer_row(enumerate(self.row(i))) for i in range(self.rows))
+        pivots = sorted(pivot_rows)
+        entries = [x for p in pivots for x in _rational_row(pivot_rows[p], p, self.cols)]
+        entries += [0] * ((self.rows - len(pivots)) * self.cols)
+        return Matrix(self.rows, self.cols, entries), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> "SubspaceBasis":
         """Basis of the right null space {v : self @ v = 0}."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        vectors = []
-        for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red[r, fc]
-            vectors.append(tuple(v))
-        return SubspaceBasis(self.cols, vectors)
+        return sparse_kernel(self.cols, (enumerate(self.row(i)) for i in range(self.rows)))
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
@@ -245,48 +297,77 @@ class SubspaceBasis:
     """A subspace of Q^n carried by its reduced-echelon basis.
 
     Input vectors are reduced on construction; linearly dependent inputs
-    collapse, so ``dim`` is always the true dimension of the span.
+    collapse, so ``dim`` is always the true dimension of the span.  The basis
+    is kept as the eliminated integer rows; ``vectors`` (the dense RREF rows)
+    is built on first use.
     """
 
-    __slots__ = ("ambient_dim", "vectors", "_pivots")
+    __slots__ = ("ambient_dim", "_rows", "_vectors")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence] = ()):
-        self.ambient_dim = ambient_dim
-        rows = [qvec(v) for v in vectors]
-        for v in rows:
+        rows = []
+        for v in vectors:
+            v = tuple(v)
             if len(v) != ambient_dim:
                 raise ShapeMismatch(f"vector of length {len(v)} in Q^{ambient_dim}")
-        if rows:
-            red, pivots = Matrix.from_rows(rows).rref()
-            self.vectors = tuple(red.row(i) for i in range(len(pivots)))
-            self._pivots = tuple(pivots)
-        else:
-            self.vectors = ()
-            self._pivots = ()
+            rows.append(enumerate(v))
+        self._span(ambient_dim, rows)
+
+    @classmethod
+    def from_sparse(cls, ambient_dim: int, rows: Iterable[Iterable[tuple[int, object]]]) -> "SubspaceBasis":
+        """Span of vectors given by their (index, value) entries, indices below ``ambient_dim``."""
+        basis = cls.__new__(cls)
+        basis._span(ambient_dim, rows)
+        return basis
+
+    def _span(self, ambient_dim: int, rows) -> None:
+        self.ambient_dim = ambient_dim
+        pivot_rows = _eliminate(_integer_row(r) for r in rows)
+        self._rows = {p: pivot_rows[p] for p in sorted(pivot_rows)}
+        self._vectors = None
+
+    @property
+    def vectors(self) -> tuple[Vector, ...]:
+        if self._vectors is None:
+            self._vectors = tuple(_rational_row(r, p, self.ambient_dim) for p, r in self._rows.items())
+        return self._vectors
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self._rows)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         """Exact membership test by reduction against the echelon basis."""
         if len(v) != self.ambient_dim:
             raise ShapeMismatch("ambient dimension mismatch")
-        w = list(Fraction(x) for x in v)
-        for row, p in zip(self.vectors, self._pivots):
-            if w[p]:
-                f = w[p]
-                w = [a - f * b for a, b in zip(w, row)]
-        return all(a == 0 for a in w)
+        return not _reduce(_integer_row(enumerate(v)), self._rows)
 
     def contains_basis(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains(v) for v in other.vectors)
+        if other.ambient_dim != self.ambient_dim:
+            raise ShapeMismatch("ambient dimension mismatch")
+        return not any(_reduce(row, self._rows) for row in other._rows.values())
 
     def __iter__(self):
         return iter(self.vectors)
 
     def __repr__(self):
         return f"SubspaceBasis(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def sparse_kernel(cols: int, rows: Iterable[Iterable[tuple[int, object]]]) -> SubspaceBasis:
+    """Basis of {v in Q^cols : row . v = 0 for every row}; rows are (col, value) entries.
+
+    Free column f gives the kernel vector with 1 at f and -R[f] / R[p] at
+    each pivot p of the eliminated rows R.
+    """
+    pivot_rows = _eliminate(_integer_row(r) for r in rows)
+    kernel = {f: {f: 1} for f in range(cols) if f not in pivot_rows}
+    for p, row in pivot_rows.items():
+        lead = row[p]
+        for k, x in row.items():
+            if k != p:
+                kernel[k][p] = Fraction(-x, lead)
+    return SubspaceBasis.from_sparse(cols, (v.items() for v in kernel.values()))
 
 
 def rank(m: Matrix) -> int:
@@ -301,7 +382,6 @@ def quotient_dim(z: SubspaceBasis, b: SubspaceBasis) -> int:
     """dim(z/b); raises NotASubspace unless span(b) <= span(z)."""
     if z.ambient_dim != b.ambient_dim:
         raise ShapeMismatch("quotient of subspaces of different ambient spaces")
-    for v in b.vectors:
-        if not z.contains(v):
-            raise NotASubspace("basis vector outside the enclosing subspace")
+    if not z.contains_basis(b):
+        raise NotASubspace("basis vector outside the enclosing subspace")
     return z.dim - b.dim

@@ -43,8 +43,13 @@ def test_examples_circle_bundle_has_transitions(capsys):
     assert obj["transitions"][0]["matrix"][1][1] == "1 + t^2"
 
 
-def test_examples_unknown_name_usage_error():
-    assert run(["examples", "nope"]) == 2
+def test_examples_unknown_name_usage_error(capsys):
+    code, report = run_cli(capsys, "examples", "nope")
+    assert code == 2
+    assert report["command"] == "examples"
+    assert report["status"] == "error"
+    assert report["payload"] == {}
+    assert "invalid choice: 'nope'" in report["diagnostics"][0]
 
 
 def test_examples_byte_stable(tmp_path):
@@ -96,9 +101,30 @@ def test_check_missing_file_exit_2(capsys):
     assert code == 2
 
 
-def test_usage_error_exit_2():
-    assert run(["frobnicate"]) == 2
-    assert run([]) == 2
+USAGE_ERRORS = [
+    (["frobnicate"], "?", "invalid choice: 'frobnicate'"),
+    ([], "?", "the following arguments are required: command"),
+    (["check"], "check", "the following arguments are required: input"),
+    (["check", "x.json", "--bogus"], "?", "unrecognized arguments: --bogus"),
+    (["bundle-check", "x.json", "--mode", "float", "--tol", "-inf"], "bundle-check", "argument --tol: expected one argument"),
+    (["cohomology", "x.json", "--p", "two"], "cohomology", "argument --p: invalid int value: 'two'"),
+]
+
+
+def test_usage_error_exit_2(capsys):
+    """A usage error exits 2 with the error envelope; the command is "?" where argparse cannot tell."""
+    for argv, command, message in USAGE_ERRORS:
+        code, report = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert (report["command"], report["status"], report["payload"]) == (command, "error", {}), argv
+        [diagnostic] = report["diagnostics"]
+        assert message in diagnostic, argv
+
+
+def test_help_exit_0(capsys):
+    assert run(["--help"]) == 0
+    assert run(["cohomology", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_derivations_command(tmp_path, capsys):
@@ -106,6 +132,23 @@ def test_derivations_command(tmp_path, capsys):
     code, report = run_cli(capsys, "derivations", path)
     assert code == 0
     assert report["payload"]["dim"] == 4
+
+
+@pytest.mark.parametrize("command", ["cohomology", "bundle-cohomology"])
+def test_cap_applies_at_p1(tmp_path, capsys, command):
+    """--cap bounds h23 by C^5, which has 3^2 * 3 * 3 = 81 coordinates for 3dim."""
+    if command == "cohomology":
+        argv = ["cohomology", write_fixture(tmp_path, "3dim"), "--p", "1"]
+    else:
+        argv = ["bundle-cohomology", write_fixture(tmp_path, "circle-bundle"), "--which", "h23"]
+    code, report = run_cli(capsys, *argv, "--cap", "80")
+    assert code == 3
+    assert report["command"] == command
+    assert report["status"] == "error"
+    assert report["diagnostics"] == ["target cochain space has 81 coordinates, cap is 80"]
+    code, report = run_cli(capsys, *argv, "--cap", "81")
+    assert code == 0
+    assert report["status"] == "pass"
 
 
 def test_cohomology_p1(tmp_path, capsys):

@@ -19,9 +19,11 @@ from lieyamaguti import (
     zero_algebra,
 )
 import lieyamaguti.algebra
+import lieyamaguti.cohomology
 from lieyamaguti.cohomology import (
     Cochain,
     CochainPair,
+    _delta_op,
     cochain_dim,
     delta_matrix,
     delta_star_matrix,
@@ -29,9 +31,11 @@ from lieyamaguti.cohomology import (
     random_c1,
     random_cochain,
     random_cochain_pair,
+    transport_defects,
 )
 from lieyamaguti.errors import ShapeMismatch, SizeCapExceeded
-from lieyamaguti.linalg import Matrix
+from lieyamaguti.fixtures import cross_product_lie
+from lieyamaguti.linalg import Matrix, SubspaceBasis
 
 
 def test_cochain_dim_examples():
@@ -225,6 +229,20 @@ def test_h_upper_size_cap():
         h_upper(a, r, 4, cap=100)
 
 
+
+def test_h23_size_cap(monkeypatch):
+    """The cap bounds C^5 (3^2 * 3 * 3 = 81 coordinates here) and is checked before assembly."""
+    a = meson(3)
+    r = adjoint(a)
+    assert h23(a, r, cap=81).dim == 1
+
+    def no_assembly(*args):
+        raise AssertionError("assembled an operator over the cap")
+
+    monkeypatch.setattr(lieyamaguti.cohomology, "_assemble", no_assembly)
+    with pytest.raises(SizeCapExceeded, match="81 coordinates, cap is 80"):
+        h23(a, r, cap=80)
+
 def test_h_upper_rejects_p1():
     a = example_3dim()
     with pytest.raises(ShapeMismatch):
@@ -306,6 +324,137 @@ def test_operator_matrices_pinned_entrywise(corpus, rep):
             key = f"{name}/{rep}/{op}"
             assert _digest(m) == OPERATOR_DIGESTS[key], key
 
+
+# SHA-256 of "AMBIENT:[pivots]:" followed by the reduced row echelon basis
+# vectors (";"-separated rows of ","-joined entries) of each subspace, recorded
+# with dense Fraction Gauss-Jordan elimination of the densified operators.  The
+# reduced row echelon form of a subspace is unique, so every elimination must
+# reproduce them exactly.  "z_p2" is ker delta_2, the Z of h_upper at p = 2.
+SUBSPACE_DIGESTS = {
+    "3dim/adjoint/h1": "bc81de90049fdc007829c1b67cf7e9983afd597a1eef2249aa4d295122a04244",
+    "3dim/adjoint/z23": "eea80e7ffa2fba0fceba9237db995110bd01a5cf15fa79ccce9cb2fd5b40ce36",
+    "3dim/adjoint/b23": "431c8a801e3b35c546e36ce8f2c34a309f84c600c3e04f642d2799e46838f699",
+    "3dim/adjoint/z_p2": "fb00ce0e92d06d567473516ea8e5a3697b170b94059dcca1040fd9cb08304a89",
+    "meson2/adjoint/h1": "c059f2b7592f643df5eee08b8ba87da59845ee4f58a09949533261f8609e59ff",
+    "meson2/adjoint/z23": "53ce833e8cf9fe060113fda2f990508800542a8cf6f5de1aed8faa6a8ca8f05b",
+    "meson2/adjoint/b23": "53ce833e8cf9fe060113fda2f990508800542a8cf6f5de1aed8faa6a8ca8f05b",
+    "meson2/adjoint/z_p2": "ad9598fa032c6cf0749ec567cfe4595c5733e10a6641a67b74b694752f0fb458",
+    "meson3/adjoint/h1": "755545886230b6710abbbca87beaf30916a67dbbdcd3788d6bdbb93d9ab7b3a0",
+    "meson3/adjoint/z23": "00b4a3eacde1c23d033eb8f93514071fe34d975f0eef2e7714ee2a7ac296f652",
+    "meson3/adjoint/b23": "2ddda05eb76cda5d55d2334720d88937abf777f165e383de02f6424dc838c1db",
+    "meson3/adjoint/z_p2": "35da8f897728750b5153d179b1fc3ea25c5e040214a7140ad68ce7de7cec1604",
+    "crossproduct-lie/adjoint/h1": "755545886230b6710abbbca87beaf30916a67dbbdcd3788d6bdbb93d9ab7b3a0",
+    "crossproduct-lie/adjoint/z23": "9317aa454c6040a26ca38cc907aa3c2d403691ad83c7653b2ff8313d1cae6821",
+    "crossproduct-lie/adjoint/b23": "5707b1ad7157733a11f870ca2a2edb44c3ec97a57c8a4c9e38321193631ff13e",
+    "crossproduct-lie/adjoint/z_p2": "59d517400e8660c1f65586b163e4b39ad491d99b11bd360f22204747b4e245c6",
+    "3dim/trivial1/h1": "38696f42102092d886e0b12f2b5ae90f0b416762906d702183b7b11616fdd1e8",
+    "3dim/trivial1/z23": "0de745a02062cf5ead6a0a1cc7d9275dda547ff0c24fab76f54020998b80ac9a",
+    "3dim/trivial1/b23": "788cb0d4b42a917d5a2efc6c6f35015167346cff26c0ec41ed3308d040bbc305",
+    "3dim/trivial1/z_p2": "fd634f03040b5bf68aeae8ac258c7d4c3d05e39608159e9147be78beccda59f9",
+    "meson2/trivial1/h1": "2bed1c23abe9c40923b91e32cf98a01a4a7f5ecec4b839a70922969b9d2aff81",
+    "meson2/trivial1/z23": "7a34d76eddb1a4d34026db90ad59ca95b42a95ba5d31328f93780d15f55d595d",
+    "meson2/trivial1/b23": "775ea0df5613cc83a2c0e934d62bf165d34e2ece70e536606ae9b0e20d92c917",
+    "meson2/trivial1/z_p2": "d99cb1d39cae86f121a40587bd3e12660d68a6dbd49e1d1aa6a580b621008a1f",
+    "meson3/trivial1/h1": "8f7a0752441906f0a222ac6edfce281f48bc3ef45bbb2b9cfd1fddc306f88305",
+    "meson3/trivial1/z23": "700173a49c4184a6ea2b070297f3617cf6b3eb24d340bdd1c427bb0a4466c0e6",
+    "meson3/trivial1/b23": "700173a49c4184a6ea2b070297f3617cf6b3eb24d340bdd1c427bb0a4466c0e6",
+    "meson3/trivial1/z_p2": "9fce060a71474ae613d9a8f150362b8db0d5d4f959dc7dc1286e29c46375f494",
+    "crossproduct-lie/trivial1/h1": "8f7a0752441906f0a222ac6edfce281f48bc3ef45bbb2b9cfd1fddc306f88305",
+    "crossproduct-lie/trivial1/z23": "05e9f70fa7a4db8180815a324c483b938c30faf66612d6f207d538ad7a70aedf",
+    "crossproduct-lie/trivial1/b23": "05e9f70fa7a4db8180815a324c483b938c30faf66612d6f207d538ad7a70aedf",
+    "crossproduct-lie/trivial1/z_p2": "3b21f1ec4231ed45f1ee1897fc0dc74f4d593cfa89d62cf7a5de359c36ca21e6",
+    "3dim/trivial2/h1": "65e809c8c2adf2594481a9bf183bd6ffc3d436118c753982cd7ef7d0eb079148",
+    "3dim/trivial2/z23": "d0423880dc7daf96f4c370a5a223b99bb27fb082c1e5d5a836a3fdacc952ca7f",
+    "3dim/trivial2/b23": "ddb554a4d582727596b61737933972745b681e863ffb287a158605835a39f06a",
+    "3dim/trivial2/z_p2": "526163d0f066238a9f76b8b150c236ae97e170bdc847c620534deeee3547d1fb",
+    "meson2/trivial2/h1": "3daea9f5b5695354663030b9cda123852bb75c17eb42c9bba92371081ef020f6",
+    "meson2/trivial2/z23": "acf02095ed7a0a5f48b859c4e8804e0cffca57b5026b255413584cac68cac8c0",
+    "meson2/trivial2/b23": "26da8db18332ee9806c5a909f5c4fe01f4ef45404de79c6eb34b0ac5bf41d06a",
+    "meson2/trivial2/z_p2": "d4c2cc682cc9594aab7908409d88839bdd8cf81338a951479e184d62bfadb01b",
+    "meson3/trivial2/h1": "2403ce015ca286d95b084d04a89455e216ad2eed7ce027bb568e166afd7df155",
+    "meson3/trivial2/z23": "b2313c2aebe78f56bf1fe35480b6f9b69e2ed28bf636cb85d5cfb1809ce5871f",
+    "meson3/trivial2/b23": "b2313c2aebe78f56bf1fe35480b6f9b69e2ed28bf636cb85d5cfb1809ce5871f",
+    "meson3/trivial2/z_p2": "cac7a8ae0df8a72199b25bddd00bdfa2a38230ffe21455f157d149be393b0c5c",
+    "crossproduct-lie/trivial2/h1": "2403ce015ca286d95b084d04a89455e216ad2eed7ce027bb568e166afd7df155",
+    "crossproduct-lie/trivial2/z23": "af945e7f67d0876cb706fccab93e3afdc34d9fb48af3fb2811b656e57730eeab",
+    "crossproduct-lie/trivial2/b23": "af945e7f67d0876cb706fccab93e3afdc34d9fb48af3fb2811b656e57730eeab",
+    "crossproduct-lie/trivial2/z_p2": "e3b0c9a540ba1c81b19c92e031e8496c497342b89bfdf592c9a1ccc9918264b1",
+}
+
+
+def _basis_digest(basis) -> str:
+    pivots = [next(k for k, x in enumerate(v) if x) for v in basis.vectors]
+    rows = ";".join(",".join(map(str, v)) for v in basis.vectors)
+    return hashlib.sha256(f"{basis.ambient_dim}:{pivots}:{rows}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("rep", ["adjoint", "trivial1", "trivial2"])
+def test_kernels_and_images_pinned(corpus, rep):
+    for name, (a, ad) in corpus.items():
+        r = ad if rep == "adjoint" else trivial_rep(a, int(rep[-1]))
+        res = h23(a, r)
+        bases = {
+            "h1": h1(a, r)[1],
+            "z23": res.z_basis,
+            "b23": res.b_basis,
+            "z_p2": delta_matrix(a, r, 2).kernel_basis(),
+        }
+        for which, basis in bases.items():
+            key = f"{name}/{rep}/{which}"
+            assert _basis_digest(basis) == SUBSPACE_DIGESTS[key], key
+
+
+@pytest.mark.parametrize("rep", ["adjoint", "trivial2"])
+def test_operator_kernels_and_images_equal_dense_ones(corpus, rep):
+    """h_upper's Z and B, read off the sparse operators, equal those of the dense matrices."""
+    for name, (a, ad) in corpus.items():
+        r = ad if rep == "adjoint" else trivial_rep(a, 2)
+        for p in (1, 2):
+            op, m = _delta_op(a, r, p), delta_matrix(a, r, p)
+            assert op.kernel().vectors == m.kernel_basis().vectors, (name, p)
+            columns = SubspaceBasis(m.rows, [m.col(j) for j in range(m.cols)])
+            assert op.image().vectors == columns.vectors, (name, p)
+
+
+@pytest.mark.parametrize(
+    "algebra, p, dims",
+    [
+        ("meson5", 1, (15, 15, 0, 10)),
+        ("meson4", 2, (109, 109, 0)),
+        ("crossproduct-lie", 2, (29, 29, 0)),
+    ],
+)
+def test_scale_up_dims(algebra, p, dims):
+    """Adjoint dims beyond the corpus; meson(4) at p = 2 eliminates a 4320 x 720 operator."""
+    a = cross_product_lie() if algebra == "crossproduct-lie" else meson(int(algebra[-1]))
+    r = adjoint(a)
+    if p == 1:
+        res = h23(a, r)
+        assert (res.dim_z, res.dim_b, res.dim, h1(a, r)[0]) == dims
+    else:
+        res = h_upper(a, r, p)
+        assert (res.dim_z, res.dim_b, res.dim) == dims
+    assert res.delta_squared_zero
+
+
+
+def test_groups_never_densify(monkeypatch):
+    """Kernels and images go from the sparse operators straight to elimination."""
+    a = example_3dim()
+    r = adjoint(a)
+
+    def dense_path(*args, **kwargs):
+        raise AssertionError("densified on the way to elimination")
+
+    monkeypatch.setattr(lieyamaguti.cohomology._Operator, "dense", dense_path)
+    monkeypatch.setattr(Matrix, "rref", dense_path)
+    monkeypatch.setattr(Matrix, "kernel_basis", dense_path)
+    monkeypatch.setattr(SubspaceBasis, "__init__", dense_path)
+    identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    assert h1(a, r)[0] == 4
+    assert h23(a, r).dim == 9
+    assert h_upper(a, r, 2).dim == 22
+    assert transport_defects(a, r, "h23", 1, [(identity, identity)]) == [0]
 
 def test_validation_runs_once_per_entry_point(monkeypatch, rng):
     a = meson(3)
