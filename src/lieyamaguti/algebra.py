@@ -146,6 +146,17 @@ class AxiomReport:
 LY_WEIGHTS = {"LY1": 1, "LY2": 2, "LY3": 2, "LY4": 3, "LY5": 3, "LY6": 4}
 
 
+def structure_lcm(a: LYAlgebra, extra: Iterable[Fraction] = ()) -> int:
+    """The LCM of every denominator in the structure constants of ``a`` and in ``extra``."""
+    return denominator_lcm(
+        itertools.chain(
+            (x for row in a.binary for v in row for x in v),
+            (x for plane in a.ternary for row in plane for v in row for x in v),
+            extra,
+        )
+    )
+
+
 def integer_tables(a: LYAlgebra, extra: Iterable[Fraction] = ()) -> tuple[int, list, list]:
     """Structure constants with denominators cleared, as sparse integer vectors.
 
@@ -154,12 +165,7 @@ def integer_tables(a: LYAlgebra, extra: Iterable[Fraction] = ()) -> tuple[int, l
     holds den**2 * {e_i, e_j, e_k}, each as a list of nonzero (index, int)
     pairs.
     """
-    entries = itertools.chain(
-        (x for row in a.binary for v in row for x in v),
-        (x for plane in a.ternary for row in plane for v in row for x in v),
-        extra,
-    )
-    den = denominator_lcm(entries)
+    den = structure_lcm(a, extra)
     b = [[scaled_sparse(v, den) for v in row] for row in a.binary]
     t = [[[scaled_sparse(v, den * den) for v in row] for row in plane] for plane in a.ternary]
     return den, b, t

@@ -17,9 +17,17 @@ fibrewise groups are computed once and listed at every chart sample.  Their
 each sampled transition value s, (s.f)(x1, ..., xn) = s f(s^-1 x1, ...,
 s^-1 xn), must preserve the fibre's cocycles and coboundaries.
 
-Both evaluation modes run one code path over rows of scalars: Fractions in
-exact mode, floats in float mode, where a difference up to the tolerance
-counts as zero.
+Both evaluation modes run one code path.  The cocycle gate works on pairs
+(D, S) (``_cleared``): in exact mode D is the LCM of the denominators of a
+transition value s and S = D s is an integer matrix, and the fibre's
+structure constants are cleared likewise, den * binary and den**2 * ternary
+(``_fibre``).  Each gate identity is homogeneous, so it is compared with both
+sides multiplied out of the denominators; the integer defect is then one
+known scale times the rational one, and dividing by that scale gives the
+exact Fraction norm that a check on the rational values would report.  In
+float mode the pair is (1, s) and den is 1, the same code runs on floats,
+and a difference up to the tolerance counts as zero.  Transport runs on rows
+of Fractions or floats.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LYAlgebra, derivations, is_homomorphism, is_valid
+from .algebra import LYAlgebra, derivations, is_homomorphism, is_valid, structure_lcm
 from .cohomology import DEFAULT_SIZE_CAP, h1, h23, h_upper, transport_defects
 from .errors import (
     CocycleCheckFailed,
@@ -39,7 +47,7 @@ from .errors import (
     UnknownIdentifier,
 )
 from .exprs import Expr, eval_exact, eval_float, variables
-from .linalg import Matrix, SubspaceBasis
+from .linalg import Matrix, SubspaceBasis, _eliminate, denominator_lcm
 from .representation import adjoint
 
 Point = tuple[Fraction, ...]
@@ -183,18 +191,53 @@ def _value(tf: TransitionFamily, pt: Point, mode: EvalMode) -> list:
     return value.row_list() if mode.kind == "exact" else value
 
 
-def _fibre(b: BundleSpec, mode: EvalMode) -> LYAlgebra:
-    """The fibre model with structure constants in the mode's scalar type."""
-    a = b.fiber
+def _scaled(v, k: int, mode: EvalMode) -> list:
+    """k * v as integers in exact mode; v as floats in float mode.
+
+    In exact mode k must be a multiple of every denominator in v.
+    """
     if mode.kind == "exact":
-        return a
-    binary = tuple(tuple(tuple(map(float, v)) for v in row) for row in a.binary)
-    ternary = tuple(tuple(tuple(tuple(map(float, v)) for v in vs) for vs in row) for row in a.ternary)
-    return LYAlgebra(a.dim, binary, ternary, a.name)
+        return [x.numerator * (k // x.denominator) for x in v]
+    return [float(x) for x in v]
+
+
+def _cleared(rows: list, mode: EvalMode) -> tuple:
+    """The pair (D, S) of a transition value s, with S = D * s.
+
+    In exact mode D is the LCM of the denominators of s, so S is an integer
+    matrix; in float mode the pair is (1, s).
+    """
+    den = denominator_lcm(x for row in rows for x in row) if mode.kind == "exact" else 1
+    return den, [_scaled(row, den, mode) for row in rows]
+
+
+def _fibre(a: LYAlgebra, mode: EvalMode) -> tuple:
+    """The fibre model as (den, algebra) for the gate.
+
+    In exact mode den is the LCM of the structure constants' denominators and
+    the algebra holds the integers den * binary and den**2 * ternary; in float
+    mode den is 1 and the algebra holds the constants as floats.
+    """
+    den = structure_lcm(a) if mode.kind == "exact" else 1
+    binary = tuple(tuple(_scaled(v, den, mode) for v in row) for row in a.binary)
+    ternary = tuple(tuple(tuple(_scaled(v, den * den, mode) for v in vs) for vs in row) for row in a.ternary)
+    return den, LYAlgebra(a.dim, binary, ternary, a.name)
+
+
+def _norm(worst, scale: int, mode: EvalMode):
+    """The defect of an identity whose sides were computed ``scale`` times too large.
+
+    Exact in exact mode; float mode never scales (every D and den is 1).
+    """
+    return Fraction(worst, scale) if mode.kind == "exact" else worst
 
 
 def _identity(d: int) -> list:
     return [[int(i == j) for j in range(d)] for i in range(d)]
+
+
+def _times(k: int, rows: list) -> list:
+    return rows if k == 1 else [[k * x for x in row] for row in rows]
 
 
 def _matmul(a: list, b: list) -> list:
@@ -233,16 +276,34 @@ def _invert(rows: list):
     return det, [row[n:] for row in m]
 
 
-def _bracket_defect(s: list, a: LYAlgebra):
-    """Largest entry of s[x, y] - [sx, sy] and s{x, y, z} - {sx, sy, sz} over basis tuples."""
-    d = a.dim
+def _singular(s: list, mode: EvalMode) -> bool:
+    """Rank test of the integer S in exact mode (fraction-free); |det| <= tol in float mode."""
+    if mode.kind == "exact":
+        return len(_eliminate({k: x for k, x in enumerate(row) if x} for row in s)) < len(s)
+    return abs(_invert(s)[0]) <= mode.tol
+
+
+def _automorphism_defect(value: tuple, fibre: tuple, mode: EvalMode):
+    """Largest entry of s[x, y] - [sx, sy] and s{x, y, z} - {sx, sy, sz} over basis tuples.
+
+    With (D, S) = ``value`` and (den, F) = ``fibre``, the binary part is
+    compared as D S F(e_i, e_j) against F(S e_i, S e_j), which is D**2 den
+    times the exact defect, and the ternary part as D**2 S F(e_i, e_j, e_k)
+    against F(S e_i, S e_j, S e_k), which is D**3 den**2 times it.
+    """
+    (big_d, s), (den, f) = value, fibre
     cols = list(zip(*s))
-    pairs = list(itertools.product(range(d), repeat=2))
-    triples = list(itertools.product(range(d), repeat=3))
-    brackets = [a.binary[i][j] for i, j in pairs] + [a.ternary[i][j][k] for i, j, k in triples]
-    images = [a.bracket(cols[i], cols[j]) for i, j in pairs]
-    images += [a.triple(cols[i], cols[j], cols[k]) for i, j, k in triples]
-    return _distance(_matmul(s, list(zip(*brackets))), list(zip(*images)))
+    pairs = list(itertools.product(range(f.dim), repeat=2))
+    triples = list(itertools.product(range(f.dim), repeat=3))
+    binary = _distance(
+        _matmul(_times(big_d, s), list(zip(*(f.binary[i][j] for i, j in pairs)))),
+        list(zip(*(f.bracket(cols[i], cols[j]) for i, j in pairs))),
+    )
+    ternary = _distance(
+        _matmul(_times(big_d * big_d, s), list(zip(*(f.ternary[i][j][k] for i, j, k in triples)))),
+        list(zip(*(f.triple(cols[i], cols[j], cols[k]) for i, j, k in triples))),
+    )
+    return max(_norm(binary, big_d**2 * den, mode), _norm(ternary, big_d**3 * den**2, mode))
 
 
 @dataclass
@@ -276,27 +337,35 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
     satisfy g_ji(m) = g_ij(m)^-1 under the positional sample correspondence;
     and every evaluated transition value is a fibrewise automorphism of the
     fibre model.  All failures are reported with their point and the largest
-    entrywise defect.  Each (transition, point) is evaluated once.
+    entrywise defect.  Each (transition, point) is evaluated once and kept as
+    its pair (D, S) of ``_cleared``.  Every identity is homogeneous, so each is
+    compared with both sides multiplied out of the denominators, and its
+    integer defect is divided by that one scale for the report.
     """
     report = CocycleReport(mode)
     bound = mode.bound
-    fiber = _fibre(b, mode)
-    ident = _identity(fiber.dim)
+    fibre = _fibre(b.fiber, mode)
+    ident = _identity(b.fiber.dim)
     values: dict = {}
 
-    def value(tf: TransitionFamily, pt: Point) -> list:
+    def value(tf: TransitionFamily, pt: Point) -> tuple:
         key = (tf.frm, tf.to, pt)
         if key not in values:
-            values[key] = _value(tf, pt, mode)
+            values[key] = _cleared(_value(tf, pt, mode), mode)
         return values[key]
+
+    def check(kind: str, where: str, point, worst, scale: int, detail: str) -> None:
+        norm = _norm(worst, scale, mode)
+        if norm > bound:
+            report.add(kind, where, point, norm, detail)
 
     for tf in b.transitions:
         if tf.frm == tf.to:
             for pt in tf.samples:
                 report.checks += 1
-                norm = _distance(value(tf, pt), ident)
-                if norm > bound:
-                    report.add("identity", tf.label(), pt, norm, "g_ii is not the identity")
+                d, s = value(tf, pt)
+                worst = _distance(s, _times(d, ident))
+                check("identity", tf.label(), pt, worst, d, "g_ii is not the identity")
 
     for tr in b.triples:
         for (pi, pj, pk) in tr.samples:
@@ -305,7 +374,7 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
             for (frm, to, pt) in ((tr.i, tr.j, pi), (tr.j, tr.k, pj), (tr.i, tr.k, pi)):
                 tf = b.transition(frm, to)
                 if frm == to:
-                    legs.append(ident)
+                    legs.append((1, ident))
                 elif tf is None:
                     report.add(
                         "structural",
@@ -318,9 +387,9 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
                 else:
                     legs.append(value(tf, pt))
             else:
-                norm = _distance(_matmul(legs[0], legs[1]), legs[2])
-                if norm > bound:
-                    report.add("triple", tr.label(), (pi, pj, pk), norm, "g_ij g_jk != g_ik")
+                (d1, s1), (d2, s2), (d3, s3) = legs
+                worst = _distance(_times(d3, _matmul(s1, s2)), _times(d1 * d2, s3))
+                check("triple", tr.label(), (pi, pj, pk), worst, d1 * d2 * d3, "g_ij g_jk != g_ik")
 
     seen = set()
     for tf in b.transitions:
@@ -341,19 +410,20 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
             continue
         for pt_f, pt_r in zip(tf.samples, rev.samples):
             report.checks += 1
-            norm = _distance(_matmul(value(tf, pt_f), value(rev, pt_r)), ident)
-            if norm > bound:
-                report.add("inverse", f"{tf.label()} / {rev.label()}", (pt_f, pt_r), norm, "g_ji != g_ij^-1")
+            (df, sf), (dr, sr) = value(tf, pt_f), value(rev, pt_r)
+            worst = _distance(_matmul(sf, sr), _times(df * dr, ident))
+            where = f"{tf.label()} / {rev.label()}"
+            check("inverse", where, (pt_f, pt_r), worst, df * dr, "g_ji != g_ij^-1")
 
     singular = "matrix is singular" if mode.kind == "exact" else "matrix is numerically singular"
     for tf in b.transitions:
         for pt in tf.samples:
             report.checks += 1
-            s = value(tf, pt)
-            if abs(_invert(s)[0]) <= bound:
+            pair = value(tf, pt)
+            if _singular(pair[1], mode):
                 report.add("automorphism", tf.label(), pt, None, singular)
                 continue
-            norm = _bracket_defect(s, fiber)
+            norm = _automorphism_defect(pair, fibre, mode)
             if norm > bound:
                 report.add("automorphism", tf.label(), pt, norm, "bracket preservation fails")
     return report

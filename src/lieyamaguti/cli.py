@@ -257,12 +257,13 @@ def _cmd_derivations(args) -> int:
 
 def _cmd_cohomology(args) -> int:
     a = algebra_from_json(_load_json(args.input))
-    r = _resolve_rep(args.rep, a, args.rep_dim)
+    # h23 and h_upper validate the algebra, so its adjoint module is built unchecked
+    r = rep._adjoint(a) if args.rep == "adjoint" else _resolve_rep(args.rep, a, args.rep_dim)
     if args.level < 1:
         raise ShapeMismatch("--p must be >= 1")
     if args.level == 1:
         res = coh.h23(a, r, cap=args.cap)
-        extra = {"dimH23": res.dim, "dimH1": coh.h1(a, r)[0], "reading": res.reading}
+        extra = {"dimH23": res.dim, "dimH1": res.h1()[0], "reading": res.reading}
     else:
         res = coh.h_upper(a, r, args.level, cap=args.cap)
         extra = {}

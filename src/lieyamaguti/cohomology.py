@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -473,6 +473,7 @@ class H23Result:
     z_basis: SubspaceBasis
     b_basis: SubspaceBasis
     delta_squared_zero: bool
+    delta_zero_op: _Operator = field(repr=False, compare=False)
     reading: str = Z23_READING
 
     @property
@@ -482,6 +483,11 @@ class H23Result:
     @property
     def dim_b(self) -> int:
         return self.b_basis.dim
+
+    def h1(self) -> tuple[int, SubspaceBasis]:
+        """``h1`` of the same algebra and module, as the kernel of the delta_zero whose image is B."""
+        basis = self.delta_zero_op.kernel()
+        return basis.dim, basis
 
 
 def _check_cap(a: LYAlgebra, r: Representation, p: int, cap: int) -> None:
@@ -505,11 +511,12 @@ def h23(a: LYAlgebra, r: Representation, cap: int = DEFAULT_SIZE_CAP) -> H23Resu
     _require_rep(a, r)
     _check_cap(a, r, 1, cap)
     z = _delta_op(a, r, 1).stack(_delta_star_op(a, r)).kernel()
-    b = _delta_zero_op(a, r).image()
+    d0 = _delta_zero_op(a, r)
+    b = d0.image()
     contained = z.contains_basis(b)
     if not contained:
         raise CocycleContainmentFailure("B^(2,3) is not contained in Z^(2,3)")
-    return H23Result(z.dim - b.dim, z, b, contained)
+    return H23Result(z.dim - b.dim, z, b, contained, d0)
 
 
 @dataclass

@@ -273,6 +273,11 @@ def adjoint(a: LYAlgebra) -> Representation:
     """rho(a) = [a, .], D(a,b) = {a, b, .}, theta(a,b) = {., a, b}."""
     if not is_valid(a):
         raise InvalidAlgebra("adjoint needs a valid algebra")
+    return _adjoint(a)
+
+
+def _adjoint(a: LYAlgebra) -> Representation:
+    """``adjoint`` without its validity check, for callers that validate ``a`` themselves."""
     d = a.dim
     rho = tuple(_matrix_from_columns([a.binary[i][j] for j in range(d)], d) for i in range(d))
     dmap = tuple(

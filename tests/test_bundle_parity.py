@@ -6,14 +6,23 @@ cover the exact ``bundle-check`` failure kinds (a non-automorphism, a broken
 reverse, a non-identity self transition, a sample-count mismatch and a
 singular transition) and ``bundle-cohomology`` on the circle fixture in both
 evaluation modes.
+
+The circle fibre has integer structure constants, so a second set pins exact
+failure reports on a fibre with denominators: ``crossproduct-lie`` rebased by
+diag(1/3, 5/7, 2), glued by Cayley rotations about e3 written in that basis.
+These digests were recorded while the cocycle gate still ran on ``Fraction``
+rows, before it moved to integer-scaled values.
 """
 
+import copy
 import hashlib
 
 import pytest
+from test_denominators import rebased
 
 from lieyamaguti.cli import run
-from lieyamaguti.fixtures import fixture, render
+from lieyamaguti.fixtures import cross_product_lie, fixture, render
+from lieyamaguti.schemas import algebra_to_json
 
 IDENTITY = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
@@ -96,3 +105,91 @@ def test_bundle_cohomology_payloads_pinned(tmp_path, capsys, which, mode):
     code, digest = _cli_digest(capsys, ["bundle-cohomology", str(path), "--which", which, "--mode", mode])
     assert code == 0
     assert digest == COHOMOLOGY_DIGESTS[(which, mode)]
+
+
+# Cayley rotation about e3 in the basis f_i = s_i e_i of ``rebased``: the
+# entry (i, j) of the rotation becomes R_ij s_j / s_i.
+ROTATION = [
+    ["(1 - t^2)/(1 + t^2)", "-30*t/(7*(1 + t^2))", "0"],
+    ["14*t/(15*(1 + t^2))", "(1 - t^2)/(1 + t^2)", "0"],
+    ["0", "0", "1"],
+]
+ROTATION_REV = [
+    ["(1 - s^2)/(1 + s^2)", "30*s/(7*(1 + s^2))", "0"],
+    ["-14*s/(15*(1 + s^2))", "(1 - s^2)/(1 + s^2)", "0"],
+    ["0", "0", "1"],
+]
+
+
+def rebased_rotation_bundle() -> dict:
+    overlap = [["-1/2"], ["1/3"], ["5/4"]]
+    return {
+        "fiber": algebra_to_json(rebased(cross_product_lie())),
+        "charts": [
+            {"name": "U1", "coords": ["t"], "samples": [["-1"], ["0"], ["2/3"]]},
+            {"name": "U2", "coords": ["s"], "samples": [["-1"], ["0"], ["2/3"]]},
+        ],
+        "transitions": [
+            {"from": "U1", "to": "U2", "matrix": copy.deepcopy(ROTATION), "samples": overlap},
+            {"from": "U2", "to": "U1", "matrix": copy.deepcopy(ROTATION_REV), "samples": overlap},
+        ],
+        "triples": [
+            {
+                "i": "U1",
+                "j": "U2",
+                "k": "U1",
+                "samples": [[["-1/2"], ["-1/2"], ["-1/2"]], [["5/4"], ["5/4"], ["5/4"]]],
+            }
+        ],
+    }
+
+
+def _stretch(obj):
+    obj["transitions"][0]["matrix"] = [["1 + t^2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    obj["transitions"][1]["matrix"] = [["1/(1 + s^2)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+def _rebased_broken_reverse(obj):
+    obj["transitions"][1]["matrix"] = IDENTITY
+
+
+def _mismatched_triple(obj):
+    obj["triples"][0]["samples"] = [[["1/3"], ["-1/2"], ["1/3"]], [["5/4"], ["5/4"], ["5/4"]]]
+
+
+def _rebased_singular(obj):
+    obj["transitions"][0]["matrix"][2][2] = "3*t - 1"
+
+
+REBASED_CHECK_DIGESTS = {
+    "non-automorphism": "a99df1b1d1610b0f41718caa25b7fb4c7e67c2ae31cf2289fc863577863412ea",
+    "broken-reverse": "3c2fe084097905ecbf86ad8f82aea83e6ec3d970bb0210743d4f48a39b891584",
+    "triple": "31eee92e18ac0fef3fd7826ac9561b223a5ca814afc923c404a55d179c1fe605",
+    "singular": "2f1fe7effaf28799451823338cc756ae0b836322b5bc7b6d18e306ca203f44dd",
+}
+
+REBASED_EDITS = {
+    "non-automorphism": _stretch,
+    "broken-reverse": _rebased_broken_reverse,
+    "triple": _mismatched_triple,
+    "singular": _rebased_singular,
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_rebased_rotation_bundle_passes(tmp_path, capsys, mode):
+    path = tmp_path / "rotation.json"
+    path.write_text(render(rebased_rotation_bundle()), encoding="utf-8")
+    assert run(["bundle-check", str(path), "--mode", mode]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", sorted(REBASED_EDITS))
+def test_bundle_check_failure_reports_pinned_with_denominators(tmp_path, capsys, case):
+    obj = rebased_rotation_bundle()
+    REBASED_EDITS[case](obj)
+    path = tmp_path / f"{case}.json"
+    path.write_text(render(obj), encoding="utf-8")
+    code, digest = _cli_digest(capsys, ["bundle-check", str(path)])
+    assert code == 1
+    assert digest == REBASED_CHECK_DIGESTS[case]

@@ -34,7 +34,8 @@ from lieyamaguti.cohomology import (
     transport_defects,
 )
 from lieyamaguti.errors import ShapeMismatch, SizeCapExceeded
-from lieyamaguti.fixtures import cross_product_lie
+from lieyamaguti.cli import run
+from lieyamaguti.fixtures import cross_product_lie, fixture, render
 from lieyamaguti.linalg import Matrix, SubspaceBasis
 
 
@@ -456,9 +457,11 @@ def test_groups_never_densify(monkeypatch):
     assert h_upper(a, r, 2).dim == 22
     assert transport_defects(a, r, "h23", 1, [(identity, identity)]) == [0]
 
-def test_validation_runs_once_per_entry_point(monkeypatch, rng):
+def test_validation_runs_once_per_entry_point(monkeypatch, rng, tmp_path, capsys):
     a = meson(3)
     r = adjoint(a)
+    path = tmp_path / "meson3.json"
+    path.write_text(render(fixture("meson3")), encoding="utf-8")
     c = random_cochain_pair(1, a.dim, r.e, rng)
     f = random_c1(a.dim, r.e, rng)
     calls = []
@@ -468,14 +471,38 @@ def test_validation_runs_once_per_entry_point(monkeypatch, rng):
         calls.append(1)
         return check_axioms(*args, **kwargs)
 
+    def cli_job():
+        assert run(["cohomology", str(path), "--p", "1"]) == 0
+        capsys.readouterr()
+
     monkeypatch.setattr(lieyamaguti.algebra, "check_axioms", counting)
     entry_points = {
         "h23": lambda: h23(a, r),
         "delta": lambda: delta(a, r, c),
         "delta_star": lambda: delta_star(a, r, c),
         "delta_zero": lambda: delta_zero(a, r, f),
+        "cohomology --p 1": cli_job,
     }
     for name, call in entry_points.items():
         calls.clear()
         call()
         assert len(calls) == 1, name
+
+
+def test_cohomology_p1_assembles_delta_zero_once(monkeypatch, tmp_path, capsys):
+    """``cohomology --p 1`` reads B^(2,3) and H^1 off one delta_zero operator."""
+    path = tmp_path / "3dim.json"
+    path.write_text(render(fixture("3dim")), encoding="utf-8")
+    built = []
+    assemble = lieyamaguti.cohomology._delta_zero_op
+
+    def counting(*args):
+        built.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(lieyamaguti.cohomology, "_delta_zero_op", counting)
+    assert run(["cohomology", str(path), "--p", "1"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+    a = example_3dim()
+    assert h23(a, adjoint(a)).h1()[0] == h1(a, adjoint(a))[0] == 4
