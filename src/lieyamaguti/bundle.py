@@ -48,7 +48,7 @@ from .errors import (
 )
 from .exprs import Expr, eval_exact, eval_float, variables
 from .linalg import Matrix, SubspaceBasis, _eliminate, denominator_lcm
-from .representation import adjoint
+from .representation import _adjoint
 
 Point = tuple[Fraction, ...]
 
@@ -549,6 +549,11 @@ def transport_failures(
     names the coboundaries checked.  Exact in exact mode, within the tolerance
     in float mode; every automorphism passes.
     """
+    return _transport_failures(b, _adjoint(b.fiber), which, p, mode)
+
+
+def _transport_failures(b: BundleSpec, module, which: str, p: int, mode: EvalMode) -> list:
+    """``transport_failures`` with the fibre's adjoint module built by the caller."""
     failures, where, maps = [], [], []
     for tf in b.transitions:
         for pt in tf.samples:
@@ -560,7 +565,7 @@ def transport_failures(
                 where.append((tf.label(), pt))
                 maps.append((s, s_inv))
     group = "h1" if which == "der" else which
-    defects = transport_defects(b.fiber, adjoint(b.fiber), group, p, maps)
+    defects = transport_defects(b.fiber, module, group, p, maps)
     for (label, pt), norm in zip(where, defects):
         if norm > mode.bound:
             failures.append(CocycleFailure("transport", label, pt, norm, "transport does not preserve the fibre group"))
@@ -589,20 +594,22 @@ def bundle_cohomology(
             gate,
         )
     fiber = b.fiber
+    # BundleSpec validated the fibre, so its adjoint module is built unchecked, once
+    module = _adjoint(fiber)
     if which == "h1":
-        dims = {"dimH1": h1(fiber, adjoint(fiber))[0]}
+        dims = {"dimH1": h1(fiber, module)[0]}
     elif which == "h23":
-        res = h23(fiber, adjoint(fiber), cap=cap)
+        res = h23(fiber, module, cap=cap)
         dims = {"dimZ": res.dim_z, "dimB": res.dim_b, "dimH23": res.dim}
     elif which == "upper":
-        res = h_upper(fiber, adjoint(fiber), p, cap=cap)
+        res = h_upper(fiber, module, p, cap=cap)
         dims = {"dimZ": res.dim_z, "dimB": res.dim_b, f"dimH{2*p}{2*p+1}": res.dim}
     elif which == "der":
         dims = {"dimDer": derivations(fiber).dim}
     else:
         raise ShapeMismatch(f"unknown cohomology selector {which!r}")
     points = [FiberCohomologyPoint(c.name, pt, dims) for c in b.charts for pt in c.samples]
-    failures = transport_failures(b, which, p, mode)
+    failures = _transport_failures(b, module, which, p, mode)
     return BundleCohomologyReport(which, p if which == "upper" else None, points, failures)
 
 

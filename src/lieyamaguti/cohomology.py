@@ -1,25 +1,38 @@
 """Yamaguti cochain spaces, coboundaries and cohomology groups.
 
-Cochains of arity n >= 2 vanish whenever two arguments in slots (2i-1, 2i)
-coincide; over Q this is equivalent to antisymmetry in each such consecutive
-pair, so coefficients are stored on the pair-index basis: p = floor(n/2)
-unordered pairs (i < j), a trailing basis index for odd n, and a module
-coordinate.  ``cochain_dim`` counts exactly these coordinates.
+Every cochain space reads its coordinates off one private *shape*: a tuple of
+alternating slot groups, times e module coordinates.  A cochain alternates
+within each group of consecutive argument slots, so it is stored on the basis
+tuples that increase within each group (the representatives, in
+lexicographic order group by group), one e-block each.  A tuple with a
+repeated index inside a group is zero; any other tuple is a representative up
+to the sign of sorting each group.
+
+- C^n for n >= 2 vanishes whenever the arguments in slots (2i-1, 2i)
+  coincide; over Q that is antisymmetry in each consecutive pair, so its
+  shape is (2,) * floor(n/2), plus (1,) when n is odd.  C^1 = Hom(g, V) is
+  (1,).  ``cochain_dim`` counts these coordinates.
+- delta* has its own target.  With sums over the cyclic permutations of
+  (x1, x2, x3),
+
+      delta*_I (f, g)(x1, x2, x3)     = sum  f([x1, x2], x3) - rho(x1) f(x2, x3) + g(x1, x2, x3)
+      delta*_II(f, g)(x1, x2, x3, x4) = sum  g([x1, x2], x3, x4) + theta(x1, x4) f(x2, x3)
+
+  Both alternate in (x1, x2, x3), and delta*_II leaves x4 free, so the
+  shapes are (3,) and (3, 1).  For d < 3 the target is empty.
 
 Each coboundary -- delta_zero: C^1 -> C^(2,3), delta = (delta_I, delta_II):
-C^(2p,2p+1) -> C^(2p+2,2p+3) and the auxiliary delta*: C^(2,3) -> C^(3,4) --
-is one sparse operator, defined only by a private term generator.  Applying
-it to a cochain, densifying it (``*_matrix``) and taking its kernel and image
-(``h1``, ``h23``, ``h_upper``) all go through that operator.  Kernels and
-images are read off the operator's nonzero entries by ``linalg``'s sparse
-fraction-free elimination; they are never densified.  Validity of the base
-algebra is checked once per public entry point, never inside an operator.
+C^(2p,2p+1) -> C^(2p+2,2p+3) and the auxiliary delta* above -- is one sparse
+operator, defined only by a private term generator and assembled on the
+representatives of its target shape.  Applying it to a cochain, densifying it
+(``*_matrix``) and taking its kernel and image (``h1``, ``h23``, ``h_upper``)
+all go through that operator.  Kernels and images are read off the operator's
+nonzero entries by ``linalg``'s sparse fraction-free elimination; they are
+never densified.  Validity of the base algebra is checked once per public
+entry point, never inside an operator.
 
-The sign convention of delta*'s rho-block,
-
-    - rho(x1) f(x2, x3) - rho(x2) f(x3, x1) - rho(x3) f(x1, x2),
-
-is the unique one (given its cyclic f- and g-blocks) for which
+The sign convention of delta*'s rho-block, - rho(x1) f(x2, x3) summed
+cyclically, is the unique one (given its cyclic f- and g-blocks) for which
 delta* o delta vanishes identically on C^0; the test suite pins this with
 exact randomized checks and the operators entrywise.  The same kernels
 characterize twist-validity: a (2,3)-pair twists the semi-direct product into
@@ -28,8 +41,8 @@ a Lie-Yamaguti algebra exactly when delta and delta* both kill it.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -41,123 +54,110 @@ from .errors import (
     ShapeMismatch,
     SizeCapExceeded,
 )
-from .linalg import (
-    Matrix,
-    SubspaceBasis,
-    Vector,
-    sparse_kernel,
-    vec_add,
-    vec_scale,
-    zero_vector,
-)
+from .linalg import Matrix, SubspaceBasis, Vector, sparse_kernel, zero_vector
 from .representation import Representation, _check_shapes
 
 DEFAULT_SIZE_CAP = 50_000
 
 Z23_READING = "Z23 = ker(delta) ∩ ker(delta_star) on pairs (f, g)"
 
+# ---------------------------------------------------------------------------
+# cochain shapes and values
+
+
+@functools.lru_cache(maxsize=None)
+def _alternating(k: int, d: int) -> tuple[tuple, dict]:
+    """The increasing k-tuples of range(d), and each k-tuple without a repeat -> (sign, rank)."""
+    reps = tuple(itertools.combinations(range(d), k))
+    table = {}
+    for rank, rep in enumerate(reps):
+        for perm in itertools.permutations(range(k)):
+            sign = (-1) ** sum(x > y for x, y in itertools.combinations(perm, 2))
+            table[tuple(rep[i] for i in perm)] = (sign, rank)
+    return reps, table
+
+
+class _Shape:
+    """Coordinates of a cochain space: alternating slot groups of sizes ``groups``, times e.
+
+    Build shapes with ``_shape``, which keeps one object per (groups, d, e), so
+    shapes compare by identity.
+    """
+
+    __slots__ = ("groups", "d", "e", "n", "dim", "_lookup")
+
+    def __init__(self, groups: tuple, d: int, e: int):
+        self.groups, self.d, self.e, self.n = groups, d, e, sum(groups)
+        self._lookup, start, self.dim = [], 0, e
+        for k in groups:
+            reps, table = _alternating(k, d)
+            self._lookup.append((start, start + k, len(reps), table))
+            start += k
+            self.dim *= len(reps)
+
+    def tuples(self):
+        """Representative basis tuples, increasing within each group, in coordinate order."""
+        for combo in itertools.product(*(_alternating(k, self.d)[0] for k in self.groups)):
+            yield sum(combo, ())
+
+    def offset(self, tup: tuple) -> tuple[int, int]:
+        """(sign of sorting each group, flat offset of the e-block); sign 0 on a repeated index."""
+        sign, idx = 1, 0
+        for lo, hi, size, table in self._lookup:
+            hit = table.get(tup[lo:hi])
+            if hit is None:
+                return 0, 0
+            sign *= hit[0]
+            idx = idx * size + hit[1]
+        return sign, idx * self.e
+
+
+_shape = functools.lru_cache(maxsize=None)(_Shape)
+
+
+def _cochain_groups(n: int) -> tuple:
+    """Slot groups of C^n: consecutive pairs, and a single trailing slot for odd n."""
+    return (2,) * (n // 2) + (1,) * (n % 2)
+
+
+def _pair_space(p: int) -> tuple:
+    """Slot groups of the components of C^(2p,2p+1)."""
+    return _cochain_groups(2 * p), _cochain_groups(2 * p + 1)
+
+
+_C1_SPACE = ((1,),)
+_STAR_TARGET = ((3,), (3, 1))
+
 
 def cochain_dim(n: int, d: int, e: int) -> int:
     """Number of coordinates of C^n for a d-dim algebra and e-dim module."""
     if n < 1:
         raise ShapeMismatch("cochain level must be >= 1")
-    if n == 1:
-        return d * e
-    npairs = d * (d - 1) // 2
-    p, odd = divmod(n, 2)
-    return npairs**p * (d if odd else 1) * e
+    return _shape(_cochain_groups(n), d, e).dim
 
 
+@dataclass(frozen=True)
 class Cochain:
-    """An element of C^n stored on the pair-index basis."""
+    """An immutable cochain value: its shape and one coefficient per coordinate."""
 
-    __slots__ = ("n", "d", "e", "coeffs", "_npairs", "_pair_index")
+    shape: _Shape
+    coeffs: tuple
 
-    def __init__(self, n: int, d: int, e: int, coeffs: Sequence | None = None):
-        if n < 2:
-            raise ShapeMismatch("Cochain models arities >= 2; C^1 is an e x d matrix")
-        self.n = n
-        self.d = d
-        self.e = e
-        self._npairs = d * (d - 1) // 2
-        self._pair_index = {}
-        q = 0
-        for i in range(d):
-            for j in range(i + 1, d):
-                self._pair_index[(i, j)] = q
-                q += 1
-        size = cochain_dim(n, d, e)
-        if coeffs is None:
-            self.coeffs = [Fraction(0)] * size
-        else:
-            self.coeffs = [Fraction(x) for x in coeffs]
-            if len(self.coeffs) != size:
-                raise ShapeMismatch(f"C^{n} needs {size} coefficients, got {len(self.coeffs)}")
-
-    @property
-    def pairs(self) -> int:
-        return self.n // 2
-
-    @property
-    def has_tail(self) -> bool:
-        return self.n % 2 == 1
-
-    def rep_tuples(self):
-        """Representative basis tuples: increasing pairs, free trailing slot."""
-        pair_list = [(i, j) for i in range(self.d) for j in range(i + 1, self.d)]
-        tails = range(self.d) if self.has_tail else (None,)
-        for combo in itertools.product(pair_list, repeat=self.pairs):
-            flat = tuple(x for pr in combo for x in pr)
-            for t in tails:
-                yield flat if t is None else flat + (t,)
-
-    def _base_offset(self, tup: tuple) -> tuple[int, int]:
-        """(sign, flat offset of the e-block) for a full basis tuple; sign 0 if degenerate."""
-        idx = 0
-        sign = 1
-        for a in range(self.pairs):
-            i, j = tup[2 * a], tup[2 * a + 1]
-            if i == j:
-                return 0, 0
-            if i > j:
-                i, j = j, i
-                sign = -sign
-            idx = idx * self._npairs + self._pair_index[(i, j)]
-        if self.has_tail:
-            idx = idx * self.d + tup[-1]
-        return sign, idx * self.e
+    def __post_init__(self):
+        coeffs = tuple(Fraction(x) for x in self.coeffs)
+        if len(coeffs) != self.shape.dim:
+            raise ShapeMismatch(f"cochain needs {self.shape.dim} coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def eval_basis(self, tup: tuple) -> Vector:
         """Value (an e-vector) on a tuple of basis indices."""
-        if len(tup) != self.n:
-            raise ShapeMismatch(f"C^{self.n} evaluated on {len(tup)} arguments")
-        sign, base = self._base_offset(tup)
+        if len(tup) != self.shape.n:
+            raise ShapeMismatch(f"{self.shape.n}-cochain evaluated on {len(tup)} arguments")
+        sign, base = self.shape.offset(tup)
         if sign == 0:
-            return zero_vector(self.e)
-        block = self.coeffs[base : base + self.e]
-        return tuple(block) if sign == 1 else tuple(-x for x in block)
-
-    def eval_vectors(self, args: Sequence[Sequence[Fraction]]) -> Vector:
-        """Full multilinear evaluation on arbitrary coordinate vectors."""
-        if len(args) != self.n:
-            raise ShapeMismatch("wrong number of arguments")
-        out = zero_vector(self.e)
-        for tup in itertools.product(range(self.d), repeat=self.n):
-            c = Fraction(1)
-            for s, l in enumerate(tup):
-                c *= args[s][l]
-                if not c:
-                    break
-            if c:
-                out = vec_add(out, vec_scale(c, self.eval_basis(tup)))
-        return out
-
-    def set_block(self, tup: tuple, vec: Sequence[Fraction]) -> None:
-        sign, base = self._base_offset(tup)
-        if sign == 0:
-            raise ShapeMismatch("cannot assign on a degenerate tuple")
-        for m, x in enumerate(vec):
-            self.coeffs[base + m] = Fraction(x) if sign == 1 else -Fraction(x)
+            return zero_vector(self.shape.e)
+        block = self.coeffs[base : base + self.shape.e]
+        return block if sign == 1 else tuple(-x for x in block)
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coeffs)
@@ -174,22 +174,22 @@ class CochainPair:
     def __post_init__(self):
         if self.p < 1:
             raise ShapeMismatch("cochain pairs exist for p >= 1")
-        if self.f.n != 2 * self.p or self.g.n != 2 * self.p + 1:
-            raise ShapeMismatch("component arities do not match the level")
-        if (self.f.d, self.f.e) != (self.g.d, self.g.e):
-            raise ShapeMismatch("components over different (d, e)")
+        d, e = self.f.shape.d, self.f.shape.e
+        if (self.f.shape, self.g.shape) != tuple(_shape(g, d, e) for g in _pair_space(self.p)):
+            raise ShapeMismatch("components are not C^2p and C^(2p+1) over one (d, e)")
 
     @classmethod
     def zero(cls, p: int, d: int, e: int) -> "CochainPair":
-        return cls(p, Cochain(2 * p, d, e), Cochain(2 * p + 1, d, e))
+        n = sum(_shape(g, d, e).dim for g in _pair_space(p))
+        return cls.from_flat(p, d, e, [0] * n)
 
     def flat(self) -> list[Fraction]:
         return list(self.f.coeffs) + list(self.g.coeffs)
 
     @classmethod
     def from_flat(cls, p: int, d: int, e: int, flat: Sequence) -> "CochainPair":
-        nf = cochain_dim(2 * p, d, e)
-        return cls(p, Cochain(2 * p, d, e, flat[:nf]), Cochain(2 * p + 1, d, e, flat[nf:]))
+        f, g = (_shape(groups, d, e) for groups in _pair_space(p))
+        return cls(p, Cochain(f, flat[: f.dim]), Cochain(g, flat[f.dim :]))
 
     def is_zero(self) -> bool:
         return self.f.is_zero() and self.g.is_zero()
@@ -263,24 +263,24 @@ class _Operator(NamedTuple):
 
 
 def _assemble(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, terms) -> _Operator:
-    """Operator from C^src[0] (+) C^src[1] to C^dst[0] (+) C^dst[1], in flat order.
+    """Operator between the direct sums of the shapes with slot groups ``src`` and ``dst``.
 
     The e rows of each representative target tuple xs hold the sum of
     coeff * mat * h(tup) over the terms (coeff, mat, tup) of ``terms(a, r, xs)``:
     h is the source component of arity len(tup), and mat None is the identity.
-    C^1 = Hom(g, V) has coordinate s*e + m for f(e_s)_m, as source or target.
     """
     d, e = a.dim, r.e
     blocks, cols = {}, 0
-    for n in src:
-        blocks[n] = (Cochain(n, d, e) if n > 1 else None, cols)
-        cols += cochain_dim(n, d, e)
+    for groups in src:
+        shape = _shape(groups, d, e)
+        blocks[shape.n] = (shape, cols)
+        cols += shape.dim
     entries, row = {}, 0
-    for n in dst:
-        for xs in Cochain(n, d, e).rep_tuples() if n > 1 else ((x,) for x in range(d)):
+    for groups in dst:
+        for xs in _shape(groups, d, e).tuples():
             for coeff, mat, tup in terms(a, r, xs):
                 shape, col = blocks[len(tup)]
-                sign, base = shape._base_offset(tup) if shape else (1, tup[0] * e)
+                sign, base = shape.offset(tup)
                 if not sign:
                     continue
                 for m in range(e):
@@ -360,48 +360,56 @@ class _Rows(tuple):
         return self[m]
 
 
-def _transport_terms(value, inverse):
-    """Term generator of the transport (s.h)(x1, ..., xn) = s h(s^-1 x1, ..., s^-1 xn).
+def _minor(m, rows: tuple, cols: tuple):
+    """Determinant of ``m`` (rows of any scalar type) on ``rows`` x ``cols``, by the Leibniz formula."""
+    total = 0
+    for perm, (term, _) in _alternating(len(cols), len(cols))[1].items():
+        for i, c in zip(rows, perm):
+            term *= m[i][cols[c]]
+        total += term
+    return total
 
-    ``value`` and ``inverse`` are the rows of s and s^-1.  h vanishes on equal
-    pair arguments, so a pair slot (u, v) contributes the 2x2 minors of s^-1
-    on columns u, v; a trailing slot (all of C^1) contributes column u.
+
+def _transport_terms(value, inverse, space: tuple):
+    """Term generator of the transport (s.h)(x1, ..., xn) = s h(s^-1 x1, ..., s^-1 xn) on ``space``.
+
+    ``value`` and ``inverse`` are the rows of s and s^-1.  h alternates within
+    each slot group, so a group of k slots at the basis indices u contributes
+    the k x k minors of s^-1 on columns u, one per increasing row tuple.
     """
     value = _Rows(value)
+    groups = {sum(g): g for g in space}
+    minors = {}
 
     def terms(a: LYAlgebra, r: Representation, xs: tuple):
-        d = a.dim
-        npairs, odd = divmod(len(xs), 2)
-        slots = [
-            [
-                ((i, j), inverse[i][u] * inverse[j][v] - inverse[j][u] * inverse[i][v])
-                for i in range(d)
-                for j in range(i + 1, d)
-            ]
-            for u, v in zip(xs[0 : 2 * npairs : 2], xs[1 : 2 * npairs : 2])
-        ]
-        if odd:
-            slots.append([((i,), inverse[i][xs[-1]]) for i in range(d)])
-        for combo in itertools.product(*([t for t in slot if t[1]] for slot in slots)):
+        slots, start = [], 0
+        for k in groups[len(xs)]:
+            cols = xs[start : start + k]
+            if cols not in minors:
+                reps = _alternating(k, a.dim)[0]
+                minors[cols] = [(rows, x) for rows in reps if (x := _minor(inverse, rows, cols))]
+            slots.append(minors[cols])
+            start += k
+        for combo in itertools.product(*slots):
             coeff, tup = 1, ()
-            for idx, c in combo:
-                coeff *= c
-                tup += idx
+            for rows, x in combo:
+                coeff *= x
+                tup += rows
             yield coeff, value, tup
 
     return terms
 
 
 def _delta_zero_op(a: LYAlgebra, r: Representation) -> _Operator:
-    return _assemble(a, r, (1,), (2, 3), _delta_zero_terms)
+    return _assemble(a, r, _C1_SPACE, _pair_space(1), _delta_zero_terms)
 
 
 def _delta_op(a: LYAlgebra, r: Representation, p: int) -> _Operator:
-    return _assemble(a, r, (2 * p, 2 * p + 1), (2 * p + 2, 2 * p + 3), _delta_terms)
+    return _assemble(a, r, _pair_space(p), _pair_space(p + 1), _delta_terms)
 
 
 def _delta_star_op(a: LYAlgebra, r: Representation) -> _Operator:
-    return _assemble(a, r, (2, 3), (3, 4), _delta_star_terms)
+    return _assemble(a, r, _pair_space(1), _STAR_TARGET, _delta_star_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -420,22 +428,21 @@ def delta_zero(a: LYAlgebra, r: Representation, f: Matrix) -> CochainPair:
 def delta(a: LYAlgebra, r: Representation, c: CochainPair) -> CochainPair:
     """Coboundary C^(2p,2p+1) -> C^(2p+2,2p+3)."""
     _require_rep(a, r)
-    if (c.f.d, c.f.e) != (a.dim, r.e):
+    if (c.f.shape.d, c.f.shape.e) != (a.dim, r.e):
         raise ShapeMismatch("cochain shaped for a different (algebra, module)")
     return CochainPair.from_flat(c.p + 1, a.dim, r.e, _delta_op(a, r, c.p).apply(c.flat()))
 
 
 def delta_star(a: LYAlgebra, r: Representation, c: CochainPair) -> tuple[Cochain, Cochain]:
-    """The operator C^(2,3) -> C^(3,4); defined for p = 1 only."""
+    """The operator C^(2,3) -> C^3 (+) C^4, on its target shapes (3,) and (3, 1); p = 1 only."""
     _require_rep(a, r)
     if c.p != 1:
         raise ShapeMismatch("delta_star is defined on C^(2,3)")
-    if (c.f.d, c.f.e) != (a.dim, r.e):
+    if (c.f.shape.d, c.f.shape.e) != (a.dim, r.e):
         raise ShapeMismatch("cochain shaped for a different (algebra, module)")
-    d, e = a.dim, r.e
     out = _delta_star_op(a, r).apply(c.flat())
-    n3 = cochain_dim(3, d, e)
-    return Cochain(3, d, e, out[:n3]), Cochain(4, d, e, out[n3:])
+    first, second = (_shape(groups, a.dim, r.e) for groups in _STAR_TARGET)
+    return Cochain(first, out[: first.dim]), Cochain(second, out[first.dim :])
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +462,7 @@ def delta_matrix(a: LYAlgebra, r: Representation, p: int) -> Matrix:
 
 
 def delta_star_matrix(a: LYAlgebra, r: Representation) -> Matrix:
-    """Matrix of delta* on C^(2,3), rows in C^3-then-C^4 order."""
+    """Matrix of delta* on C^(2,3); rows are delta*_I's then delta*_II's target coordinates."""
     _check_shapes(a, r)
     return _delta_star_op(a, r).dense()
 
@@ -556,56 +563,34 @@ def transport_defects(a: LYAlgebra, r: Representation, which: str, p: int, maps)
     s (acting on the module) and s^-1 (on the arguments) are row lists of
     Fractions or floats.  The result is the largest entry of T o delta -
     delta o T over delta_zero for "h1", delta_(p-1) and delta_p for "upper",
-    and delta_zero and delta for "h23", together with delta* on T(Z^(2,3)):
-    delta*'s C^4 block is stored on representatives x3 < x4 although it is
-    not antisymmetric in (x3, x4), so its target is not closed under T.
-    0 means T maps cocycles and coboundaries into themselves.
+    and delta_zero, delta and delta* for "h23".  0 means T maps cocycles and
+    coboundaries into themselves.  ``a`` is not validated here: the caller
+    has done so (``bundle`` validates the fibre when it loads it).
     """
-    _require_rep(a, r)
     if which == "h1":
-        ops = [((1,), (2, 3), _delta_zero_op(a, r))]
+        ops = [(_C1_SPACE, _pair_space(1), _delta_zero_op(a, r))]
     elif which == "h23":
-        ops = [((1,), (2, 3), _delta_zero_op(a, r)), ((2, 3), (4, 5), _delta_op(a, r, 1))]
-        star = _delta_star_op(a, r)
-        cycles = ops[1][2].stack(star).kernel().vectors
+        ops = [
+            (_C1_SPACE, _pair_space(1), _delta_zero_op(a, r)),
+            (_pair_space(1), _pair_space(2), _delta_op(a, r, 1)),
+            (_pair_space(1), _STAR_TARGET, _delta_star_op(a, r)),
+        ]
     elif which == "upper":
-        ops = [((2 * q, 2 * q + 1), (2 * q + 2, 2 * q + 3), _delta_op(a, r, q)) for q in (p - 1, p)]
+        ops = [(_pair_space(q), _pair_space(q + 1), _delta_op(a, r, q)) for q in (p - 1, p)]
     else:
         raise ShapeMismatch(f"unknown cohomology selector {which!r}")
+    spaces = {space for op in ops for space in op[:2]}
     defects = []
     for value, inverse in maps:
-        terms = _transport_terms(value, inverse)
-        transport = {space: _assemble(a, r, space, space, terms) for op in ops for space in op[:2]}
+        transport = {
+            space: _assemble(a, r, space, space, _transport_terms(value, inverse, space))
+            for space in spaces
+        }
         worst = 0
         for src, dst, op in ops:
             left = (transport[dst] @ op).entries
             right = (op @ transport[src]).entries
             for key in left.keys() | right.keys():
                 worst = max(worst, abs(left.get(key, 0) - right.get(key, 0)))
-        if which == "h23":
-            for z in cycles:
-                worst = max(worst, *map(abs, star.apply(transport[(2, 3)].apply(z))))
         defects.append(worst)
     return defects
-
-
-# ---------------------------------------------------------------------------
-# randomized cochains for property tests
-
-
-def random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
-
-
-def random_cochain(n: int, d: int, e: int, rng: random.Random) -> Cochain:
-    c = Cochain(n, d, e)
-    c.coeffs = [random_fraction(rng) for _ in range(len(c.coeffs))]
-    return c
-
-
-def random_cochain_pair(p: int, d: int, e: int, rng: random.Random) -> CochainPair:
-    return CochainPair(p, random_cochain(2 * p, d, e, rng), random_cochain(2 * p + 1, d, e, rng))
-
-
-def random_c1(d: int, e: int, rng: random.Random) -> Matrix:
-    return Matrix(e, d, [random_fraction(rng) for _ in range(e * d)])

@@ -311,7 +311,7 @@ def twisted_semidirect(a: LYAlgebra, r: Representation, tau, name: str = "") -> 
 
     if not isinstance(tau, CochainPair) or tau.p != 1:
         raise ShapeMismatch("twist requires a (2,3)-cochain pair")
-    if tau.f.d != a.dim or tau.f.e != r.e:
+    if (tau.f.shape.d, tau.f.shape.e) != (a.dim, r.e):
         raise ShapeMismatch("twist cochain shaped for a different (algebra, module)")
     return _product_algebra(a, r, tau, name or "twisted-semidirect")
 

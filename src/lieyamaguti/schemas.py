@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import LYAlgebra, from_sparse
 from .bundle import BundleSpec, Chart, TransitionFamily, TripleOverlap
-from .cohomology import Cochain, CochainPair
+from .cohomology import CochainPair, _pair_space, _shape
 from .errors import ShapeMismatch
 from .exprs import parse_expr
 from .linalg import Matrix, vec_is_zero
@@ -157,7 +157,7 @@ def representation_from_json(obj, d: int) -> Representation:
 def cochain_pair_to_json(c: CochainPair) -> dict:
     if c.p != 1:
         raise ShapeMismatch("only (2,3)-cochain pairs have a file schema")
-    d, e = c.f.d, c.f.e
+    d, e = c.f.shape.d, c.f.shape.e
     f_entries = []
     g_entries = []
     for i in range(d):
@@ -175,15 +175,20 @@ def cochain_pair_to_json(c: CochainPair) -> dict:
 def cochain_pair_from_json(obj, d: int, e: int) -> CochainPair:
     if not isinstance(obj, dict) or obj.get("p", 1) != 1:
         raise ShapeMismatch("cochain JSON must be an object with p = 1")
-    f = Cochain(2, d, e)
-    g = Cochain(3, d, e)
+    f, g = (_shape(groups, d, e) for groups in _pair_space(1))
+    flat = [0] * (f.dim + g.dim)
+
+    def put(shape, shift: int, tup: tuple, vec) -> None:
+        base = shift + shape.offset(tup)[1]
+        flat[base : base + e] = vec_from_json(vec, e)
+
     for entry in obj.get("f", []):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ShapeMismatch("f entries are [i, j, vector]")
         i, j, vec = entry
         if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= d):
             raise ShapeMismatch(f"f entry needs 1 <= i < j <= d, got ({i}, {j})")
-        f.set_block((i - 1, j - 1), vec_from_json(vec, e))
+        put(f, 0, (i - 1, j - 1), vec)
     for entry in obj.get("g", []):
         if not (isinstance(entry, list) and len(entry) == 4):
             raise ShapeMismatch("g entries are [i, j, k, vector]")
@@ -196,8 +201,8 @@ def cochain_pair_from_json(obj, d: int, e: int) -> CochainPair:
             and 1 <= k <= d
         ):
             raise ShapeMismatch(f"g entry needs 1 <= i < j <= d, got ({i}, {j}, {k})")
-        g.set_block((i - 1, j - 1, k - 1), vec_from_json(vec, e))
-    return CochainPair(1, f, g)
+        put(g, f.dim, (i - 1, j - 1, k - 1), vec)
+    return CochainPair.from_flat(1, d, e, flat)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,13 @@ from lieyamaguti import (
 )
 from lieyamaguti.bundle import EXACT, check_cocycle, der_bundle_dims, bundle_cohomology
 from lieyamaguti.cli import run
-from lieyamaguti.cohomology import CochainPair, random_c1, random_cochain_pair
+from lieyamaguti.cohomology import CochainPair
 from lieyamaguti.fixtures import fixture, render
 from lieyamaguti.linalg import Matrix
 from lieyamaguti.representation import is_representation
 from lieyamaguti.schemas import bundle_from_json
+
+from random_cochains import random_c1, random_cochain_pair
 
 
 def report_line(number: int, ok: bool, text: str) -> None:

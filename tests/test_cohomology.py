@@ -23,20 +23,21 @@ import lieyamaguti.cohomology
 from lieyamaguti.cohomology import (
     Cochain,
     CochainPair,
+    _cochain_groups,
     _delta_op,
+    _shape,
     cochain_dim,
     delta_matrix,
     delta_star_matrix,
     delta_zero_matrix,
-    random_c1,
-    random_cochain,
-    random_cochain_pair,
     transport_defects,
 )
 from lieyamaguti.errors import ShapeMismatch, SizeCapExceeded
 from lieyamaguti.cli import run
 from lieyamaguti.fixtures import cross_product_lie, fixture, render
 from lieyamaguti.linalg import Matrix, SubspaceBasis
+
+from random_cochains import eval_vectors, random_c1, random_cochain, random_cochain_pair
 
 
 def test_cochain_dim_examples():
@@ -51,8 +52,8 @@ def test_cochain_dim_examples():
 
 
 def test_cochain_antisymmetry_lookup():
-    c = Cochain(2, 3, 2)
-    c.set_block((0, 1), (Fraction(1), Fraction(2)))
+    # C^2 over d = 3, e = 2: the e-block of the pair (0, 1) comes first
+    c = Cochain(_shape(_cochain_groups(2), 3, 2), [1, 2, 0, 0, 0, 0])
     assert c.eval_basis((0, 1)) == (Fraction(1), Fraction(2))
     assert c.eval_basis((1, 0)) == (Fraction(-1), Fraction(-2))
     assert c.eval_basis((1, 1)) == (Fraction(0), Fraction(0))
@@ -70,7 +71,7 @@ def test_cochain_pairwise_antisymmetry_on_vectors(rng):
         for pair_slot in range(n // 2):
             args = list(others)
             args[pair_slot * 2 : pair_slot * 2] = [x, x]
-            assert all(q == 0 for q in c.eval_vectors(args))
+            assert all(q == 0 for q in eval_vectors(c, args))
 
 
 def test_delta_zero_on_zero_map(corpus):
@@ -251,59 +252,61 @@ def test_h_upper_rejects_p1():
 
 
 # SHA-256 of "ROWSxCOLS:" followed by the comma-joined entries of each operator
-# matrix, recorded from an independent implementation that applied pointwise
-# coboundary formulas to one unit cochain per column.  They pin every entry,
-# including the cyclic signs of delta*'s first block and its storage on
-# pair-antisymmetric representatives.
+# matrix.  The delta_zero and delta pins were recorded from an independent
+# implementation that applied pointwise coboundary formulas to one unit cochain
+# per column.  The delta_star pins were recorded with delta* on its own target
+# shapes (3,) and (3, 1) -- no rows for d < 3 -- and are backed by the pointwise
+# reference in ``test_delta_star``.  They pin every entry, including the cyclic
+# signs of delta*'s blocks.
 OPERATOR_DIGESTS = {
     "3dim/adjoint/delta_zero": "b4a2547f0d6474279c5fe1118a90a78431019dc084bd7a3ae1ac45e9c57e23a6",
     "3dim/adjoint/delta_p1": "44f16286660634c89e529ae89374c1cac434a06954635bce9eb7b62558579ab9",
     "3dim/adjoint/delta_p2": "4ff5336df0b6e34b7cbf0de9cd63f4f2375d3f8352b6580cfdf553d5509c959a",
-    "3dim/adjoint/delta_star": "c66be3f44c328b47a1fe70b39996c35e7e799d1ecf417990374d625de5c102dd",
+    "3dim/adjoint/delta_star": "b2ad3bcfd25415bfa5a037599f85cd5c50658eb6ea41e662ec61223f8691da98",
     "3dim/trivial1/delta_zero": "0c950dd746069b7ddf6cd556b536c267ebdd2639a7be6ba30a1df574a6e4898b",
     "3dim/trivial1/delta_p1": "6949cb68e380bb083031d74e64c7c6cf746fb7b719008fd4de5a02a663631dc3",
     "3dim/trivial1/delta_p2": "83cb9fb5093107fb451d2420b7ac59363e381c74a08f2d1f3a419416f090a122",
-    "3dim/trivial1/delta_star": "ae27c34f19635d41bb360d597b79a039f0a498ee5734aa1a331fae79e73cfc3f",
+    "3dim/trivial1/delta_star": "94e3b8eba9b722e8dd936d0fd76402809a2a1e94d8f711bb03b266773705efea",
     "3dim/trivial2/delta_zero": "e9bf61a2f86f5b2dfc0b47bc6c11fe8ec2f884d1e6901a90a53899ae7a224ee4",
     "3dim/trivial2/delta_p1": "ad046ffb03dffd887bea5271cd50e29ae574295a6a60d348a8eefd96f0d75a8a",
     "3dim/trivial2/delta_p2": "88c2b14df0c16ea1288da81adda2bae862af65cadbe4444ba468550805f8b94b",
-    "3dim/trivial2/delta_star": "3ce57291136a146be2b7f3497f343a382513248f73cf4f8dc895e4526f0a1446",
+    "3dim/trivial2/delta_star": "292c160805c45d85d1527d11f0b2d7931a272b189983c82ca1d004788c7e1c9d",
     "meson2/adjoint/delta_zero": "35ce366672e128b8140543aea98c5e94d577b0f525b96ca5c16202e687f33b9e",
     "meson2/adjoint/delta_p1": "dc3bc703bd1efbdaef55454dfef75f4b8cbe1c7f038017b7119fee038874359d",
     "meson2/adjoint/delta_p2": "0b9afa92d5846fee7c18d8259d5cc1a81395562fe8df5df34d8b4e9a4509bf92",
-    "meson2/adjoint/delta_star": "7e0fa2370b690c6f032e543d69b2fef5691c6acdf837d61bf8928bb6196cdfa9",
+    "meson2/adjoint/delta_star": "1a63171a622e5deeb753710620d79eb81495cda9a7bea28c194fda9184e9465b",
     "meson2/trivial1/delta_zero": "15b3926bf928249e05aa910b844c99dd12b464d88c338533c3d010fac0134950",
     "meson2/trivial1/delta_p1": "0ef49ef960106c6ae17e93f289bb007c5d7ff6d02c046d1baaed157daf11678c",
     "meson2/trivial1/delta_p2": "b60e92fa0b456db00e316f932d3d613cbb6e4634c9dda69713185d8c0fb72cd1",
-    "meson2/trivial1/delta_star": "0ef49ef960106c6ae17e93f289bb007c5d7ff6d02c046d1baaed157daf11678c",
+    "meson2/trivial1/delta_star": "fcc8b0e7dfa58f6749255d68d4e6a54b3dfdc55bc8858a5077b5b359c14ed6db",
     "meson2/trivial2/delta_zero": "1afe129f298d0e15667f916cdce95ab37843cfb19c3d7729a2b8333d1d7feee6",
     "meson2/trivial2/delta_p1": "7e0fa2370b690c6f032e543d69b2fef5691c6acdf837d61bf8928bb6196cdfa9",
     "meson2/trivial2/delta_p2": "96a1b862a31c9a7ce155c275e70ab1759d92459bc62660062c4aca95c67f9075",
-    "meson2/trivial2/delta_star": "7e0fa2370b690c6f032e543d69b2fef5691c6acdf837d61bf8928bb6196cdfa9",
+    "meson2/trivial2/delta_star": "1a63171a622e5deeb753710620d79eb81495cda9a7bea28c194fda9184e9465b",
     "meson3/adjoint/delta_zero": "286f72380d869ae38b158baa385aaca20785187856e0ef7666e5e5b70585a2d4",
     "meson3/adjoint/delta_p1": "b847ae85e3374d652f445d2ff706b2efcbabaab9bb0fb936d464d435fff65217",
     "meson3/adjoint/delta_p2": "987cd7c852f215ac47f4709c89458d754d6c0bfff1091815b2433f5e02da41dc",
-    "meson3/adjoint/delta_star": "f13acffff9cca0bd901203211a905ec6d9c2a60fd4c21474cd3e7a6859cb041e",
+    "meson3/adjoint/delta_star": "4263ef8743cfc86eb7a591ebe4b8758709d36077e397cdfa3c856cbcdc0da807",
     "meson3/trivial1/delta_zero": "1eee881c1abeb04462583e8831281107e0e5e8fbfb99f51e6bea60c04190b46a",
     "meson3/trivial1/delta_p1": "e0715e1f74bfd30ad9ffa850b3f8a26accabd431f955561be3e1565b8e1a9b48",
     "meson3/trivial1/delta_p2": "5a5219734e9855690c75f0864a1f7914e33ab26a30f3a6802daebb7f03cf1429",
-    "meson3/trivial1/delta_star": "ae27c34f19635d41bb360d597b79a039f0a498ee5734aa1a331fae79e73cfc3f",
+    "meson3/trivial1/delta_star": "94e3b8eba9b722e8dd936d0fd76402809a2a1e94d8f711bb03b266773705efea",
     "meson3/trivial2/delta_zero": "5e203c5eaebd4028fd7f1cae5cec7c33afbe2d3040cdf727314bb7fccb9ff82d",
     "meson3/trivial2/delta_p1": "e846911e0bcea714435b0aef02ab94c43f9dfaa5d8088a731bebe79bb5546d49",
     "meson3/trivial2/delta_p2": "93152483c8869052d2cdc9b2a8755a7cc9e2b26487e4b25beee6d3907d308381",
-    "meson3/trivial2/delta_star": "3ce57291136a146be2b7f3497f343a382513248f73cf4f8dc895e4526f0a1446",
+    "meson3/trivial2/delta_star": "292c160805c45d85d1527d11f0b2d7931a272b189983c82ca1d004788c7e1c9d",
     "crossproduct-lie/adjoint/delta_zero": "e4fa421d27043fb74cbc8e689bb58636ca90f8b0c4da7b9a196ca9f0a9f846ca",
     "crossproduct-lie/adjoint/delta_p1": "ba61ea4791e0de432cd8278c0fa57c6e5306cd60cb1222c58e64d54d10535ccb",
     "crossproduct-lie/adjoint/delta_p2": "ca14944c7890153388a7131f3f00fb3b719c3890a71dae46cfcece3448cbd4a1",
-    "crossproduct-lie/adjoint/delta_star": "038fd21b4ae1d2d10cfc2bf667d30fe0f2a80aa5ead810efbfea55f7ac9c4ef2",
+    "crossproduct-lie/adjoint/delta_star": "db85493fc1ec71910076e614311b6fe9afeb97901314f997ae54ea56b71e53cc",
     "crossproduct-lie/trivial1/delta_zero": "8caa8f8ce0a696eba9b455f5be8d0bc03f68dedfca4a9751cd75127772d55cda",
     "crossproduct-lie/trivial1/delta_p1": "ef7b0a889eb48ba92fa0fa91e5fdcd31bc39a71800c4796389e4d6bd9e246963",
     "crossproduct-lie/trivial1/delta_p2": "5ae9d1834d53acd64aaf3f133e41d1462556355e131342d3d89cde2ff040d9ee",
-    "crossproduct-lie/trivial1/delta_star": "ae27c34f19635d41bb360d597b79a039f0a498ee5734aa1a331fae79e73cfc3f",
+    "crossproduct-lie/trivial1/delta_star": "94e3b8eba9b722e8dd936d0fd76402809a2a1e94d8f711bb03b266773705efea",
     "crossproduct-lie/trivial2/delta_zero": "3f4f28e0c8ac033c01929d9c95e904581d242b47ea02d87df5df6626c673c548",
     "crossproduct-lie/trivial2/delta_p1": "c6f45ceb14b47be5eb78687546ccbf01dea10aa02d919eebbed3b571cd3166a9",
     "crossproduct-lie/trivial2/delta_p2": "8c7c13ff4def9599b82c331d802f0716f4a3cd6f3c0c936a8f95c6ca54c3497c",
-    "crossproduct-lie/trivial2/delta_star": "3ce57291136a146be2b7f3497f343a382513248f73cf4f8dc895e4526f0a1446",
+    "crossproduct-lie/trivial2/delta_star": "292c160805c45d85d1527d11f0b2d7931a272b189983c82ca1d004788c7e1c9d",
 }
 
 
@@ -471,8 +474,8 @@ def test_validation_runs_once_per_entry_point(monkeypatch, rng, tmp_path, capsys
         calls.append(1)
         return check_axioms(*args, **kwargs)
 
-    def cli_job():
-        assert run(["cohomology", str(path), "--p", "1"]) == 0
+    def cli_job(*argv):
+        assert run(list(argv)) == 0
         capsys.readouterr()
 
     monkeypatch.setattr(lieyamaguti.algebra, "check_axioms", counting)
@@ -481,12 +484,20 @@ def test_validation_runs_once_per_entry_point(monkeypatch, rng, tmp_path, capsys
         "delta": lambda: delta(a, r, c),
         "delta_star": lambda: delta_star(a, r, c),
         "delta_zero": lambda: delta_zero(a, r, f),
-        "cohomology --p 1": cli_job,
+        "cohomology --p 1": lambda: cli_job("cohomology", str(path), "--p", "1"),
     }
     for name, call in entry_points.items():
         calls.clear()
         call()
         assert len(calls) == 1, name
+    # a bundle job validates the fibre on load and once more in its fibre group
+    # (h1, h23 or derivations); the adjoint module and the transport check reuse it
+    circle = tmp_path / "circle.json"
+    circle.write_text(render(fixture("circle-bundle")), encoding="utf-8")
+    for which in ("h1", "der", "h23"):
+        calls.clear()
+        cli_job("bundle-cohomology", str(circle), "--which", which)
+        assert len(calls) == 2, which
 
 
 def test_cohomology_p1_assembles_delta_zero_once(monkeypatch, tmp_path, capsys):

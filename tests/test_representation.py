@@ -179,7 +179,8 @@ def test_twisted_by_cocycle_basis_is_valid():
 
 
 def test_twisted_by_random_noncocycle_mostly_fails(rng):
-    from lieyamaguti.cohomology import delta, delta_star, random_cochain_pair
+    from lieyamaguti.cohomology import delta, delta_star
+    from random_cochains import random_cochain_pair
 
     a = example_3dim()
     r = adjoint(a)

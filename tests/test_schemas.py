@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from lieyamaguti import adjoint, example_3dim, meson
-from lieyamaguti.cohomology import random_cochain_pair
 from lieyamaguti.errors import ShapeMismatch
 from lieyamaguti.schemas import (
     algebra_from_json,
@@ -15,6 +14,8 @@ from lieyamaguti.schemas import (
     representation_from_json,
     representation_to_json,
 )
+
+from random_cochains import random_cochain_pair
 
 
 def test_frac_round_trip():
@@ -88,3 +89,15 @@ def test_cochain_pair_round_trip(rng):
 def test_cochain_pair_json_rejects_bad_indices():
     with pytest.raises(ShapeMismatch):
         cochain_pair_from_json({"p": 1, "f": [[2, 1, ["1", "0", "0"]]], "g": []}, 3, 3)
+
+
+def test_cochain_pair_json_later_entries_overwrite_earlier_ones():
+    obj = {
+        "p": 1,
+        "f": [[1, 2, ["1", "0"]], [1, 2, ["0", "2"]]],
+        "g": [[1, 3, 2, ["5", "0"]], [1, 3, 2, ["0", "-1/3"]]],
+    }
+    c = cochain_pair_from_json(obj, 3, 2)
+    assert c.f.eval_basis((0, 1)) == (Fraction(0), Fraction(2))
+    assert c.g.eval_basis((0, 2, 1)) == (Fraction(0), Fraction(-1, 3))
+    assert sum(1 for x in c.flat() if x) == 2

@@ -34,9 +34,10 @@ from lieyamaguti import (
     twisted_semidirect,
 )
 from lieyamaguti.algebra import AXIOMS
-from lieyamaguti.cohomology import random_cochain_pair
 from lieyamaguti.linalg import Matrix
 from lieyamaguti.representation import RLYB_CONDITIONS, Representation
+
+from random_cochains import random_cochain_pair
 
 
 def _amount(rng):
