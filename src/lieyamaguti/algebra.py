@@ -15,6 +15,11 @@ denominator, den * binary and den**2 * ternary are integer, each identity is
 homogeneous of weight w (``LY_WEIGHTS``), and its integer defect is den**w
 times the exact one.  Only a violated tuple's defect is converted back, to
 exact Fractions, for the report.
+
+Maps have one bracket-preservation defect, ``_map_defect``, for any scalar
+type: ``is_homomorphism`` and the bundle gate's automorphism check both run
+it.  The derivations are the cocycles of delta_zero with adjoint
+coefficients, so ``derivations`` reads them off that operator's kernel.
 """
 
 from __future__ import annotations
@@ -35,9 +40,13 @@ from .linalg import (
     Matrix,
     SubspaceBasis,
     Vector,
+    _distance,
+    _matmul,
+    _times,
     denominator_lcm,
     qvec,
     scaled_sparse,
+    sparse_kernel,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -462,23 +471,32 @@ def from_reductive_pair(lie: LYAlgebra, h_idx: Sequence[int], m_idx: Sequence[in
 # maps
 
 
+def _map_defect(k, s: list, a: LYAlgebra, b: LYAlgebra) -> tuple:
+    """Largest entries of k s[x, y]_a - [sx, sy]_b and k**2 s{x, y, z}_a - {sx, sy, sz}_b.
+
+    ``s`` is the rows of a map a -> b over any scalar type, and x, y, z run
+    over the basis of a; (0, 0) means s carries both brackets of a to those
+    of b, times k**-1 and k**-2.
+    """
+    cols = list(zip(*s)) if s else [()] * a.dim
+    pairs = list(itertools.product(range(a.dim), repeat=2))
+    triples = list(itertools.product(range(a.dim), repeat=3))
+    binary = _distance(
+        _matmul(_times(k, s), list(zip(*(a.binary[i][j] for i, j in pairs)))),
+        list(zip(*(b.bracket(cols[i], cols[j]) for i, j in pairs))),
+    )
+    ternary = _distance(
+        _matmul(_times(k * k, s), list(zip(*(a.ternary[i][j][l] for i, j, l in triples)))),
+        list(zip(*(b.triple(cols[i], cols[j], cols[l]) for i, j, l in triples))),
+    )
+    return binary, ternary
+
+
 def is_homomorphism(phi: Matrix, a: LYAlgebra, b: LYAlgebra) -> bool:
     """True iff phi carries both brackets of a to those of b on all basis tuples."""
     if phi.cols != a.dim or phi.rows != b.dim:
         raise ShapeMismatch(f"expected a {b.dim}x{a.dim} matrix, got {phi.rows}x{phi.cols}")
-    cols = [phi.col(j) for j in range(a.dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = phi.matvec(a.binary[i][j])
-            rhs = b.bracket(cols[i], cols[j])
-            if lhs != rhs:
-                return False
-    for i, j, k in itertools.product(range(a.dim), repeat=3):
-        lhs = phi.matvec(a.ternary[i][j][k])
-        rhs = b.triple(cols[i], cols[j], cols[k])
-        if lhs != rhs:
-            return False
-    return True
+    return _map_defect(1, phi.row_list(), a, b) == (0, 0)
 
 
 def is_automorphism(phi: Matrix, a: LYAlgebra) -> bool:
@@ -511,47 +529,23 @@ def is_derivation(m: Matrix, a: LYAlgebra) -> bool:
 def derivations(a: LYAlgebra) -> SubspaceBasis:
     """Basis of the derivation algebra, as flattened d x d matrices.
 
-    Solves the joint linear system of the binary and ternary derivation
-    identities over the matrix entries; the result is verified to be closed
-    under commutator.  Unknown x[r*d + s] is the (r, s) entry.
+    The derivations are the cocycles of delta_zero with adjoint coefficients,
+    so the basis is the kernel of that one operator; the result is verified
+    to be closed under commutator.  Unknown x[r*d + s] is the (r, s) entry,
+    which is the C^1 coordinate f(e_s)_r at s*d + r.
     """
+    from .cohomology import _delta_zero_op
+    from .representation import _adjoint
+
     _require_valid(a)
     d = a.dim
-    rows: list[list[Fraction]] = []
-    for i in range(d):
-        for j in range(d):
-            cij = a.binary[i][j]
-            for k in range(d):
-                row = [Fraction(0)] * (d * d)
-                for s in range(d):
-                    if cij[s]:
-                        row[k * d + s] += cij[s]
-                for r in range(d):
-                    if a.binary[r][j][k]:
-                        row[r * d + i] -= a.binary[r][j][k]
-                    if a.binary[i][r][k]:
-                        row[r * d + j] -= a.binary[i][r][k]
-                if any(row):
-                    rows.append(row)
-    for i, j, l in itertools.product(range(d), repeat=3):
-        tijl = a.ternary[i][j][l]
-        for k in range(d):
-            row = [Fraction(0)] * (d * d)
-            for s in range(d):
-                if tijl[s]:
-                    row[k * d + s] += tijl[s]
-            for r in range(d):
-                if a.ternary[r][j][l][k]:
-                    row[r * d + i] -= a.ternary[r][j][l][k]
-                if a.ternary[i][r][l][k]:
-                    row[r * d + j] -= a.ternary[i][r][l][k]
-                if a.ternary[i][j][r][k]:
-                    row[r * d + l] -= a.ternary[i][j][r][k]
-            if any(row):
-                rows.append(row)
-    if not rows:
-        rows = [[Fraction(0)] * (d * d)]
-    basis = Matrix.from_rows(rows).kernel_basis()
+
+    def entry(col: int) -> int:
+        s, r = divmod(col, d)
+        return r * d + s
+
+    lines = _delta_zero_op(a, _adjoint(a))._lines(by_column=False)
+    basis = sparse_kernel(d * d, ([(entry(col), x) for col, x in line] for line in lines))
 
     # closure under commutator is a theorem; assert it as a consistency check
     mats = [Matrix(d, d, v) for v in basis.vectors]

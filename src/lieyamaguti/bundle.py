@@ -27,17 +27,19 @@ known scale times the rational one, and dividing by that scale gives the
 exact Fraction norm that a check on the rational values would report.  In
 float mode the pair is (1, s) and den is 1, the same code runs on floats,
 and a difference up to the tolerance counts as zero.  Transport runs on rows
-of Fractions or floats.
+of Fractions or floats.  The automorphism check is ``algebra._map_defect``,
+and every matrix product, distance and inverse is ``linalg``'s row toolkit;
+this module defines no matrix arithmetic of its own.  Transition values and
+morphism matrices are evaluated by one row evaluator, ``_eval_rows``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LYAlgebra, derivations, is_homomorphism, is_valid, structure_lcm
+from .algebra import LYAlgebra, _map_defect, derivations, is_homomorphism, is_valid, structure_lcm
 from .cohomology import DEFAULT_SIZE_CAP, h1, h23, h_upper, transport_defects
 from .errors import (
     CocycleCheckFailed,
@@ -47,7 +49,17 @@ from .errors import (
     UnknownIdentifier,
 )
 from .exprs import Expr, eval_exact, eval_float, variables
-from .linalg import Matrix, SubspaceBasis, _eliminate, denominator_lcm
+from .linalg import (
+    Matrix,
+    SubspaceBasis,
+    _distance,
+    _eliminate,
+    _identity,
+    _invert,
+    _matmul,
+    _times,
+    denominator_lcm,
+)
 from .representation import _adjoint
 
 Point = tuple[Fraction, ...]
@@ -172,17 +184,22 @@ class BundleSpec:
         return None
 
 
+def _eval_rows(matrix: tuple, coords: tuple, pt: Point, mode: EvalMode) -> list:
+    """An expression matrix over ``coords``, evaluated at ``pt`` as rows of Fractions or floats."""
+    if len(pt) != len(coords):
+        raise ShapeMismatch(f"point arity {len(pt)} != chart arity {len(coords)}")
+    env = dict(zip(coords, pt))
+    evaluate = eval_exact if mode.kind == "exact" else eval_float
+    return [[evaluate(x, env) for x in row] for row in matrix]
+
+
 def eval_transition(tf: TransitionFamily, pt: Point, mode: EvalMode = EXACT):
     """Entrywise evaluation at a point of the from-chart.
 
     Exact mode returns a rational Matrix, float mode a list of float rows.
     """
-    if len(pt) != len(tf.coords):
-        raise ShapeMismatch(f"point arity {len(pt)} != chart arity {len(tf.coords)}")
-    env = dict(zip(tf.coords, pt))
-    if mode.kind == "exact":
-        return Matrix.from_rows([[eval_exact(x, env) for x in row] for row in tf.matrix])
-    return [[eval_float(x, env) for x in row] for row in tf.matrix]
+    rows = _eval_rows(tf.matrix, tf.coords, pt, mode)
+    return Matrix.from_rows(rows) if mode.kind == "exact" else rows
 
 
 def _value(tf: TransitionFamily, pt: Point, mode: EvalMode) -> list:
@@ -232,50 +249,6 @@ def _norm(worst, scale: int, mode: EvalMode):
     return Fraction(worst, scale) if mode.kind == "exact" else worst
 
 
-def _identity(d: int) -> list:
-    return [[int(i == j) for j in range(d)] for i in range(d)]
-
-
-def _times(k: int, rows: list) -> list:
-    return rows if k == 1 else [[k * x for x in row] for row in rows]
-
-
-def _matmul(a: list, b: list) -> list:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col) if y) for col in cols] for row in a]
-
-
-def _distance(a: list, b: list):
-    """Largest entrywise |a - b| of two equally shaped row lists."""
-    return max((abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)), default=0)
-
-
-def _invert(rows: list):
-    """(det, inverse) by Gauss-Jordan elimination with partial pivoting.
-
-    Works over Fractions (exactly) and floats; the inverse is None when a
-    pivot is zero.
-    """
-    n = len(rows)
-    m = [list(row) + unit for row, unit in zip(rows, _identity(n))]
-    det = 1
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(m[r][c]))
-        if not m[piv][c]:
-            return 0, None
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        p = m[c][c]
-        det *= p
-        m[c] = [x / p for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det, [row[n:] for row in m]
-
-
 def _singular(s: list, mode: EvalMode) -> bool:
     """Rank test of the integer S in exact mode (fraction-free); |det| <= tol in float mode."""
     if mode.kind == "exact":
@@ -286,23 +259,13 @@ def _singular(s: list, mode: EvalMode) -> bool:
 def _automorphism_defect(value: tuple, fibre: tuple, mode: EvalMode):
     """Largest entry of s[x, y] - [sx, sy] and s{x, y, z} - {sx, sy, sz} over basis tuples.
 
-    With (D, S) = ``value`` and (den, F) = ``fibre``, the binary part is
-    compared as D S F(e_i, e_j) against F(S e_i, S e_j), which is D**2 den
-    times the exact defect, and the ternary part as D**2 S F(e_i, e_j, e_k)
-    against F(S e_i, S e_j, S e_k), which is D**3 den**2 times it.
+    With (D, S) = ``value`` and (den, F) = ``fibre``, ``algebra._map_defect``
+    compares D S F(e_i, e_j) against F(S e_i, S e_j), which is D**2 den times
+    the exact binary defect, and D**2 S F(e_i, e_j, e_k) against
+    F(S e_i, S e_j, S e_k), which is D**3 den**2 times the ternary one.
     """
     (big_d, s), (den, f) = value, fibre
-    cols = list(zip(*s))
-    pairs = list(itertools.product(range(f.dim), repeat=2))
-    triples = list(itertools.product(range(f.dim), repeat=3))
-    binary = _distance(
-        _matmul(_times(big_d, s), list(zip(*(f.binary[i][j] for i, j in pairs)))),
-        list(zip(*(f.bracket(cols[i], cols[j]) for i, j in pairs))),
-    )
-    ternary = _distance(
-        _matmul(_times(big_d * big_d, s), list(zip(*(f.ternary[i][j][k] for i, j, k in triples)))),
-        list(zip(*(f.triple(cols[i], cols[j], cols[k]) for i, j, k in triples))),
-    )
+    binary, ternary = _map_defect(big_d, s, f, f)
     return max(_norm(binary, big_d**2 * den, mode), _norm(ternary, big_d**3 * den**2, mode))
 
 
@@ -512,8 +475,7 @@ def check_bundle_morphism(
                 f"morphism matrix on chart {chart.name!r} must be {bb.fiber.dim}x{ba.fiber.dim}"
             )
         for pt in chart.samples:
-            env = {c: Fraction(v) for c, v in zip(chart.coords, pt)}
-            val = Matrix.from_rows([[eval_exact(x, env) for x in row] for row in rowsx])
+            val = Matrix.from_rows(_eval_rows(rowsx, chart.coords, pt, EXACT))
             hom = is_homomorphism(val, ba.fiber, bb.fiber)
             inv = val.rows == val.cols and val.is_invertible()
             report.points.append(MorphismPoint(chart.name, pt, hom, inv))

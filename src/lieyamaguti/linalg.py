@@ -15,6 +15,13 @@ then divided by its content, so entries stay integers, zeros are never
 touched, and the cost follows the nonzeros.  The reduced rows define the
 unique reduced row echelon form, so the results equal those of dense
 ``Fraction`` Gauss-Jordan exactly.
+
+Dense products, distances, determinants and inverses have one
+implementation, on row matrices (lists of rows) over any scalar type with
+field operations: ``_matmul``, ``_distance`` and ``_invert`` (Gauss-Jordan
+with partial pivoting), with ``_identity`` and ``_times``.  ``Matrix``'s
+``@``, ``matvec``, ``det`` and ``inverse`` run them on ``Fraction`` rows; the
+bundle gate runs them on integers, Fractions and floats.
 """
 
 from __future__ import annotations
@@ -135,6 +142,55 @@ def _rational_row(row: dict[int, int], pivot: int, n: int) -> Vector:
     return tuple(out)
 
 
+# ---------------------------------------------------------------------------
+# row matrices: lists of rows over any field-like scalar type
+
+
+def _identity(d: int) -> list:
+    return [[int(i == j) for j in range(d)] for i in range(d)]
+
+
+def _times(k, rows: list) -> list:
+    return rows if k == 1 else [[k * x for x in row] for row in rows]
+
+
+def _matmul(a: list, b: list) -> list:
+    """The product of two row matrices; n x 0 times 0 x m comes out as n empty rows (b has no row to size them)."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col) if y) for col in cols] for row in a]
+
+
+def _distance(a: list, b: list):
+    """Largest entrywise |a - b| of two equally shaped row lists."""
+    return max((abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)), default=0)
+
+
+def _invert(rows: list):
+    """(det, inverse) of a square row matrix by Gauss-Jordan elimination with partial pivoting.
+
+    Works over Fractions (exactly) and floats; the inverse is None when a
+    pivot is zero, and then det is 0.
+    """
+    n = len(rows)
+    m = [list(row) + unit for row, unit in zip(rows, _identity(n))]
+    det = 1
+    for c in range(n):
+        piv = max(range(c, n), key=lambda r: abs(m[r][c]))
+        if not m[piv][c]:
+            return 0, None
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        p = m[c][c]
+        det *= p
+        m[c] = [x / p for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det, [row[n:] for row in m]
+
+
 class Matrix:
     """Immutable dense matrix of Fractions."""
 
@@ -211,30 +267,15 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                s = Fraction(0)
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        s += a * other.entries[k * other.cols + j]
-                out.append(s)
-        return Matrix(self.rows, other.cols, out)
+        if not self.cols:
+            return Matrix.zero(self.rows, other.cols)
+        out = _matmul(self.row_list(), other.row_list())
+        return Matrix(self.rows, other.cols, [x for row in out for x in row])
 
     def matvec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise ShapeMismatch(f"matvec: {self.rows}x{self.cols} with vector of length {len(v)}")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            s = Fraction(0)
-            for k in range(self.cols):
-                if v[k]:
-                    s += ri[k] * v[k]
-            out.append(s)
-        return tuple(out)
+        return (self @ Matrix(self.cols, 1, v)).entries
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
@@ -257,27 +298,7 @@ class Matrix:
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ShapeMismatch("determinant of a non-square matrix")
-        m = self.row_list()
-        n = self.rows
-        det = Fraction(1)
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if m[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                return Fraction(0)
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+        return Fraction(_invert(self.row_list())[0])
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -285,12 +306,10 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ShapeMismatch("inverse of a non-square matrix")
-        n = self.rows
-        aug = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        red, pivots = Matrix.from_rows(aug).rref()
-        if pivots != list(range(n)):
+        inverse = _invert(self.row_list())[1]
+        if inverse is None:
             raise ShapeMismatch("matrix is singular")
-        return Matrix(n, n, [red[i, n + j] for i in range(n) for j in range(n)])
+        return Matrix(self.rows, self.cols, [x for row in inverse for x in row])
 
 
 class SubspaceBasis:

@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_denominators import SCALES, rebased
 
 from lieyamaguti import (
     check_axioms,
@@ -310,6 +313,98 @@ def test_homomorphism_shape_mismatch():
     a = example_3dim()
     with pytest.raises(ShapeMismatch):
         is_homomorphism(Matrix.identity(2), a, a)
+
+
+def test_meson2_inclusion_into_meson3_is_a_homomorphism():
+    inclusion = Matrix.from_rows([[1, 0], [0, 1], [0, 0]])
+    assert is_homomorphism(inclusion, meson(2), meson(3))
+    assert not is_homomorphism(Matrix.from_rows([[2, 0], [0, 2], [0, 0]]), meson(2), meson(3))
+    assert not is_homomorphism(Matrix.from_rows([[1, 0, 0], [0, 1, 0]]), meson(3), meson(2))
+
+
+def loop_is_homomorphism(phi: Matrix, a, b) -> bool:
+    """The basis-tuple loop ``is_homomorphism`` ran before ``algebra._map_defect``, kept unchanged."""
+    cols = [phi.col(j) for j in range(a.dim)]
+    for i in range(a.dim):
+        for j in range(a.dim):
+            lhs = phi.matvec(a.binary[i][j])
+            rhs = b.bracket(cols[i], cols[j])
+            if lhs != rhs:
+                return False
+    for i, j, k in itertools.product(range(a.dim), repeat=3):
+        lhs = phi.matvec(a.ternary[i][j][k])
+        rhs = b.triple(cols[i], cols[j], cols[k])
+        if lhs != rhs:
+            return False
+    return True
+
+
+_WIDE = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)),
+)
+_MAP_ALGEBRAS = [meson(n) for n in range(1, 5)] + [
+    zero_algebra(2),
+    example_3dim(),
+    cross_product_lie(),
+    rebased(meson(3), SCALES),
+    rebased(cross_product_lie(), SCALES),
+]
+
+
+def _orthogonal(draw, n: int) -> list:
+    """A signed permutation times a rational rotation in one coordinate plane."""
+    perm = draw(st.permutations(range(n)))
+    signs = [draw(st.sampled_from([-1, 1])) for _ in range(n)]
+    rot = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    i, j = draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+    t = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    rot[i][i], rot[i][j], rot[j][i], rot[j][j] = c, -s, s, c
+    return [[signs[r] * x for x in rot[perm[r]]] for r in range(n)]
+
+
+@st.composite
+def _maps(draw):
+    """(phi, a, b, expected): expected is None where only the oracle decides.
+
+    meson(n) has {x, y, z} = <z, x> y - <z, y> x, so the first m columns of
+    an orthogonal n x n matrix map meson(m) into meson(n); scaled by
+    lambda != 0, +-1 they do not (the ternary side scales by lambda**3).
+    """
+    kind = draw(st.sampled_from(["inclusion", "scaled", "abelian", "zero", "random"]))
+    if kind in ("inclusion", "scaled"):
+        m = draw(st.integers(1 if kind == "inclusion" else 2, 3))
+        n = draw(st.integers(max(m, 2), 4))
+        q = _orthogonal(draw, n)
+        phi = [row[:m] for row in q]
+        b = meson(n)
+        if n == 3 and draw(st.booleans()):
+            b = rebased(b, SCALES)  # the same map in the basis f_i = SCALES[i] e_i
+            phi = [[x / SCALES[r] for x in row] for r, row in enumerate(phi)]
+        if kind == "scaled":
+            lam = draw(st.sampled_from([Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(3, 5)]))
+            phi = [[lam * x for x in row] for row in phi]
+        return Matrix.from_rows(phi), meson(m), b, kind == "inclusion"
+    if kind == "abelian":
+        m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        phi = Matrix(n, m, [draw(_WIDE) for _ in range(n * m)])
+        return phi, zero_algebra(m), zero_algebra(n), True
+    a, b = draw(st.sampled_from(_MAP_ALGEBRAS)), draw(st.sampled_from(_MAP_ALGEBRAS))
+    if kind == "zero":
+        return Matrix.zero(b.dim, a.dim), a, b, True
+    return Matrix(b.dim, a.dim, [draw(_WIDE) for _ in range(a.dim * b.dim)]), a, b, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_maps())
+def test_is_homomorphism_matches_the_basis_loop(case):
+    phi, a, b, expected = case
+    got = is_homomorphism(phi, a, b)
+    assert got == loop_is_homomorphism(phi, a, b)
+    if expected is not None:
+        assert got is expected
 
 
 def test_derivations_abelian_full_space():

@@ -223,6 +223,20 @@ def test_bundle_morphism_failure(circle):
     assert not report.ok
 
 
+def test_bundle_morphism_evaluates_exactly(circle):
+    """diag(1, b, b) is an automorphism of the 3dim fibre; b is written two ways
+    that agree over Q but not in floating point (1/10 + 2/10 against 3/10)."""
+    stretch = {
+        c.name: exprs([["1", "0", "0"], ["0", f"1/10 + 2/10 + {x}^2", "0"], ["0", "0", f"3/10 + {x}^2"]])
+        for c in circle.charts
+        for x in c.coords
+    }
+    report = check_bundle_morphism(circle, circle, stretch)
+    assert report.ok
+    assert len(report.points) == sum(len(c.samples) for c in circle.charts)
+    assert all(p.invertible for p in report.points)
+
+
 def test_bundle_morphism_requires_same_atlas(circle, product_bundle):
     with pytest.raises(ShapeMismatch):
         check_bundle_morphism(circle, product_bundle, {})

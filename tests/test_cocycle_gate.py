@@ -30,15 +30,13 @@ from lieyamaguti.bundle import (
     TransitionFamily,
     _automorphism_defect,
     _cleared,
-    _distance,
     _fibre,
-    _matmul,
     _singular,
     check_cocycle,
 )
 from lieyamaguti.exprs import parse_expr
 from lieyamaguti.fixtures import cross_product_lie
-from lieyamaguti.linalg import Matrix
+from lieyamaguti.linalg import Matrix, _distance, _matmul
 
 FLOAT = EvalMode("float")
 ORIGIN = ((Fraction(0),),)

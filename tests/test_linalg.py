@@ -204,3 +204,129 @@ def test_subspace_and_kernel_match_dense_gauss_jordan(case, data):
     _, with_v = _dense_rref(rows + 1, cols, m + [v])
     assert span.contains(v) == (len(with_v) == len(pivots))
     assert span.contains_basis(SubspaceBasis(cols, m + [v])) == (len(with_v) == len(pivots))
+
+
+# ---------------------------------------------------------------------------
+# Matrix products, det and inverse against the dense loops they replaced
+
+
+def _dense_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The row-by-column Fraction loop ``Matrix.__matmul__`` ran before delegating to ``_matmul``."""
+    out = []
+    for i in range(a.rows):
+        ri = a.row(i)
+        for j in range(b.cols):
+            s = Fraction(0)
+            for k in range(a.cols):
+                x = ri[k]
+                if x:
+                    s += x * b.entries[k * b.cols + j]
+            out.append(s)
+    return Matrix(a.rows, b.cols, out)
+
+
+def _dense_matvec(m: Matrix, v) -> tuple:
+    out = []
+    for i in range(m.rows):
+        ri = m.row(i)
+        s = Fraction(0)
+        for k in range(m.cols):
+            if v[k]:
+                s += ri[k] * v[k]
+        out.append(s)
+    return tuple(out)
+
+
+def _dense_det(m: Matrix) -> Fraction:
+    """Gaussian elimination with first-nonzero pivoting, as ``Matrix.det`` ran before."""
+    rows, n, det = m.row_list(), m.rows, Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            det = -det
+        det *= rows[c][c]
+        inv = 1 / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+def _rref_inverse(m: Matrix) -> Matrix:
+    """The inverse read off the RREF of [m | 1], as ``Matrix.inverse`` ran before."""
+    n = m.rows
+    aug = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    red, pivots = Matrix(n, 2 * n, [x for row in aug for x in row]).rref()
+    if pivots != list(range(n)):
+        raise ShapeMismatch("matrix is singular")
+    return Matrix(n, n, [red[i, n + j] for i in range(n) for j in range(n)])
+
+
+# numerators and denominators up to 10^6
+_WIDE = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+)
+
+
+def _block(draw, rows: int, cols: int) -> Matrix:
+    return Matrix(rows, cols, [draw(_WIDE) for _ in range(rows * cols)])
+
+
+@st.composite
+def _square(draw):
+    """An n x n matrix, n in 0..6; about half are singular (a zero row or a combination of two rows)."""
+    n = draw(st.integers(0, 6))
+    rows = _block(draw, n, n).row_list()
+    kind = draw(st.sampled_from(["free", "zero", "combine"])) if n else "free"
+    if kind != "free":
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        s, t = (draw(_WIDE) for _ in range(2)) if kind == "combine" else (0, 0)
+        rows[i] = [s * x + t * y for x, y in zip(rows[j], rows[k])] if i not in (j, k) else [Fraction(0)] * n
+    return Matrix(n, n, [x for row in rows for x in row])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_matmul_and_matvec_match_dense_loops(rows, inner, cols, data):
+    a = _block(data.draw, rows, inner)
+    b = _block(data.draw, inner, cols)
+    product = a @ b
+    assert (product.rows, product.cols) == (rows, cols)
+    assert product == _dense_matmul(a, b)
+    if not inner:
+        assert product == Matrix.zero(rows, cols)
+    v = data.draw(st.lists(_WIDE, min_size=inner, max_size=inner))
+    assert a.matvec(v) == _dense_matvec(a, v)
+    assert all(isinstance(x, Fraction) for x in a.matvec(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square())
+def test_det_and_inverse_match_dense_oracles(m):
+    det = m.det()
+    assert isinstance(det, Fraction)
+    assert det == _dense_det(m)
+    if det == 0:
+        with pytest.raises(ShapeMismatch):
+            _rref_inverse(m)
+        with pytest.raises(ShapeMismatch):
+            m.inverse()
+        assert not m.is_invertible()
+    else:
+        inverse = m.inverse()
+        assert inverse == _rref_inverse(m)
+        assert m @ inverse == Matrix.identity(m.rows) == inverse @ m
+        assert m.is_invertible()
+
+
+def test_non_square_det_and_inverse_raise():
+    m = Matrix.zero(2, 3)
+    for op in (m.det, m.inverse):
+        with pytest.raises(ShapeMismatch):
+            op()
