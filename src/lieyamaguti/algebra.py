@@ -5,8 +5,14 @@ d-vector of coordinates of [e_i, e_j]) and the full ternary tensor
 ``t[i][j][k]`` ({e_i, e_j, e_k}).  Stored tensors are allowed to violate the
 defining identities: validity is a predicate (``check_axioms``), not a type
 invariant, so negative fixtures and perturbation tests are expressible.
-Constructors that build from i<j data derive the antisymmetric mirrors, which
-makes LY1/LY2 violations impossible along that path.
+
+Every constructor, and the semidirect and twisted products in
+``representation``, builds through ``_from_entries``: exact vectors keyed by
+(i, j) and (i, j, k), laid over one shared zero vector, with nothing wrapped
+twice.  ``from_tensors`` is the entry for raw full tensors and coerces every
+coordinate to a Fraction; ``from_sparse`` (and so every JSON load) takes i<j
+entries and derives the antisymmetric mirrors, which makes LY1/LY2
+violations impossible along that path.
 
 Axiom checking runs over basis tuples only; multilinearity over Q makes that
 equivalent to the universally quantified identities.  It works on sparse
@@ -55,16 +61,6 @@ from .linalg import (
 )
 
 AXIOMS = ("LY1", "LY2", "LY3", "LY4", "LY5", "LY6")
-
-
-def _zero_binary(d: int):
-    z = zero_vector(d)
-    return tuple(tuple(z for _ in range(d)) for _ in range(d))
-
-
-def _zero_ternary(d: int):
-    z = zero_vector(d)
-    return tuple(tuple(tuple(z for _ in range(d)) for _ in range(d)) for _ in range(d))
 
 
 @dataclass(frozen=True)
@@ -298,19 +294,41 @@ def _require_valid(a: LYAlgebra) -> None:
 # constructors
 
 
+def _from_entries(d: int, binary: dict, ternary: dict, name: str = "") -> LYAlgebra:
+    """The algebra with [e_i, e_j] = binary[i, j] and {e_i, e_j, e_k} = ternary[i, j, k].
+
+    Entries are exact vectors (tuples of d Fractions) and are stored as given;
+    every slot without an entry shares one zero vector.
+    """
+    z = zero_vector(d)
+    rng = range(d)
+    b = tuple(tuple(binary.get((i, j), z) for j in rng) for i in rng)
+    t = tuple(tuple(tuple(ternary.get((i, j, k), z) for k in rng) for j in rng) for i in rng)
+    return LYAlgebra(d, b, t, name)
+
+
+def _exact_slots(tensor, rank: int) -> dict:
+    """Every slot of a raw full tensor of the given rank, coerced to an exact vector."""
+    d = len(tensor)
+    out = {}
+    for idx in itertools.product(range(d), repeat=rank):
+        v = tensor
+        for i in idx:
+            v = v[i]
+        out[idx] = qvec(v)
+    return out
+
+
 def zero_algebra(d: int, name: str = "") -> LYAlgebra:
-    return LYAlgebra(d, _zero_binary(d), _zero_ternary(d), name or f"abelian{d}")
+    return _from_entries(d, {}, {}, name or f"abelian{d}")
 
 
 def from_tensors(binary, ternary, name: str = "") -> LYAlgebra:
-    """Wrap raw full tensors (no validation; check_axioms is the arbiter)."""
-    d = len(binary)
-    b = tuple(tuple(qvec(binary[i][j]) for j in range(d)) for i in range(d))
-    t = tuple(
-        tuple(tuple(qvec(ternary[i][j][k]) for k in range(d)) for j in range(d))
-        for i in range(d)
-    )
-    return LYAlgebra(d, b, t, name)
+    """Wrap raw full tensors (no validation; check_axioms is the arbiter).
+
+    The entry for raw full tensors: every coordinate is coerced to a Fraction.
+    """
+    return _from_entries(len(binary), _exact_slots(binary, 2), _exact_slots(ternary, 3), name)
 
 
 def from_sparse(
@@ -323,21 +341,18 @@ def from_sparse(
 
     Along this path LY1 and LY2 hold by construction.
     """
-    b = [[list(zero_vector(d)) for _ in range(d)] for _ in range(d)]
-    t = [[[list(zero_vector(d)) for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    b, t = {}, {}
     for (i, j), v in (binary_entries or {}).items():
         if not 0 <= i < j < d:
             raise ShapeMismatch(f"binary entry needs 0 <= i < j < d, got ({i}, {j})")
-        vv = qvec(v)
-        b[i][j] = list(vv)
-        b[j][i] = [-x for x in vv]
+        b[i, j] = qvec(v)
+        b[j, i] = vec_scale(-1, b[i, j])
     for (i, j, k), v in (ternary_entries or {}).items():
         if not (0 <= i < j < d and 0 <= k < d):
             raise ShapeMismatch(f"ternary entry needs 0 <= i < j < d, got ({i}, {j}, {k})")
-        vv = qvec(v)
-        t[i][j][k] = list(vv)
-        t[j][i][k] = [-x for x in vv]
-    return from_tensors(b, t, name)
+        t[i, j, k] = qvec(v)
+        t[j, i, k] = vec_scale(-1, t[i, j, k])
+    return _from_entries(d, b, t, name)
 
 
 def from_lie(binary, name: str = "") -> LYAlgebra:
@@ -346,7 +361,8 @@ def from_lie(binary, name: str = "") -> LYAlgebra:
     The input binary tensor must be antisymmetric and satisfy Jacobi.
     """
     d = len(binary)
-    lie = from_tensors(binary, _zero_ternary(d), name)
+    b = _exact_slots(binary, 2)
+    lie = _from_entries(d, b, {}, name)
     for i in range(d):
         for j in range(d):
             if not vec_is_zero(vec_add(lie.binary[i][j], lie.binary[j][i])):
@@ -361,20 +377,17 @@ def from_lie(binary, name: str = "") -> LYAlgebra:
         )
         if not vec_is_zero(jac):
             raise NotALieAlgebra("Jacobi identity fails", triple=(i, j, k))
-    t = tuple(
-        tuple(
-            tuple(lie.bracket(lie.binary[i][j], lie.basis_vector(k)) for k in range(d))
-            for j in range(d)
-        )
-        for i in range(d)
-    )
-    return LYAlgebra(d, lie.binary, t, name)
+    t = {
+        (i, j, k): qvec(lie.bracket(lie.binary[i][j], lie.basis_vector(k)))
+        for i, j, k in itertools.product(range(d), repeat=3)
+    }
+    return _from_entries(d, b, t, name)
 
 
 def from_leibniz(product, name: str = "") -> LYAlgebra:
     """Leibniz algebra -> LY algebra: [a,b] = a.b - b.a, {a,b,c} = -(a.b).c."""
     d = len(product)
-    p = from_tensors(product, _zero_ternary(d), name)  # reuse bracket() for x.y
+    p = _from_entries(d, _exact_slots(product, 2), {}, name)  # reuse bracket() for x.y
     for i, j, k in itertools.product(range(d), repeat=3):
         lhs = p.bracket(p.basis_vector(i), p.binary[j][k])
         rhs = vec_add(
@@ -383,36 +396,30 @@ def from_leibniz(product, name: str = "") -> LYAlgebra:
         )
         if not vec_is_zero(vec_sub(lhs, rhs)):
             raise NotALeibnizAlgebra("Leibniz identity fails", triple=(i, j, k))
-    b = tuple(
-        tuple(vec_sub(p.binary[i][j], p.binary[j][i]) for j in range(d)) for i in range(d)
-    )
-    t = tuple(
-        tuple(
-            tuple(vec_scale(Fraction(-1), p.bracket(p.binary[i][j], p.basis_vector(k))) for k in range(d))
-            for j in range(d)
-        )
-        for i in range(d)
-    )
-    return LYAlgebra(d, b, t, name)
+    pairs = list(itertools.product(range(d), repeat=2))
+    b = {(i, j): vec_sub(p.binary[i][j], p.binary[j][i]) for i, j in pairs}
+    t = {
+        (i, j, k): vec_scale(Fraction(-1), p.bracket(p.binary[i][j], p.basis_vector(k)))
+        for (i, j), k in itertools.product(pairs, range(d))
+    }
+    return _from_entries(d, b, t, name)
 
 
 def from_lie_triple(ternary, name: str = "") -> LYAlgebra:
     """Ternary tensor with zero binary part; validity left to check_axioms."""
-    d = len(ternary)
-    return from_tensors(_zero_binary(d), ternary, name)
+    return _from_entries(len(ternary), {}, _exact_slots(ternary, 3), name)
 
 
 def meson(n: int, name: str = "") -> LYAlgebra:
     """Lie triple system with {G_i, G_j, G_k} = delta_ki G_j - delta_kj G_i."""
     if n < 1:
         raise ShapeMismatch("meson(n) needs n >= 1")
-    t = [[[list(zero_vector(n)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if k == i:
-            t[i][j][k][j] += Fraction(1)
-        if k == j:
-            t[i][j][k][i] -= Fraction(1)
-    return from_tensors(_zero_binary(n), t, name or f"meson{n}")
+    basis = [qvec(int(m == i) for m in range(n)) for i in range(n)]
+    t = {}
+    for i, j in itertools.permutations(range(n), 2):
+        t[i, j, i] = basis[j]
+        t[i, j, j] = vec_scale(-1, basis[i])
+    return _from_entries(n, {}, t, name or f"meson{n}")
 
 
 def example_3dim(name: str = "3dim") -> LYAlgebra:
@@ -447,7 +454,6 @@ def from_reductive_pair(lie: LYAlgebra, h_idx: Sequence[int], m_idx: Sequence[in
 
     m_list = list(m_idx)
     dm = len(m_list)
-    pos = {g: p for p, g in enumerate(m_list)}
 
     def proj_m(vec: Vector) -> Vector:
         return tuple(vec[g] for g in m_list)
@@ -455,16 +461,15 @@ def from_reductive_pair(lie: LYAlgebra, h_idx: Sequence[int], m_idx: Sequence[in
     def proj_h(vec: Vector) -> Vector:
         return tuple(vec[k] if k in h_set else Fraction(0) for k in range(d))
 
-    b = [[list(zero_vector(dm)) for _ in range(dm)] for _ in range(dm)]
-    t = [[[list(zero_vector(dm)) for _ in range(dm)] for _ in range(dm)] for _ in range(dm)]
+    b, t = {}, {}
     for ai, gi in enumerate(m_list):
         for aj, gj in enumerate(m_list):
             full = lie.binary[gi][gj]
-            b[ai][aj] = list(proj_m(full))
+            b[ai, aj] = proj_m(full)
             hpart = proj_h(full)
             for ak, gk in enumerate(m_list):
-                t[ai][aj][ak] = list(proj_m(lie.bracket(hpart, lie.basis_vector(gk))))
-    return from_tensors(b, t, name or (lie.name + "/m" if lie.name else "reductive-m"))
+                t[ai, aj, ak] = qvec(proj_m(lie.bracket(hpart, lie.basis_vector(gk))))
+    return _from_entries(dm, b, t, name or (lie.name + "/m" if lie.name else "reductive-m"))
 
 
 # ---------------------------------------------------------------------------

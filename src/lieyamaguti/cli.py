@@ -34,6 +34,7 @@ from .linalg import Matrix
 from .schemas import (
     algebra_from_json,
     algebra_to_json,
+    bundle_from_json,
     cochain_pair_from_json,
     frac_to_str,
     matrix_to_json,
@@ -223,7 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, report: dict) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    _write(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
+def _write(args, text: str) -> None:
+    """Write text to --out, or to stdout without one."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -336,8 +341,6 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_bundle_check(args) -> int:
-    from .schemas import bundle_from_json
-
     b = bundle_from_json(_load_json(args.input))
     report = bnd.check_cocycle(b, _parse_mode(args))
     payload = _cocycle_report_json(report)
@@ -347,8 +350,6 @@ def _cmd_bundle_check(args) -> int:
 
 
 def _cmd_bundle_cohomology(args) -> int:
-    from .schemas import bundle_from_json
-
     b = bundle_from_json(_load_json(args.input))
     mode = _parse_mode(args)
     try:
@@ -378,12 +379,7 @@ def _cmd_bundle_cohomology(args) -> int:
 
 
 def _cmd_examples(args) -> int:
-    text = render(fixture(args.name))
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, render(fixture(args.name)))
     return 0
 
 

@@ -30,9 +30,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LYAlgebra, from_tensors, integer_tables, is_valid
+from .algebra import LYAlgebra, _from_entries, integer_tables, is_valid
 from .errors import InvalidAlgebra, ShapeMismatch
-from .linalg import Matrix, Vector, scaled_sparse, zero_vector
+from .linalg import Matrix, Vector, scaled_sparse, vec_scale, zero_vector
 
 RLYB_CONDITIONS = ("RLYB1", "RLYB2", "RLYB3", "RLYB4", "RLYB5", "RLYB6")
 
@@ -319,48 +319,25 @@ def twisted_semidirect(a: LYAlgebra, r: Representation, tau, name: str = "") -> 
 def _product_algebra(a: LYAlgebra, r: Representation, tau, name: str) -> LYAlgebra:
     _check_shapes(a, r)
     d, e = a.dim, r.e
-    n = d + e
-    zn = zero_vector(n)
-
-    def emb_alg(v: Vector) -> list[Fraction]:
-        return list(v) + [Fraction(0)] * e
-
-    def emb_mod(v: Vector) -> list[Fraction]:
-        return [Fraction(0)] * d + list(v)
-
-    b = [[list(zn) for _ in range(n)] for _ in range(n)]
-    t = [[[list(zn) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-
+    zd, ze = zero_vector(d), zero_vector(e)
+    b, t = {}, {}
+    for i, j in itertools.product(range(d), repeat=2):
+        f = tau.f.eval_basis((i, j)) if tau is not None else ze
+        b[i, j] = a.binary[i][j] + f
+        for k in range(d):
+            g = tau.g.eval_basis((i, j, k)) if tau is not None else ze
+            t[i, j, k] = a.ternary[i][j][k] + g
+        for c in range(e):
+            # {e_i, e_j, u} = D(e_i, e_j) u ; {u, e_i, e_j} = theta(e_i, e_j) u ;
+            # {e_i, u, e_j} = -theta(e_i, e_j) u, for every (i, j) so an invalid r shows
+            u = r.theta[i][j].col(c)
+            t[i, j, d + c] = zd + r.dmap[i][j].col(c)
+            t[d + c, i, j] = zd + u
+            t[i, d + c, j] = zd + vec_scale(-1, u)
     for i in range(d):
-        for j in range(d):
-            vec = emb_alg(a.binary[i][j])
-            if tau is not None:
-                fv = tau.f.eval_basis((i, j))
-                for m in range(e):
-                    vec[d + m] += fv[m]
-            b[i][j] = vec
-    for i in range(d):
-        for bb in range(e):
-            col = r.rho[i].col(bb)
-            b[i][d + bb] = emb_mod(col)
-            b[d + bb][i] = emb_mod(tuple(-x for x in col))
-
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                vec = emb_alg(a.ternary[i][j][k])
-                if tau is not None:
-                    gv = tau.g.eval_basis((i, j, k))
-                    for m in range(e):
-                        vec[d + m] += gv[m]
-                t[i][j][k] = vec
-            for cc in range(e):
-                # {e_i, e_j, u} = D(e_i, e_j) u
-                t[i][j][d + cc] = emb_mod(r.dmap[i][j].col(cc))
-        for j in range(d):
-            for aa in range(e):
-                # {u, e_j, e_k} = theta(e_j, e_k) u ; {e_j, u, e_k} = -theta(e_j, e_k) u
-                for k in range(d):
-                    t[d + aa][j][k] = emb_mod(r.theta[j][k].col(aa))
-                    t[j][d + aa][k] = emb_mod(tuple(-x for x in r.theta[j][k].col(aa)))
-    return from_tensors(b, t, name)
+        for c in range(e):
+            # [e_i, u] = rho(e_i) u = -[u, e_i]
+            u = r.rho[i].col(c)
+            b[i, d + c] = zd + u
+            b[d + c, i] = zd + vec_scale(-1, u)
+    return _from_entries(d + e, b, t, name)

@@ -2,13 +2,16 @@
 
 All rationals travel as strings "p/q" (or "p" when the denominator is 1) so
 that no JSON consumer can lose precision; integers are accepted on input.
-Basis indices are 1-based in every schema.  Binary entries are restricted to
-i < j and ternary entries to i < j in the antisymmetric slot pair; loaders
-derive the mirrored entries, so files cannot express LY1/LY2 violations.
+Basis indices are 1-based in every schema, and integer fields refuse JSON
+booleans.  Algebras and (2,3)-cochain pairs share one entry format,
+[i, j, vector] and [i, j, k, vector] with i < j in the antisymmetric slot
+pair, read and written by one pair of helpers; loaders derive the mirrored
+entries, so files cannot express LY1/LY2 violations.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .algebra import LYAlgebra, from_sparse
@@ -64,58 +67,83 @@ def matrix_from_json(rows, shape: tuple[int, int] | None = None) -> Matrix:
     return m
 
 
+def _integer(v, what: str) -> int:
+    """``v`` if it is a JSON integer; booleans are not integers here."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ShapeMismatch(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _objects(v, what: str) -> list:
+    """``v`` if it is a list of JSON objects."""
+    if not (isinstance(v, list) and all(isinstance(x, dict) for x in v)):
+        raise ShapeMismatch(f"{what} must be a list of objects")
+    return v
+
+
+# ---------------------------------------------------------------------------
+# [i, j, vector] / [i, j, k, vector] entries, shared by algebras and cochain pairs
+
+
+def _entries_to_json(d: int, arity: int, value) -> list:
+    """1-based entries of the nonzero values of ``value`` on index tuples with i < j (k free)."""
+    out = []
+    for i, j in itertools.combinations(range(d), 2):
+        for rest in itertools.product(range(d), repeat=arity - 2):
+            v = value((i, j, *rest))
+            if not vec_is_zero(v):
+                out.append([i + 1, j + 1, *(k + 1 for k in rest), vec_to_json(v)])
+    return out
+
+
+def _entries_from_json(entries, arity: int, d: int, length: int, what: str):
+    """Yield (0-based index tuple, vector) for each 1-based entry, in file order.
+
+    An entry is [i, j, vector] (arity 2) or [i, j, k, vector] (arity 3) with
+    1 <= i < j <= d and 1 <= k <= d; each vector has ``length`` rationals.
+    """
+    form = "[i, j, vector]" if arity == 2 else "[i, j, k, vector]"
+    if not isinstance(entries, list):
+        raise ShapeMismatch(f"{what} must be a list of {form} entries")
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == arity + 1):
+            raise ShapeMismatch(f"{what} entries are {form}")
+        *idx, vec = entry
+        idx = tuple(_integer(x, f"{what} entry index") for x in idx)
+        if not (1 <= idx[0] < idx[1] <= d and all(1 <= k <= d for k in idx[2:])):
+            raise ShapeMismatch(f"{what} entry needs 1 <= i < j <= {d} and 1 <= k <= {d}, got {idx}")
+        yield tuple(x - 1 for x in idx), vec_from_json(vec, length)
+
+
 # ---------------------------------------------------------------------------
 # algebras
 
 
 def algebra_to_json(a: LYAlgebra) -> dict:
-    binary = []
-    ternary = []
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            if not vec_is_zero(a.binary[i][j]):
-                binary.append([i + 1, j + 1, vec_to_json(a.binary[i][j])])
-            for k in range(a.dim):
-                if not vec_is_zero(a.ternary[i][j][k]):
-                    ternary.append([i + 1, j + 1, k + 1, vec_to_json(a.ternary[i][j][k])])
-    return {"dim": a.dim, "name": a.name, "binary": binary, "ternary": ternary}
+    return {
+        "dim": a.dim,
+        "name": a.name,
+        "binary": _entries_to_json(a.dim, 2, lambda t: a.binary[t[0]][t[1]]),
+        "ternary": _entries_to_json(a.dim, 3, lambda t: a.ternary[t[0]][t[1]][t[2]]),
+    }
 
 
 def algebra_from_json(obj) -> LYAlgebra:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ShapeMismatch("algebra JSON must be an object with a 'dim' field")
-    d = obj["dim"]
-    if not isinstance(d, int) or d < 0:
+    d = _integer(obj["dim"], "'dim'")
+    if d < 0:
         raise ShapeMismatch("'dim' must be a non-negative integer")
-    binary = {}
-    for entry in obj.get("binary", []):
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ShapeMismatch("binary entries are [i, j, vector]")
-        i, j, vec = entry
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= d):
-            raise ShapeMismatch(f"binary entry needs 1 <= i < j <= dim, got ({i}, {j})")
-        if (i - 1, j - 1) in binary:
-            raise ShapeMismatch(f"duplicate binary entry ({i}, {j})")
-        binary[(i - 1, j - 1)] = vec_from_json(vec, d)
-    ternary = {}
-    for entry in obj.get("ternary", []):
-        if not (isinstance(entry, list) and len(entry) == 4):
-            raise ShapeMismatch("ternary entries are [i, j, k, vector]")
-        i, j, k, vec = entry
-        if not (
-            isinstance(i, int)
-            and isinstance(j, int)
-            and isinstance(k, int)
-            and 1 <= i < j <= d
-            and 1 <= k <= d
-        ):
-            raise ShapeMismatch(
-                f"ternary entry needs 1 <= i < j <= dim and 1 <= k <= dim, got ({i}, {j}, {k})"
-            )
-        if (i - 1, j - 1, k - 1) in ternary:
-            raise ShapeMismatch(f"duplicate ternary entry ({i}, {j}, {k})")
-        ternary[(i - 1, j - 1, k - 1)] = vec_from_json(vec, d)
-    return from_sparse(d, binary, ternary, str(obj.get("name", "")))
+
+    def entries(key: str, arity: int) -> dict:
+        out = {}
+        for idx, vec in _entries_from_json(obj.get(key, []), arity, d, d, key):
+            if idx in out:
+                raise ShapeMismatch(f"duplicate {key} entry {tuple(i + 1 for i in idx)}")
+            out[idx] = vec
+        return out
+
+    return from_sparse(d, entries("binary", 2), entries("ternary", 3), str(obj.get("name", "")))
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +162,8 @@ def representation_to_json(r: Representation) -> dict:
 def representation_from_json(obj, d: int) -> Representation:
     if not isinstance(obj, dict) or "e" not in obj:
         raise ShapeMismatch("representation JSON must be an object with an 'e' field")
-    e = obj["e"]
-    if not isinstance(e, int) or e < 0:
+    e = _integer(obj["e"], "'e'")
+    if e < 0:
         raise ShapeMismatch("'e' must be a non-negative integer")
     rho = obj.get("rho", [])
     dm = obj.get("D", [])
@@ -158,50 +186,20 @@ def cochain_pair_to_json(c: CochainPair) -> dict:
     if c.p != 1:
         raise ShapeMismatch("only (2,3)-cochain pairs have a file schema")
     d, e = c.f.shape.d, c.f.shape.e
-    f_entries = []
-    g_entries = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = c.f.eval_basis((i, j))
-            if not vec_is_zero(v):
-                f_entries.append([i + 1, j + 1, vec_to_json(v)])
-            for k in range(d):
-                w = c.g.eval_basis((i, j, k))
-                if not vec_is_zero(w):
-                    g_entries.append([i + 1, j + 1, k + 1, vec_to_json(w)])
-    return {"p": 1, "d": d, "e": e, "f": f_entries, "g": g_entries}
+    f, g = _entries_to_json(d, 2, c.f.eval_basis), _entries_to_json(d, 3, c.g.eval_basis)
+    return {"p": 1, "d": d, "e": e, "f": f, "g": g}
 
 
 def cochain_pair_from_json(obj, d: int, e: int) -> CochainPair:
-    if not isinstance(obj, dict) or obj.get("p", 1) != 1:
+    if not isinstance(obj, dict) or _integer(obj.get("p", 1), "'p'") != 1:
         raise ShapeMismatch("cochain JSON must be an object with p = 1")
     f, g = (_shape(groups, d, e) for groups in _pair_space(1))
     flat = [0] * (f.dim + g.dim)
-
-    def put(shape, shift: int, tup: tuple, vec) -> None:
-        base = shift + shape.offset(tup)[1]
-        flat[base : base + e] = vec_from_json(vec, e)
-
-    for entry in obj.get("f", []):
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ShapeMismatch("f entries are [i, j, vector]")
-        i, j, vec = entry
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= d):
-            raise ShapeMismatch(f"f entry needs 1 <= i < j <= d, got ({i}, {j})")
-        put(f, 0, (i - 1, j - 1), vec)
-    for entry in obj.get("g", []):
-        if not (isinstance(entry, list) and len(entry) == 4):
-            raise ShapeMismatch("g entries are [i, j, k, vector]")
-        i, j, k, vec = entry
-        if not (
-            isinstance(i, int)
-            and isinstance(j, int)
-            and isinstance(k, int)
-            and 1 <= i < j <= d
-            and 1 <= k <= d
-        ):
-            raise ShapeMismatch(f"g entry needs 1 <= i < j <= d, got ({i}, {j}, {k})")
-        put(g, f.dim, (i - 1, j - 1, k - 1), vec)
+    # a repeated entry overwrites the earlier one
+    for key, arity, shape, shift in (("f", 2, f, 0), ("g", 3, g, f.dim)):
+        for idx, vec in _entries_from_json(obj.get(key, []), arity, d, e, key):
+            base = shift + shape.offset(idx)[1]
+            flat[base : base + e] = vec
     return CochainPair.from_flat(1, d, e, flat)
 
 
@@ -214,19 +212,24 @@ def bundle_from_json(obj) -> BundleSpec:
         raise ShapeMismatch("bundle JSON must carry 'fiber' and 'charts'")
     fiber = algebra_from_json(obj["fiber"])
     charts = []
-    for c in obj["charts"]:
+    for c in _objects(obj["charts"], "'charts'"):
+        coords = c.get("coords", [])
+        if not isinstance(coords, list):
+            raise ShapeMismatch("chart coords must be a list of names")
         charts.append(
             Chart(
                 str(c["name"]),
-                tuple(str(x) for x in c.get("coords", [])),
+                tuple(str(x) for x in coords),
                 tuple(vec_from_json(p) for p in c.get("samples", [])),
             )
         )
     transitions = []
-    for t in obj.get("transitions", []):
+    for t in _objects(obj.get("transitions", []), "'transitions'"):
         rows = t.get("matrix", [])
         if not rows:
             raise ShapeMismatch("transition matrix missing")
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ShapeMismatch("a transition matrix is a list of rows, each a list of expressions")
         matrix = tuple(tuple(parse_expr(str(x)) for x in row) for row in rows)
         transitions.append(
             TransitionFamily(
@@ -237,7 +240,7 @@ def bundle_from_json(obj) -> BundleSpec:
             )
         )
     triples = []
-    for t in obj.get("triples", []):
+    for t in _objects(obj.get("triples", []), "'triples'"):
         samples = []
         for s in t.get("samples", []):
             if not (isinstance(s, list) and len(s) == 3):

@@ -364,6 +364,88 @@ def test_bundle_cohomology_gate_failure(tmp_path, capsys):
     assert report["status"] == "fail"
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("transitions", [["U1", "U2"]]),
+        ("transitions", {"a": 1}),
+        ("triples", [5]),
+        ("charts", ["U1"]),
+    ],
+    ids=["transition-list", "transition-dict", "triple-int", "chart-str"],
+)
+def test_bundle_entries_must_be_objects(tmp_path, capsys, key, value):
+    obj = fixture("circle-bundle")
+    obj[key] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(render(obj), encoding="utf-8")
+    for command in ("bundle-check", "bundle-cohomology"):
+        code, report = run_cli(capsys, command, str(path))
+        assert code == 2, command
+        assert (report["command"], report["status"], report["payload"]) == (command, "error", {})
+        assert f"'{key}' must be a list of objects" in report["diagnostics"][0]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda obj: obj["transitions"][0].update(matrix=["100", "010", "001"]),
+        lambda obj: obj["transitions"][0].update(matrix="1"),
+        lambda obj: obj["charts"][0].update(coords="t"),
+    ],
+    ids=["matrix-rows-strings", "matrix-string", "coords-string"],
+)
+def test_bundle_strings_are_not_lists(tmp_path, capsys, mutate):
+    """A string where the schema has a list is refused, not read character by character."""
+    obj = fixture("circle-bundle")
+    mutate(obj)
+    path = tmp_path / "strings.json"
+    path.write_text(render(obj), encoding="utf-8")
+    code, report = run_cli(capsys, "bundle-check", str(path))
+    assert code == 2
+    assert (report["status"], report["payload"]) == ("error", {})
+    assert "list" in report["diagnostics"][0]
+
+
+def _with_true(name, *path):
+    """Fixture ``name`` with the value at ``path`` (keys and list indices) set to JSON true."""
+    obj = fixture(name)
+    target = obj
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = True
+    return obj
+
+
+def test_booleans_are_not_integers(tmp_path, capsys):
+    """JSON true is refused wherever an integer is expected: dim, e, p and entry indices."""
+    algebra = tmp_path / "3dim.json"
+    algebra.write_text(render(fixture("3dim")), encoding="utf-8")
+    rep = {
+        "e": True,
+        "rho": [[["0"]]] * 3,
+        "D": [[[["0"]]] * 3] * 3,
+        "theta": [[[["0"]]] * 3] * 3,
+    }
+    tau = {"p": 1, "f": [[1, 2, ["0", "0", "0"]]], "g": []}
+    cases = [
+        (["check"], _with_true("3dim", "dim"), "'dim' must be an integer"),
+        (["check"], _with_true("3dim", "binary", 0, 0), "binary entry index must be an integer"),
+        (["check"], _with_true("3dim", "ternary", 0, 2), "ternary entry index must be an integer"),
+        (["rep-check", str(algebra), "--rep"], rep, "'e' must be an integer"),
+        (["twist", str(algebra), "--tau"], {**tau, "p": True}, "'p' must be an integer"),
+        (["twist", str(algebra), "--tau"], {**tau, "f": [[True, 2, ["0", "0", "0"]]]}, "f entry index"),
+        (["twist", str(algebra), "--tau"], {**tau, "g": [[1, 2, True, ["0", "0", "0"]]]}, "g entry index"),
+    ]
+    for argv, obj, message in cases:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, report = run_cli(capsys, *argv, str(path))
+        assert code == 2, argv
+        assert (report["status"], report["payload"]) == ("error", {}), argv
+        assert message in report["diagnostics"][0], (argv, report["diagnostics"])
+
+
 def test_out_flag_writes_file(tmp_path):
     src = tmp_path / "3dim.json"
     src.write_text(render(fixture("3dim")), encoding="utf-8")
