@@ -12,7 +12,8 @@ at this scale; nothing here claims smoothness.
 
 An undeclared self transition g_ii is the identity.  In chart coordinates
 the trivialization is the identity map, so every fibre is the fibre model:
-fibrewise groups are computed once and listed at every chart sample.  Their
+``bundle_cohomology`` computes one fibre group ("der" is h1's kernel
+ker delta_zero, the derivations) and lists it at every chart sample.  Its
 ``constant`` flag reports ``transport_failures``: transport of cochains along
 each sampled transition value s, (s.f)(x1, ..., xn) = s f(s^-1 x1, ...,
 s^-1 xn), must preserve the fibre's cocycles and coboundaries.
@@ -39,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LYAlgebra, _map_defect, derivations, is_homomorphism, is_valid, structure_lcm
+from .algebra import LYAlgebra, _map_defect, is_homomorphism, is_valid, structure_lcm
 from .cohomology import DEFAULT_SIZE_CAP, h1, h23, h_upper, transport_defects
 from .errors import (
     CocycleCheckFailed,
@@ -501,6 +502,22 @@ class BundleCohomologyReport:
         return not self.transport_failures
 
 
+# --which -> (fibre group, key of its dimension); "der" is h1's kernel ker delta_zero,
+# the derivations, and "upper" formats its key with (2p, 2p+1)
+_GROUPS = {
+    "h1": ("h1", "dimH1"),
+    "der": ("h1", "dimDer"),
+    "h23": ("h23", "dimH23"),
+    "upper": ("upper", "dimH{}{}"),
+}
+
+
+def _group(which: str) -> tuple:
+    if which not in _GROUPS:
+        raise ShapeMismatch(f"unknown cohomology selector {which!r}")
+    return _GROUPS[which]
+
+
 def transport_failures(
     b: BundleSpec, which: str = "h1", p: int = 2, mode: EvalMode = EXACT
 ) -> list[CocycleFailure]:
@@ -511,11 +528,11 @@ def transport_failures(
     names the coboundaries checked.  Exact in exact mode, within the tolerance
     in float mode; every automorphism passes.
     """
-    return _transport_failures(b, _adjoint(b.fiber), which, p, mode)
+    return _transport_failures(b, _adjoint(b.fiber), _group(which)[0], p, mode)
 
 
-def _transport_failures(b: BundleSpec, module, which: str, p: int, mode: EvalMode) -> list:
-    """``transport_failures`` with the fibre's adjoint module built by the caller."""
+def _transport_failures(b: BundleSpec, module, group: str, p: int, mode: EvalMode) -> list:
+    """``transport_failures`` of a fibre group, with the fibre's adjoint module built by the caller."""
     failures, where, maps = [], [], []
     for tf in b.transitions:
         for pt in tf.samples:
@@ -526,7 +543,6 @@ def _transport_failures(b: BundleSpec, module, which: str, p: int, mode: EvalMod
             else:
                 where.append((tf.label(), pt))
                 maps.append((s, s_inv))
-    group = "h1" if which == "der" else which
     defects = transport_defects(b.fiber, module, group, p, maps)
     for (label, pt), norm in zip(where, defects):
         if norm > mode.bound:
@@ -543,10 +559,11 @@ def bundle_cohomology(
 ) -> BundleCohomologyReport:
     """Fibrewise cohomology dims with adjoint coefficients, listed per sample point.
 
-    Requires a passing cocycle check.  The fibre group is computed once;
-    ``constant`` reports that transport along every sampled transition value
-    preserves it, that is, no ``transport_failures``.
+    Requires a known ``which`` and a passing cocycle check.  The fibre group
+    is computed once; ``constant`` reports that transport along every sampled
+    transition value preserves it, that is, no ``transport_failures``.
     """
+    group, key = _group(which)
     gate = check_cocycle(b, mode)
     if not gate.ok:
         first = gate.failures[0]
@@ -558,39 +575,20 @@ def bundle_cohomology(
     fiber = b.fiber
     # BundleSpec validated the fibre, so its adjoint module is built unchecked, once
     module = _adjoint(fiber)
-    if which == "h1":
-        dims = {"dimH1": h1(fiber, module)[0]}
-    elif which == "h23":
-        res = h23(fiber, module, cap=cap)
-        dims = {"dimZ": res.dim_z, "dimB": res.dim_b, "dimH23": res.dim}
-    elif which == "upper":
-        res = h_upper(fiber, module, p, cap=cap)
-        dims = {"dimZ": res.dim_z, "dimB": res.dim_b, f"dimH{2*p}{2*p+1}": res.dim}
-    elif which == "der":
-        dims = {"dimDer": derivations(fiber).dim}
+    if group == "h1":
+        dims = {key: h1(fiber, module)[0]}
     else:
-        raise ShapeMismatch(f"unknown cohomology selector {which!r}")
+        res = h23(fiber, module, cap=cap) if group == "h23" else h_upper(fiber, module, p, cap=cap)
+        dims = {"dimZ": res.dim_z, "dimB": res.dim_b, key.format(2 * p, 2 * p + 1): res.dim}
     points = [FiberCohomologyPoint(c.name, pt, dims) for c in b.charts for pt in c.samples]
-    failures = _transport_failures(b, module, which, p, mode)
-    return BundleCohomologyReport(which, p if which == "upper" else None, points, failures)
+    failures = _transport_failures(b, module, group, p, mode)
+    return BundleCohomologyReport(which, p if group == "upper" else None, points, failures)
 
 
-@dataclass
-class DerivationBundleReport:
-    dims: list[FiberCohomologyPoint]
-    conjugation_failures: list[CocycleFailure]
-    constant: bool
+def der_bundle_dims(b: BundleSpec, mode: EvalMode = EXACT) -> BundleCohomologyReport:
+    """``bundle_cohomology(b, "der")``.
 
-    @property
-    def ok(self) -> bool:
-        return not self.conjugation_failures
-
-
-def der_bundle_dims(b: BundleSpec, mode: EvalMode = EXACT) -> DerivationBundleReport:
-    """``bundle_cohomology`` with "der": the derivation dimension, listed per sample point.
-
-    Its transport check asks that s T s^-1 be a derivation for every
-    derivation T; the failures are ``conjugation_failures``.
+    Kept only because the benchmark tracer wraps this name; it goes once
+    ROADMAP item 6 drops that trace point.
     """
-    res = bundle_cohomology(b, "der", mode=mode)
-    return DerivationBundleReport(res.points, res.transport_failures, res.constant)
+    return bundle_cohomology(b, "der", mode=mode)

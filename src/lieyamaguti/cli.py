@@ -85,32 +85,25 @@ def _rep_report_json(report: rep.RepReport) -> dict:
     }
 
 
+def _failure_json(f: bnd.CocycleFailure) -> dict:
+    """A bundle failure; a triple overlap's point is three points, an exact norm a rational string."""
+    if f.point is None:
+        point = None
+    elif f.point and isinstance(f.point[0], tuple):
+        point = [vec_to_json(q) for q in f.point]
+    else:
+        point = vec_to_json(f.point)
+    norm = frac_to_str(f.defect_norm) if isinstance(f.defect_norm, Fraction) else f.defect_norm
+    return {"kind": f.kind, "where": f.where, "point": point, "defect_norm": norm, "detail": f.detail}
+
+
 def _cocycle_report_json(report: bnd.CocycleReport) -> dict:
-    def norm_json(n):
-        return frac_to_str(n) if isinstance(n, Fraction) else n
-
-    def point_json(p):
-        if p is None:
-            return None
-        if p and isinstance(p[0], tuple):
-            return [vec_to_json(q) for q in p]
-        return vec_to_json(p)
-
     return {
         "ok": report.ok,
         "mode": report.mode.kind,
         "tolerance": report.mode.tol if report.mode.kind == "float" else None,
         "checks": report.checks,
-        "failures": [
-            {
-                "kind": f.kind,
-                "where": f.where,
-                "point": point_json(f.point),
-                "defect_norm": norm_json(f.defect_norm),
-                "detail": f.detail,
-            }
-            for f in report.failures
-        ],
+        "failures": [_failure_json(f) for f in report.failures],
     }
 
 
@@ -353,29 +346,23 @@ def _cmd_bundle_cohomology(args) -> int:
     b = bundle_from_json(_load_json(args.input))
     mode = _parse_mode(args)
     try:
-        if args.which == "der":
-            res = bnd.der_bundle_dims(b, mode)
-            points, ok = res.dims, res.ok
-            payload = {
-                "which": "der",
-                "conjugation_ok": res.ok,
-                "conjugation_failures": [
-                    {"where": f.where, "point": vec_to_json(f.point), "detail": f.detail}
-                    for f in res.conjugation_failures
-                ],
-            }
-        else:
-            res = bnd.bundle_cohomology(b, args.which, args.level, mode, cap=args.cap)
-            points, ok = res.points, True
-            payload = {"which": res.which, "p": res.p}
+        res = bnd.bundle_cohomology(b, args.which, args.level, mode, cap=args.cap)
     except CocycleCheckFailed as exc:
         payload = {"cocycle": _cocycle_report_json(exc.report)}
         _emit(args, _report("bundle-cohomology", "fail", payload, [str(exc)]))
         return 1
-    payload["per_point"] = [{"chart": x.chart, "point": vec_to_json(x.point), **x.dims} for x in points]
+    failures = [_failure_json(f) for f in res.transport_failures]
+    if res.which == "der":
+        payload = {"which": "der", "conjugation_ok": res.constant, "conjugation_failures": failures}
+    else:
+        payload = {"which": res.which, "p": res.p}
+    payload["per_point"] = [{"chart": x.chart, "point": vec_to_json(x.point), **x.dims} for x in res.points]
     payload["constant"] = res.constant
-    _emit(args, _report("bundle-cohomology", "pass" if ok else "fail", payload, []))
-    return 0 if ok else 1
+    if failures:
+        payload["transport_failures"] = failures
+    diags = [] if res.constant else [f"{len(failures)} transport failures"]
+    _emit(args, _report("bundle-cohomology", "pass" if res.constant else "fail", payload, diags))
+    return 0 if res.constant else 1
 
 
 def _cmd_examples(args) -> int:

@@ -207,48 +207,58 @@ def cochain_pair_from_json(obj, d: int, e: int) -> CochainPair:
 # bundles
 
 
+def _required(obj: dict, key: str, what: str):
+    """``obj[key]``; a missing field is refused naming the object and the field."""
+    if key not in obj:
+        raise ShapeMismatch(f"{what} has no {key!r} field")
+    return obj[key]
+
+
+def _list(obj: dict, key: str, what: str) -> list:
+    """``obj[key]``, empty if absent, if it is a list."""
+    v = obj.get(key, [])
+    if not isinstance(v, list):
+        raise ShapeMismatch(f"{what}: {key!r} must be a list, got {v!r}")
+    return v
+
+
+def _point(v, what: str) -> tuple[Fraction, ...]:
+    """A sample point of the object ``what``."""
+    if not isinstance(v, list):
+        raise ShapeMismatch(f"{what}: a point in 'samples' must be a list of rationals, got {v!r}")
+    return vec_from_json(v)
+
+
 def bundle_from_json(obj) -> BundleSpec:
     if not isinstance(obj, dict) or "fiber" not in obj or "charts" not in obj:
         raise ShapeMismatch("bundle JSON must carry 'fiber' and 'charts'")
     fiber = algebra_from_json(obj["fiber"])
     charts = []
-    for c in _objects(obj["charts"], "'charts'"):
-        coords = c.get("coords", [])
-        if not isinstance(coords, list):
-            raise ShapeMismatch("chart coords must be a list of names")
-        charts.append(
-            Chart(
-                str(c["name"]),
-                tuple(str(x) for x in coords),
-                tuple(vec_from_json(p) for p in c.get("samples", [])),
-            )
-        )
+    for n, c in enumerate(_objects(obj["charts"], "'charts'")):
+        name = str(_required(c, "name", f"chart {n}"))
+        what = f"chart {name!r}"
+        coords = tuple(str(x) for x in _list(c, "coords", what))
+        charts.append(Chart(name, coords, tuple(_point(p, what) for p in _list(c, "samples", what))))
     transitions = []
-    for t in _objects(obj.get("transitions", []), "'transitions'"):
-        rows = t.get("matrix", [])
-        if not rows:
-            raise ShapeMismatch("transition matrix missing")
-        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-            raise ShapeMismatch("a transition matrix is a list of rows, each a list of expressions")
+    for n, t in enumerate(_objects(obj.get("transitions", []), "'transitions'")):
+        frm, to = (str(_required(t, key, f"transition {n}")) for key in ("from", "to"))
+        what = f"transition {frm}->{to}"
+        rows = _required(t, "matrix", what)
+        if not (rows and isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ShapeMismatch(f"{what}: 'matrix' must be a nonempty list of rows, each a list of expressions")
         matrix = tuple(tuple(parse_expr(str(x)) for x in row) for row in rows)
-        transitions.append(
-            TransitionFamily(
-                str(t["from"]),
-                str(t["to"]),
-                matrix,
-                tuple(vec_from_json(p) for p in t.get("samples", [])),
-            )
-        )
+        samples = tuple(_point(p, what) for p in _list(t, "samples", what))
+        transitions.append(TransitionFamily(frm, to, matrix, samples))
     triples = []
-    for t in _objects(obj.get("triples", []), "'triples'"):
+    for n, t in enumerate(_objects(obj.get("triples", []), "'triples'")):
+        what = f"triple overlap {n}"
+        i, j, k = (str(_required(t, key, what)) for key in ("i", "j", "k"))
         samples = []
-        for s in t.get("samples", []):
+        for s in _list(t, "samples", what):
             if not (isinstance(s, list) and len(s) == 3):
                 raise ShapeMismatch(
-                    "triple samples are [point_in_chart_i, point_in_chart_j, point_in_chart_k]"
+                    f"{what}: samples are [point_in_chart_i, point_in_chart_j, point_in_chart_k]"
                 )
-            samples.append(
-                (vec_from_json(s[0]), vec_from_json(s[1]), vec_from_json(s[2]))
-            )
-        triples.append(TripleOverlap(str(t["i"]), str(t["j"]), str(t["k"]), tuple(samples)))
+            samples.append(tuple(_point(q, what) for q in s))
+        triples.append(TripleOverlap(i, j, k, tuple(samples)))
     return BundleSpec(fiber, tuple(charts), tuple(transitions), tuple(triples))

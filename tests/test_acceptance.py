@@ -27,7 +27,7 @@ from lieyamaguti import (
     twisted_semidirect,
     zero_algebra,
 )
-from lieyamaguti.bundle import EXACT, check_cocycle, der_bundle_dims, bundle_cohomology
+from lieyamaguti.bundle import EXACT, check_cocycle, bundle_cohomology
 from lieyamaguti.cli import run
 from lieyamaguti.cohomology import CochainPair
 from lieyamaguti.fixtures import fixture, render
@@ -294,10 +294,10 @@ def test_criterion_10_fibrewise_constancy(capsys):
 
 def test_criterion_11_derivation_bundle_invariance(capsys):
     b = bundle_from_json(fixture("circle-bundle"))
-    report = der_bundle_dims(b)
+    report = bundle_cohomology(b, "der")
     n_der = derivations(b.fiber).dim
     n_transition_samples = sum(len(tf.samples) for tf in b.transitions)
-    ok = report.ok and report.constant
+    ok = report.constant and {p.dims["dimDer"] for p in report.points} == {n_der}
     with capsys.disabled():
         report_line(
             11,

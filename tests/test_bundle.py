@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,9 @@ from lieyamaguti.errors import (
     ShapeMismatch,
     UnknownIdentifier,
 )
+from lieyamaguti.cli import run
 from lieyamaguti.exprs import parse_expr
-from lieyamaguti.fixtures import fixture, fixture_circle_bundle
+from lieyamaguti.fixtures import fixture, fixture_circle_bundle, render
 from lieyamaguti.linalg import Matrix, SubspaceBasis
 from lieyamaguti.schemas import bundle_from_json
 
@@ -265,14 +267,17 @@ def test_bundle_cohomology_gated_on_cocycle():
     bad["transitions"][0]["matrix"] = [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     with pytest.raises(CocycleCheckFailed):
         bundle_cohomology(bundle_from_json(bad), "h1")
+    # an unknown selector is refused before the gate runs
+    with pytest.raises(ShapeMismatch, match="unknown cohomology selector"):
+        bundle_cohomology(bundle_from_json(bad), "h2")
 
 
 def test_der_bundle_dims_and_conjugation(circle):
-    report = der_bundle_dims(circle)
-    assert report.ok
+    report = bundle_cohomology(circle, "der")
     assert report.constant
     expect = derivations(circle.fiber).dim
-    assert all(p.dims["dimDer"] == expect for p in report.dims)
+    assert all(p.dims["dimDer"] == expect for p in report.points)
+    assert der_bundle_dims(circle) == report
 
 
 CAYLEY = [
@@ -304,10 +309,14 @@ def _cayley_bundle(samples=(("1/2",), ("2",))):
     )
 
 
-def _diag211_bundle():
+def _diag211_json():
     bad = fixture_circle_bundle()
     bad["transitions"][0]["matrix"] = [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
-    return bundle_from_json(bad)
+    return bad
+
+
+def _diag211_bundle():
+    return bundle_from_json(_diag211_json())
 
 
 @pytest.mark.parametrize("which", ["h1", "h23", "upper", "der"])
@@ -330,16 +339,34 @@ def test_transport_passes_on_rotations():
     assert transport_failures(_cayley_bundle(samples=(("1/3",),)), "upper", 2) == []
 
 
-def test_constant_reports_the_transport_check(monkeypatch):
+def test_constant_reports_the_transport_check(monkeypatch, tmp_path, capsys):
     from lieyamaguti import bundle
 
     # let a non-automorphism past the cocycle gate to reach the transport check
     monkeypatch.setattr(bundle, "check_cocycle", lambda b, mode: bundle.CocycleReport(mode))
     b = _diag211_bundle()
     assert not bundle_cohomology(b, "h1").constant
-    report = der_bundle_dims(b)
-    assert not report.ok and not report.constant
-    assert {f.where for f in report.conjugation_failures} == {"U1->U2"}
+    report = bundle_cohomology(b, "der")
+    assert not report.constant
+    assert {f.where for f in report.transport_failures} == {"U1->U2"}
+    # one exit policy: every selector fails with exit 1 and lists the failing samples
+    bad = _diag211_json()
+    path = tmp_path / "diag211.json"
+    path.write_text(render(bad), encoding="utf-8")
+    expected = [("transport", "U1->U2", pt) for pt in bad["transitions"][0]["samples"]]
+    for which in ("h1", "h23", "upper", "der"):
+        code = run(["bundle-cohomology", str(path), "--which", which])
+        out = json.loads(capsys.readouterr().out)
+        assert (code, out["status"]) == (1, "fail"), which
+        payload = out["payload"]
+        assert payload["constant"] is False, which
+        failures = payload["transport_failures"]
+        assert [(f["kind"], f["where"], f["point"]) for f in failures] == expected, which
+        assert all(set(f) == {"kind", "where", "point", "defect_norm", "detail"} for f in failures)
+        assert all(Fraction(f["defect_norm"]) > 0 for f in failures), which
+        if which == "der":
+            assert payload["conjugation_ok"] is False
+            assert payload["conjugation_failures"] == failures
 
 
 def test_float_failures_report_kind_point_and_norm():

@@ -407,6 +407,46 @@ def test_bundle_strings_are_not_lists(tmp_path, capsys, mutate):
     assert "list" in report["diagnostics"][0]
 
 
+@pytest.mark.parametrize(
+    "section, index, key, value, where",
+    [
+        ("charts", 0, "name", None, "chart 0"),
+        ("charts", 1, "samples", 5, "chart 'U2'"),
+        ("charts", 0, "coords", 5, "chart 'U1'"),
+        ("transitions", 1, "from", None, "transition 1"),
+        ("transitions", 0, "to", None, "transition 0"),
+        ("transitions", 0, "matrix", None, "transition U1->U2"),
+        ("transitions", 1, "samples", 5, "transition U2->U1"),
+        ("transitions", 0, "samples", [5], "transition U1->U2"),
+        ("triples", 0, "i", None, "triple overlap 0"),
+        ("triples", 0, "k", None, "triple overlap 0"),
+        ("triples", 0, "samples", "U1", "triple overlap 0"),
+    ],
+    ids=[
+        "chart-name", "chart-samples", "chart-coords", "transition-from", "transition-to",
+        "transition-matrix", "transition-samples", "transition-point", "triple-i", "triple-k",
+        "triple-samples",
+    ],
+)
+def test_bundle_loader_names_object_and_field(tmp_path, capsys, section, index, key, value, where):
+    """A missing field (value None) or a non-list samples/coords names its object and the field."""
+    obj = fixture("circle-bundle")
+    entry = obj[section][index]
+    if value is None:
+        del entry[key]
+    else:
+        entry[key] = value
+    path = tmp_path / "mutated.json"
+    path.write_text(render(obj), encoding="utf-8")
+    for command in ("bundle-check", "bundle-cohomology"):
+        code, report = run_cli(capsys, command, str(path))
+        assert code == 2, command
+        assert (report["status"], report["payload"]) == ("error", {})
+        diagnostic = report["diagnostics"][0]
+        assert f"'{key}'" in diagnostic and where in diagnostic, diagnostic
+        assert "Error" not in diagnostic, diagnostic
+
+
 def _with_true(name, *path):
     """Fixture ``name`` with the value at ``path`` (keys and list indices) set to JSON true."""
     obj = fixture(name)

@@ -491,7 +491,7 @@ def test_validation_runs_once_per_entry_point(monkeypatch, rng, tmp_path, capsys
         call()
         assert len(calls) == 1, name
     # a bundle job validates the fibre on load and once more in its fibre group
-    # (h1, h23 or derivations); the adjoint module and the transport check reuse it
+    # (h1 for h1 and der, h23 for h23); the adjoint module and the transport check reuse it
     circle = tmp_path / "circle.json"
     circle.write_text(render(fixture("circle-bundle")), encoding="utf-8")
     for which in ("h1", "der", "h23"):
