@@ -539,7 +539,7 @@ def derivations(a: LYAlgebra) -> SubspaceBasis:
     to be closed under commutator.  Unknown x[r*d + s] is the (r, s) entry,
     which is the C^1 coordinate f(e_s)_r at s*d + r.
     """
-    from .cohomology import _delta_zero_op
+    from .cohomology import _delta_op
     from .representation import _adjoint
 
     _require_valid(a)
@@ -549,7 +549,7 @@ def derivations(a: LYAlgebra) -> SubspaceBasis:
         s, r = divmod(col, d)
         return r * d + s
 
-    lines = _delta_zero_op(a, _adjoint(a))._lines(by_column=False)
+    lines = _delta_op(a, _adjoint(a), 0)._lines(by_column=False)
     basis = sparse_kernel(d * d, ([(entry(col), x) for col, x in line] for line in lines))
 
     # closure under commutator is a theorem; assert it as a consistency check

@@ -502,20 +502,25 @@ class BundleCohomologyReport:
         return not self.transport_failures
 
 
-# --which -> (fibre group, key of its dimension); "der" is h1's kernel ker delta_zero,
-# the derivations, and "upper" formats its key with (2p, 2p+1)
+# --which -> (level of the complex, key of its dimension); "der" is h1's kernel
+# ker delta_zero, the derivations, and "upper" is at level --p >= 2 and formats
+# its key with (2p, 2p+1)
 _GROUPS = {
-    "h1": ("h1", "dimH1"),
-    "der": ("h1", "dimDer"),
-    "h23": ("h23", "dimH23"),
-    "upper": ("upper", "dimH{}{}"),
+    "h1": (0, "dimH1"),
+    "der": (0, "dimDer"),
+    "h23": (1, "dimH23"),
+    "upper": (None, "dimH{}{}"),
 }
 
 
-def _group(which: str) -> tuple:
+def _group(which: str, p: int) -> tuple:
+    """(level, dims key) of a --which selector."""
     if which not in _GROUPS:
         raise ShapeMismatch(f"unknown cohomology selector {which!r}")
-    return _GROUPS[which]
+    level, key = _GROUPS[which]
+    if level is None and p < 2:
+        raise ShapeMismatch("--which upper needs --p >= 2; h23 is p = 1")
+    return p if level is None else level, key
 
 
 def transport_failures(
@@ -528,11 +533,11 @@ def transport_failures(
     names the coboundaries checked.  Exact in exact mode, within the tolerance
     in float mode; every automorphism passes.
     """
-    return _transport_failures(b, _adjoint(b.fiber), _group(which)[0], p, mode)
+    return _transport_failures(b, _adjoint(b.fiber), _group(which, p)[0], mode)
 
 
-def _transport_failures(b: BundleSpec, module, group: str, p: int, mode: EvalMode) -> list:
-    """``transport_failures`` of a fibre group, with the fibre's adjoint module built by the caller."""
+def _transport_failures(b: BundleSpec, module, level: int, mode: EvalMode) -> list:
+    """``transport_failures`` at a level of the complex, with the fibre's adjoint module built by the caller."""
     failures, where, maps = [], [], []
     for tf in b.transitions:
         for pt in tf.samples:
@@ -543,7 +548,7 @@ def _transport_failures(b: BundleSpec, module, group: str, p: int, mode: EvalMod
             else:
                 where.append((tf.label(), pt))
                 maps.append((s, s_inv))
-    defects = transport_defects(b.fiber, module, group, p, maps)
+    defects = transport_defects(b.fiber, module, level, maps)
     for (label, pt), norm in zip(where, defects):
         if norm > mode.bound:
             failures.append(CocycleFailure("transport", label, pt, norm, "transport does not preserve the fibre group"))
@@ -563,7 +568,7 @@ def bundle_cohomology(
     is computed once; ``constant`` reports that transport along every sampled
     transition value preserves it, that is, no ``transport_failures``.
     """
-    group, key = _group(which)
+    level, key = _group(which, p)
     gate = check_cocycle(b, mode)
     if not gate.ok:
         first = gate.failures[0]
@@ -575,14 +580,14 @@ def bundle_cohomology(
     fiber = b.fiber
     # BundleSpec validated the fibre, so its adjoint module is built unchecked, once
     module = _adjoint(fiber)
-    if group == "h1":
-        dims = {key: h1(fiber, module)[0]}
+    if level == 0:
+        dims = {key: h1(fiber, module, cap=cap)[0]}
     else:
-        res = h23(fiber, module, cap=cap) if group == "h23" else h_upper(fiber, module, p, cap=cap)
-        dims = {"dimZ": res.dim_z, "dimB": res.dim_b, key.format(2 * p, 2 * p + 1): res.dim}
+        res = h23(fiber, module, cap=cap) if level == 1 else h_upper(fiber, module, level, cap=cap)
+        dims = {"dimZ": res.dim_z, "dimB": res.dim_b, key.format(2 * level, 2 * level + 1): res.dim}
     points = [FiberCohomologyPoint(c.name, pt, dims) for c in b.charts for pt in c.samples]
-    failures = _transport_failures(b, module, group, p, mode)
-    return BundleCohomologyReport(which, p if group == "upper" else None, points, failures)
+    failures = _transport_failures(b, module, level, mode)
+    return BundleCohomologyReport(which, p if which == "upper" else None, points, failures)
 
 
 def der_bundle_dims(b: BundleSpec, mode: EvalMode = EXACT) -> BundleCohomologyReport:

@@ -261,7 +261,9 @@ def _cmd_cohomology(args) -> int:
         raise ShapeMismatch("--p must be >= 1")
     if args.level == 1:
         res = coh.h23(a, r, cap=args.cap)
-        extra = {"dimH23": res.dim, "dimH1": res.h1()[0], "reading": res.reading}
+        # H^1 = ker delta_zero, whose dimension is dim C^1 - dim B^(2,3) by rank-nullity
+        dimH1 = coh.cochain_dim(1, a.dim, r.e) - res.dim_b
+        extra = {"dimH23": res.dim, "dimH1": dimH1, "reading": coh.Z23_READING}
     else:
         res = coh.h_upper(a, r, args.level, cap=args.cap)
         extra = {}

@@ -21,15 +21,19 @@ to the sign of sorting each group.
   Both alternate in (x1, x2, x3), and delta*_II leaves x4 free, so the
   shapes are (3,) and (3, 1).  For d < 3 the target is empty.
 
-Each coboundary -- delta_zero: C^1 -> C^(2,3), delta = (delta_I, delta_II):
-C^(2p,2p+1) -> C^(2p+2,2p+3) and the auxiliary delta* above -- is one sparse
-operator, defined only by a private term generator and assembled on the
-representatives of its target shape.  Applying it to a cochain, densifying it
-(``*_matrix``) and taking its kernel and image (``h1``, ``h23``, ``h_upper``)
-all go through that operator.  Kernels and images are read off the operator's
-nonzero entries by ``linalg``'s sparse fraction-free elimination; they are
-never densified.  Validity of the base algebra is checked once per public
-entry point, never inside an operator.
+The complex is indexed by level p: level 0 is C^1 and level p >= 1 is
+C^(2p,2p+1).  delta = (delta_I, delta_II) maps level p to level p + 1 for
+every p >= 0; delta_zero is delta at p = 0, one term generator for both.  The
+auxiliary delta* leaves level 1.  Each operator is sparse, defined only by
+its term generator and assembled on the representatives of its target shape.
+Applying it to a cochain, densifying it (``*_matrix``) and computing groups
+all go through that operator.  One table lists the operators into and out of
+each level, and the group at level p (``h1``, ``h23``, ``h_upper``) is Z/B
+with Z the joint kernel of the operators out and B the image of the one in;
+transport of cochains is checked against the same operators.  Kernels and
+images are read off the operator's nonzero entries by ``linalg``'s sparse
+fraction-free elimination; they are never densified.  Validity of the base
+algebra is checked once per public entry point, never inside an operator.
 
 The sign convention of delta*'s rho-block, - rho(x1) f(x2, x3) summed
 cyclically, is the unique one (given its cyclic f- and g-blocks) for which
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -125,7 +129,11 @@ def _pair_space(p: int) -> tuple:
     return _cochain_groups(2 * p), _cochain_groups(2 * p + 1)
 
 
-_C1_SPACE = ((1,),)
+def _space(p: int) -> tuple:
+    """Slot groups of level p of the complex: C^1 at p = 0, C^(2p,2p+1) above."""
+    return _pair_space(p) if p else ((1,),)
+
+
 _STAR_TARGET = ((3,), (3, 1))
 
 
@@ -301,23 +309,12 @@ def _weighted(coeff, tup: tuple, slot: int, weights: Sequence[Fraction]):
             yield coeff * w, None, tuple(args)
 
 
-def _delta_zero_terms(a: LYAlgebra, r: Representation, xs: tuple):
-    """delta_zero f on (x1, x2) and (x1, x2, x3)."""
-    i, j = xs[:2]
-    if len(xs) == 2:
-        yield 1, r.rho[i], (j,)
-        yield -1, r.rho[j], (i,)
-        yield from _weighted(-1, (0,), 0, a.binary[i][j])
-    else:
-        k = xs[2]
-        yield 1, r.theta[j][k], (i,)
-        yield -1, r.theta[i][k], (j,)
-        yield 1, r.dmap[i][j], (k,)
-        yield from _weighted(-1, (0,), 0, a.ternary[i][j][k])
-
-
 def _delta_terms(a: LYAlgebra, r: Representation, xs: tuple):
-    """delta_I (f, g) on 2p+2 arguments and delta_II (f, g) on 2p+3 arguments."""
+    """delta_I (f, g) on 2p+2 arguments and delta_II (f, g) on 2p+3 arguments.
+
+    At p = 0 every term reads the one-argument component, so this is
+    delta_zero on C^1.
+    """
     p = (len(xs) - 2) // 2
     sgn_p = (-1) ** p
     head = xs[: 2 * p]
@@ -400,16 +397,25 @@ def _transport_terms(value, inverse, space: tuple):
     return terms
 
 
-def _delta_zero_op(a: LYAlgebra, r: Representation) -> _Operator:
-    return _assemble(a, r, _C1_SPACE, _pair_space(1), _delta_zero_terms)
-
-
 def _delta_op(a: LYAlgebra, r: Representation, p: int) -> _Operator:
-    return _assemble(a, r, _pair_space(p), _pair_space(p + 1), _delta_terms)
+    return _assemble(a, r, _space(p), _space(p + 1), _delta_terms)
 
 
 def _delta_star_op(a: LYAlgebra, r: Representation) -> _Operator:
-    return _assemble(a, r, _pair_space(1), _STAR_TARGET, _delta_star_terms)
+    return _assemble(a, r, _space(1), _STAR_TARGET, _delta_star_terms)
+
+
+def _coboundaries(a: LYAlgebra, r: Representation, p: int) -> tuple[list, list]:
+    """The operators into and out of level p, each as (source, target, operator).
+
+    Into level p: none at p = 0, else delta_(p-1) (delta_zero at p = 1).
+    Out of level p: delta_p, and delta* at p = 1.
+    """
+    into = [(_space(p - 1), _space(p), _delta_op(a, r, p - 1))] if p else []
+    out = [(_space(p), _space(p + 1), _delta_op(a, r, p))]
+    if p == 1:
+        out.append((_space(1), _STAR_TARGET, _delta_star_op(a, r)))
+    return into, out
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +428,7 @@ def delta_zero(a: LYAlgebra, r: Representation, f: Matrix) -> CochainPair:
     if f.rows != r.e or f.cols != a.dim:
         raise ShapeMismatch(f"C^1 element must be {r.e} x {a.dim}")
     flat = [f[m, s] for s in range(a.dim) for m in range(r.e)]
-    return CochainPair.from_flat(1, a.dim, r.e, _delta_zero_op(a, r).apply(flat))
+    return CochainPair.from_flat(1, a.dim, r.e, _delta_op(a, r, 0).apply(flat))
 
 
 def delta(a: LYAlgebra, r: Representation, c: CochainPair) -> CochainPair:
@@ -452,7 +458,7 @@ def delta_star(a: LYAlgebra, r: Representation, c: CochainPair) -> tuple[Cochain
 def delta_zero_matrix(a: LYAlgebra, r: Representation) -> Matrix:
     """Matrix of delta_zero; column s*e + m is the C^1 coordinate f(e_s)_m."""
     _check_shapes(a, r)
-    return _delta_zero_op(a, r).dense()
+    return _delta_op(a, r, 0).dense()
 
 
 def delta_matrix(a: LYAlgebra, r: Representation, p: int) -> Matrix:
@@ -467,21 +473,15 @@ def delta_star_matrix(a: LYAlgebra, r: Representation) -> Matrix:
     return _delta_star_op(a, r).dense()
 
 
-def h1(a: LYAlgebra, r: Representation) -> tuple[int, SubspaceBasis]:
-    """Joint kernel of delta_zero's two components inside C^1."""
-    _require_rep(a, r)
-    basis = _delta_zero_op(a, r).kernel()
-    return basis.dim, basis
-
-
 @dataclass
-class H23Result:
+class CohomologyResult:
+    """The group Z/B at level p of the complex."""
+
+    p: int
     dim: int
     z_basis: SubspaceBasis
     b_basis: SubspaceBasis
     delta_squared_zero: bool
-    delta_zero_op: _Operator = field(repr=False, compare=False)
-    reading: str = Z23_READING
 
     @property
     def dim_z(self) -> int:
@@ -490,11 +490,6 @@ class H23Result:
     @property
     def dim_b(self) -> int:
         return self.b_basis.dim
-
-    def h1(self) -> tuple[int, SubspaceBasis]:
-        """``h1`` of the same algebra and module, as the kernel of the delta_zero whose image is B."""
-        basis = self.delta_zero_op.kernel()
-        return basis.dim, basis
 
 
 def _check_cap(a: LYAlgebra, r: Representation, p: int, cap: int) -> None:
@@ -506,79 +501,59 @@ def _check_cap(a: LYAlgebra, r: Representation, p: int, cap: int) -> None:
         )
 
 
-def h23(a: LYAlgebra, r: Representation, cap: int = DEFAULT_SIZE_CAP) -> H23Result:
-    """H^(2,3) = Z/B with Z = ker(delta) ∩ ker(delta_star), B = delta(C^0).
+def _cohomology(a: LYAlgebra, r: Representation, p: int, cap: int) -> CohomologyResult:
+    """Z/B at level p: Z the joint kernel of the operators out, B the image of the one in.
 
-    Containment B <= Z, i.e. delta o delta_zero = 0 and delta* o delta_zero = 0,
-    is tested exactly and reported as ``delta_squared_zero``; failure raises
-    CocycleContainmentFailure, which signals a formula-transcription bug.
-    SizeCapExceeded is raised before assembly if C^5 has more than ``cap``
-    coordinates.
+    SizeCapExceeded is raised before assembly if C^(2p+3) has more than
+    ``cap`` coordinates.  Containment B <= Z (every composite of the operator
+    in with an operator out vanishes) is tested exactly and reported as
+    ``delta_squared_zero``; failure raises CocycleContainmentFailure, which
+    signals a formula-transcription bug.
     """
-    _require_rep(a, r)
-    _check_cap(a, r, 1, cap)
-    z = _delta_op(a, r, 1).stack(_delta_star_op(a, r)).kernel()
-    d0 = _delta_zero_op(a, r)
-    b = d0.image()
-    contained = z.contains_basis(b)
-    if not contained:
-        raise CocycleContainmentFailure("B^(2,3) is not contained in Z^(2,3)")
-    return H23Result(z.dim - b.dim, z, b, contained, d0)
-
-
-@dataclass
-class HUpperResult:
-    p: int
-    dim: int
-    dim_z: int
-    dim_b: int
-    delta_squared_zero: bool
-
-
-def h_upper(a: LYAlgebra, r: Representation, p: int, cap: int = DEFAULT_SIZE_CAP) -> HUpperResult:
-    """H^(2p,2p+1) for p >= 2 by exact kernel/image computation.
-
-    ``delta_squared_zero`` is the exact containment test B <= Z, which is
-    delta_p o delta_(p-1) = 0; failure raises CocycleContainmentFailure.
-    """
-    if p < 2:
-        raise ShapeMismatch("h_upper is for p >= 2; use h23 for p = 1")
     _require_rep(a, r)
     _check_cap(a, r, p, cap)
-    z = _delta_op(a, r, p).kernel()
-    b = _delta_op(a, r, p - 1).image()
+    into, out = _coboundaries(a, r, p)
+    z = functools.reduce(_Operator.stack, (op for _, _, op in out)).kernel()
+    b = into[0][2].image() if into else SubspaceBasis.from_sparse(z.ambient_dim, ())
     contained = z.contains_basis(b)
     if not contained:
-        raise CocycleContainmentFailure(f"B^(2p,2p+1) is not contained in Z^(2p,2p+1) at p={p}")
-    return HUpperResult(p, z.dim - b.dim, z.dim, b.dim, contained)
+        raise CocycleContainmentFailure(f"B is not contained in Z at level p={p}")
+    return CohomologyResult(p, z.dim - b.dim, z, b, contained)
+
+
+def h1(a: LYAlgebra, r: Representation, cap: int = DEFAULT_SIZE_CAP) -> tuple[int, SubspaceBasis]:
+    """H^1 = ker delta_zero inside C^1 (level 0, where B = 0)."""
+    res = _cohomology(a, r, 0, cap)
+    return res.dim, res.z_basis
+
+
+def h23(a: LYAlgebra, r: Representation, cap: int = DEFAULT_SIZE_CAP) -> CohomologyResult:
+    """H^(2,3) = Z/B with Z = ker(delta) ∩ ker(delta_star), B = delta_zero(C^1)."""
+    return _cohomology(a, r, 1, cap)
+
+
+def h_upper(a: LYAlgebra, r: Representation, p: int, cap: int = DEFAULT_SIZE_CAP) -> CohomologyResult:
+    """H^(2p,2p+1) = ker delta_p / im delta_(p-1) for p >= 2."""
+    if p < 2:
+        raise ShapeMismatch("h_upper is for p >= 2; use h23 for p = 1")
+    return _cohomology(a, r, p, cap)
 
 
 # ---------------------------------------------------------------------------
 # transport of cochains along module automorphisms
 
 
-def transport_defects(a: LYAlgebra, r: Representation, which: str, p: int, maps) -> list:
-    """Per (s, s^-1) in ``maps``: how far transport T fails to preserve a group.
+def transport_defects(a: LYAlgebra, r: Representation, p: int, maps) -> list:
+    """Per (s, s^-1) in ``maps``: how far transport T fails to preserve the group at level p.
 
     s (acting on the module) and s^-1 (on the arguments) are row lists of
     Fractions or floats.  The result is the largest entry of T o delta -
-    delta o T over delta_zero for "h1", delta_(p-1) and delta_p for "upper",
-    and delta_zero, delta and delta* for "h23".  0 means T maps cocycles and
-    coboundaries into themselves.  ``a`` is not validated here: the caller
-    has done so (``bundle`` validates the fibre when it loads it).
+    delta o T over every operator into and out of level p.  0 means T maps
+    cocycles and coboundaries into themselves.  ``a`` is not validated here:
+    the caller has done so (``bundle`` validates the fibre when it loads it).
     """
-    if which == "h1":
-        ops = [(_C1_SPACE, _pair_space(1), _delta_zero_op(a, r))]
-    elif which == "h23":
-        ops = [
-            (_C1_SPACE, _pair_space(1), _delta_zero_op(a, r)),
-            (_pair_space(1), _pair_space(2), _delta_op(a, r, 1)),
-            (_pair_space(1), _STAR_TARGET, _delta_star_op(a, r)),
-        ]
-    elif which == "upper":
-        ops = [(_pair_space(q), _pair_space(q + 1), _delta_op(a, r, q)) for q in (p - 1, p)]
-    else:
-        raise ShapeMismatch(f"unknown cohomology selector {which!r}")
+    into, out = _coboundaries(a, r, p)
+    ops = into + out
     spaces = {space for op in ops for space in op[:2]}
     defects = []
     for value, inverse in maps:

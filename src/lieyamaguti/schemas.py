@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algebra import LYAlgebra, from_sparse
 from .bundle import BundleSpec, Chart, TransitionFamily, TripleOverlap
 from .cohomology import CochainPair, _pair_space, _shape
-from .errors import ShapeMismatch
+from .errors import ExprSyntaxError, ShapeMismatch
 from .exprs import parse_expr
 from .linalg import Matrix, vec_is_zero
 from .representation import Representation
@@ -223,10 +223,21 @@ def _list(obj: dict, key: str, what: str) -> list:
 
 
 def _point(v, what: str) -> tuple[Fraction, ...]:
-    """A sample point of the object ``what``."""
+    """A sample point of the object ``what``; a bad one is refused naming the object and the field."""
     if not isinstance(v, list):
         raise ShapeMismatch(f"{what}: a point in 'samples' must be a list of rationals, got {v!r}")
-    return vec_from_json(v)
+    try:
+        return vec_from_json(v)
+    except ShapeMismatch as exc:
+        raise ShapeMismatch(f"{what}: a point in 'samples': {exc}") from None
+
+
+def _entry(x, what: str, row: int, col: int):
+    """The parsed expression at (row, col), counted from 1, of the 'matrix' of transition ``what``."""
+    try:
+        return parse_expr(str(x))
+    except ExprSyntaxError as exc:
+        raise ShapeMismatch(f"{what}: 'matrix' row {row}, column {col}: {exc}") from None
 
 
 def bundle_from_json(obj) -> BundleSpec:
@@ -246,7 +257,9 @@ def bundle_from_json(obj) -> BundleSpec:
         rows = _required(t, "matrix", what)
         if not (rows and isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
             raise ShapeMismatch(f"{what}: 'matrix' must be a nonempty list of rows, each a list of expressions")
-        matrix = tuple(tuple(parse_expr(str(x)) for x in row) for row in rows)
+        matrix = tuple(
+            tuple(_entry(x, what, m, n) for n, x in enumerate(row, 1)) for m, row in enumerate(rows, 1)
+        )
         samples = tuple(_point(p, what) for p in _list(t, "samples", what))
         transitions.append(TransitionFamily(frm, to, matrix, samples))
     triples = []

@@ -151,6 +151,18 @@ def test_cap_applies_at_p1(tmp_path, capsys, command):
     assert report["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "which, largest", [("h1", 27), ("der", 27), ("h23", 81), ("upper", 243)]
+)
+def test_bundle_cap_applies_to_every_group(tmp_path, capsys, which, largest):
+    """--cap bounds C^(2p+3) at every level: C^3 for h1 and der, C^5 for h23, C^7 for upper --p 2."""
+    path = write_fixture(tmp_path, "circle-bundle")
+    code, report = run_cli(capsys, "bundle-cohomology", path, "--which", which, "--cap", "1")
+    assert code == 3
+    assert (report["command"], report["status"], report["payload"]) == ("bundle-cohomology", "error", {})
+    assert report["diagnostics"] == [f"target cochain space has {largest} coordinates, cap is 1"]
+
+
 def test_cohomology_p1(tmp_path, capsys):
     path = write_fixture(tmp_path, "3dim")
     code, report = run_cli(capsys, "cohomology", "--p", "1", "--rep", "adjoint", path)
@@ -421,15 +433,23 @@ def test_bundle_strings_are_not_lists(tmp_path, capsys, mutate):
         ("triples", 0, "i", None, "triple overlap 0"),
         ("triples", 0, "k", None, "triple overlap 0"),
         ("triples", 0, "samples", "U1", "triple overlap 0"),
+        ("charts", 0, "samples", [["x"]], "chart 'U1'"),
+        (
+            "transitions", 0, "matrix", [["1", "0", "0"], ["0", "t +", "0"], ["0", "0", "1"]],
+            "transition U1->U2: 'matrix' row 2, column 2",
+        ),
+        ("transitions", 0, "samples", [["x"]], "transition U1->U2"),
+        ("triples", 0, "samples", [[["-1"], ["x"], ["-1"]]], "triple overlap 0"),
     ],
     ids=[
         "chart-name", "chart-samples", "chart-coords", "transition-from", "transition-to",
         "transition-matrix", "transition-samples", "transition-point", "triple-i", "triple-k",
-        "triple-samples",
+        "triple-samples", "chart-bad-rational", "transition-bad-expression",
+        "transition-bad-rational", "triple-bad-rational",
     ],
 )
 def test_bundle_loader_names_object_and_field(tmp_path, capsys, section, index, key, value, where):
-    """A missing field (value None) or a non-list samples/coords names its object and the field."""
+    """A missing field (value None), a non-list samples/coords or a bad value names its object and the field."""
     obj = fixture("circle-bundle")
     entry = obj[section][index]
     if value is None:

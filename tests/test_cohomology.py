@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -458,7 +459,7 @@ def test_groups_never_densify(monkeypatch):
     assert h1(a, r)[0] == 4
     assert h23(a, r).dim == 9
     assert h_upper(a, r, 2).dim == 22
-    assert transport_defects(a, r, "h23", 1, [(identity, identity)]) == [0]
+    assert transport_defects(a, r, 1, [(identity, identity)]) == [0]
 
 def test_validation_runs_once_per_entry_point(monkeypatch, rng, tmp_path, capsys):
     a = meson(3)
@@ -480,7 +481,9 @@ def test_validation_runs_once_per_entry_point(monkeypatch, rng, tmp_path, capsys
 
     monkeypatch.setattr(lieyamaguti.algebra, "check_axioms", counting)
     entry_points = {
+        "h1": lambda: h1(a, r),
         "h23": lambda: h23(a, r),
+        "h_upper": lambda: h_upper(a, r, 2),
         "delta": lambda: delta(a, r, c),
         "delta_star": lambda: delta_star(a, r, c),
         "delta_zero": lambda: delta_zero(a, r, f),
@@ -505,15 +508,17 @@ def test_cohomology_p1_assembles_delta_zero_once(monkeypatch, tmp_path, capsys):
     path = tmp_path / "3dim.json"
     path.write_text(render(fixture("3dim")), encoding="utf-8")
     built = []
-    assemble = lieyamaguti.cohomology._delta_zero_op
+    assemble = lieyamaguti.cohomology._delta_op
 
-    def counting(*args):
-        built.append(1)
-        return assemble(*args)
+    def counting(a, r, p):
+        built.append(p)
+        return assemble(a, r, p)
 
-    monkeypatch.setattr(lieyamaguti.cohomology, "_delta_zero_op", counting)
+    monkeypatch.setattr(lieyamaguti.cohomology, "_delta_op", counting)
     assert run(["cohomology", str(path), "--p", "1"]) == 0
-    capsys.readouterr()
-    assert len(built) == 1
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert built.count(0) == 1
     a = example_3dim()
-    assert h23(a, adjoint(a)).h1()[0] == h1(a, adjoint(a))[0] == 4
+    r = adjoint(a)
+    # rank-nullity: H^1 = ker delta_zero and B^(2,3) = im delta_zero
+    assert payload["dimH1"] == cochain_dim(1, a.dim, r.e) - h23(a, r).dim_b == h1(a, r)[0] == 4
