@@ -4,7 +4,10 @@ An algebra of dimension d stores the full binary tensor ``c[i][j]`` (the
 d-vector of coordinates of [e_i, e_j]) and the full ternary tensor
 ``t[i][j][k]`` ({e_i, e_j, e_k}).  Stored tensors are allowed to violate the
 defining identities: validity is a predicate (``check_axioms``), not a type
-invariant, so negative fixtures and perturbation tests are expressible.
+invariant, so negative fixtures and perturbation tests are expressible.  An
+algebra is immutable, so its validity is computed at most once per instance
+(the cached first-violation report behind ``is_valid``), and every entry
+point that needs a valid algebra calls one guard, ``_require_valid``.
 
 Every constructor, and the semidirect and twisted products in
 ``representation``, builds through ``_from_entries``: exact vectors keyed by
@@ -30,6 +33,7 @@ coefficients, so ``derivations`` reads them off that operator's kernel.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -113,6 +117,11 @@ class LYAlgebra:
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(int(j == i)) for j in range(self.dim))
+
+    @functools.cached_property
+    def _first_violation(self) -> "AxiomReport":
+        """``check_axioms(self, first_only=True)``, run at most once per instance."""
+        return check_axioms(self, first_only=True)
 
 
 @dataclass
@@ -282,12 +291,16 @@ def check_axioms(a: LYAlgebra, first_only: bool = False) -> AxiomReport:
 
 
 def is_valid(a: LYAlgebra) -> bool:
-    return check_axioms(a, first_only=True).ok
+    return a._first_violation.ok
 
 
 def _require_valid(a: LYAlgebra) -> None:
-    if not is_valid(a):
-        raise InvalidAlgebra(f"algebra {a.name or '<unnamed>'} violates the defining identities")
+    """The validity guard: InvalidAlgebra naming the first violated identity and its 1-based tuple."""
+    report = a._first_violation
+    if not report.ok:
+        axiom = report.violated_axioms()[0]
+        tup = tuple(i + 1 for i in report.violations[axiom][0][0])
+        raise InvalidAlgebra(f"algebra {a.name or '<unnamed>'} violates {axiom} on basis tuple {tup}")
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +553,7 @@ def derivations(a: LYAlgebra) -> SubspaceBasis:
     which is the C^1 coordinate f(e_s)_r at s*d + r.
     """
     from .cohomology import _delta_op
-    from .representation import _adjoint
+    from .representation import adjoint
 
     _require_valid(a)
     d = a.dim
@@ -549,7 +562,7 @@ def derivations(a: LYAlgebra) -> SubspaceBasis:
         s, r = divmod(col, d)
         return r * d + s
 
-    lines = _delta_op(a, _adjoint(a), 0)._lines(by_column=False)
+    lines = _delta_op(a, adjoint(a), 0)._lines(by_column=False)
     basis = sparse_kernel(d * d, ([(entry(col), x) for col, x in line] for line in lines))
 
     # closure under commutator is a theorem; assert it as a consistency check

@@ -40,11 +40,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LYAlgebra, _map_defect, is_homomorphism, is_valid, structure_lcm
+from .algebra import LYAlgebra, _map_defect, _require_valid, is_homomorphism, structure_lcm
 from .cohomology import DEFAULT_SIZE_CAP, h1, h23, h_upper, transport_defects
 from .errors import (
     CocycleCheckFailed,
-    InvalidAlgebra,
     NotASubalgebra,
     ShapeMismatch,
     UnknownIdentifier,
@@ -61,7 +60,7 @@ from .linalg import (
     _times,
     denominator_lcm,
 )
-from .representation import _adjoint
+from .representation import adjoint
 
 Point = tuple[Fraction, ...]
 
@@ -133,8 +132,7 @@ class BundleSpec:
     triples: tuple[TripleOverlap, ...] = ()
 
     def __post_init__(self):
-        if not is_valid(self.fiber):
-            raise InvalidAlgebra("bundle fibre fails the defining identities")
+        _require_valid(self.fiber)
         names = [c.name for c in self.charts]
         if len(set(names)) != len(names):
             raise ShapeMismatch("duplicate chart names")
@@ -533,11 +531,7 @@ def transport_failures(
     names the coboundaries checked.  Exact in exact mode, within the tolerance
     in float mode; every automorphism passes.
     """
-    return _transport_failures(b, _adjoint(b.fiber), _group(which, p)[0], mode)
-
-
-def _transport_failures(b: BundleSpec, module, level: int, mode: EvalMode) -> list:
-    """``transport_failures`` at a level of the complex, with the fibre's adjoint module built by the caller."""
+    level = _group(which, p)[0]
     failures, where, maps = [], [], []
     for tf in b.transitions:
         for pt in tf.samples:
@@ -548,7 +542,7 @@ def _transport_failures(b: BundleSpec, module, level: int, mode: EvalMode) -> li
             else:
                 where.append((tf.label(), pt))
                 maps.append((s, s_inv))
-    defects = transport_defects(b.fiber, module, level, maps)
+    defects = transport_defects(b.fiber, adjoint(b.fiber), level, maps)
     for (label, pt), norm in zip(where, defects):
         if norm > mode.bound:
             failures.append(CocycleFailure("transport", label, pt, norm, "transport does not preserve the fibre group"))
@@ -578,15 +572,14 @@ def bundle_cohomology(
             gate,
         )
     fiber = b.fiber
-    # BundleSpec validated the fibre, so its adjoint module is built unchecked, once
-    module = _adjoint(fiber)
+    module = adjoint(fiber)
     if level == 0:
         dims = {key: h1(fiber, module, cap=cap)[0]}
     else:
         res = h23(fiber, module, cap=cap) if level == 1 else h_upper(fiber, module, level, cap=cap)
         dims = {"dimZ": res.dim_z, "dimB": res.dim_b, key.format(2 * level, 2 * level + 1): res.dim}
     points = [FiberCohomologyPoint(c.name, pt, dims) for c in b.charts for pt in c.samples]
-    failures = _transport_failures(b, module, level, mode)
+    failures = transport_failures(b, which, p, mode)
     return BundleCohomologyReport(which, p if which == "upper" else None, points, failures)
 
 

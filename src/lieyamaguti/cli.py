@@ -255,8 +255,7 @@ def _cmd_derivations(args) -> int:
 
 def _cmd_cohomology(args) -> int:
     a = algebra_from_json(_load_json(args.input))
-    # h23 and h_upper validate the algebra, so its adjoint module is built unchecked
-    r = rep._adjoint(a) if args.rep == "adjoint" else _resolve_rep(args.rep, a, args.rep_dim)
+    r = _resolve_rep(args.rep, a, args.rep_dim)
     if args.level < 1:
         raise ShapeMismatch("--p must be >= 1")
     if args.level == 1:

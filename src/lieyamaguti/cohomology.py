@@ -32,8 +32,9 @@ each level, and the group at level p (``h1``, ``h23``, ``h_upper``) is Z/B
 with Z the joint kernel of the operators out and B the image of the one in;
 transport of cochains is checked against the same operators.  Kernels and
 images are read off the operator's nonzero entries by ``linalg``'s sparse
-fraction-free elimination; they are never densified.  Validity of the base
-algebra is checked once per public entry point, never inside an operator.
+fraction-free elimination; they are never densified.  The groups, the
+applied coboundaries and ``transport_defects`` call the algebra's validity
+guard; the ``*_matrix`` functions accept any algebra.
 
 The sign convention of delta*'s rho-block, - rho(x1) f(x2, x3) summed
 cyclically, is the unique one (given its cyclic f- and g-blocks) for which
@@ -47,14 +48,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .algebra import LYAlgebra, is_valid
+from .algebra import LYAlgebra, _require_valid
 from .errors import (
     CocycleContainmentFailure,
-    InvalidAlgebra,
     ShapeMismatch,
     SizeCapExceeded,
 )
@@ -204,8 +205,7 @@ class CochainPair:
 
 
 def _require_rep(a: LYAlgebra, r: Representation) -> None:
-    if not is_valid(a):
-        raise InvalidAlgebra("cohomology needs a valid base algebra")
+    _require_valid(a)
     _check_shapes(a, r)
 
 
@@ -492,9 +492,25 @@ class CohomologyResult:
         return self.b_basis.dim
 
 
+# A level whose largest space has more than 2**_HUGE_BITS coordinates is
+# refused from that bound alone, whatever the cap.
+_HUGE_BITS = 2048
+
+
 def _check_cap(a: LYAlgebra, r: Representation, p: int, cap: int) -> None:
-    """Refuse levels whose largest target space, C^(2p+3), has more than ``cap`` coordinates."""
-    largest = cochain_dim(2 * p + 3, a.dim, r.e)
+    """Refuse levels whose largest target space, C^(2p+3), has more than ``cap`` coordinates.
+
+    C^(2p+3) has e * d * C(d, 2)**(p+1) coordinates.  With b the bit length
+    of C(d, 2), that is at least 2**((p+1)(b-1)); past ``_HUGE_BITS`` the
+    level is refused without forming the count, so a huge p builds no
+    p-sized shape and formats no p-digit number.
+    """
+    pairs = math.comb(a.dim, 2)
+    if r.e > 0 and (p + 1) * (pairs.bit_length() - 1) > _HUGE_BITS:
+        raise SizeCapExceeded(
+            f"target cochain space has more than 2**{_HUGE_BITS} coordinates, cap is {cap}"
+        )
+    largest = r.e * a.dim * pairs ** (p + 1)
     if largest > cap:
         raise SizeCapExceeded(
             f"target cochain space has {largest} coordinates, cap is {cap}"
@@ -549,9 +565,9 @@ def transport_defects(a: LYAlgebra, r: Representation, p: int, maps) -> list:
     s (acting on the module) and s^-1 (on the arguments) are row lists of
     Fractions or floats.  The result is the largest entry of T o delta -
     delta o T over every operator into and out of level p.  0 means T maps
-    cocycles and coboundaries into themselves.  ``a`` is not validated here:
-    the caller has done so (``bundle`` validates the fibre when it loads it).
+    cocycles and coboundaries into themselves.
     """
+    _require_rep(a, r)
     into, out = _coboundaries(a, r, p)
     ops = into + out
     spaces = {space for op in ops for space in op[:2]}

@@ -197,6 +197,8 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
+        if rows < 0 or cols < 0:
+            raise ShapeMismatch(f"matrix shape {rows}x{cols} is negative")
         self.rows = rows
         self.cols = cols
         self.entries = tuple(Fraction(x) for x in entries)

@@ -30,8 +30,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LYAlgebra, _from_entries, integer_tables, is_valid
-from .errors import InvalidAlgebra, ShapeMismatch
+from .algebra import LYAlgebra, _from_entries, _require_valid, integer_tables
+from .errors import ShapeMismatch
 from .linalg import Matrix, Vector, scaled_sparse, vec_scale, zero_vector
 
 RLYB_CONDITIONS = ("RLYB1", "RLYB2", "RLYB3", "RLYB4", "RLYB5", "RLYB6")
@@ -225,8 +225,7 @@ def check_representation(a: LYAlgebra, r: Representation, first_only: bool = Fal
     integers on ``_integer_data``; a violated tuple's defect is reported as
     a matrix of exact Fractions.  RLYB7 is skipped with ``first_only``.
     """
-    if not is_valid(a):
-        raise InvalidAlgebra("check_representation needs a valid base algebra")
+    _require_valid(a)
     _check_shapes(a, r)
     den, B, T, rho, dmap, theta = _integer_data(a, r)
     report = RepReport()
@@ -247,8 +246,7 @@ def is_representation(a: LYAlgebra, r: Representation) -> bool:
 
 def check_rlyb7(a: LYAlgebra, r: Representation) -> bool:
     """Cyclic identity D([a,b],c) + D([b,c],a) + D([c,a],b) = 0 on basis triples."""
-    if not is_valid(a):
-        raise InvalidAlgebra("check_rlyb7 needs a valid base algebra")
+    _require_valid(a)
     _check_shapes(a, r)
     _, B, _, _, dmap, _ = _integer_data(a, r)
     return next(_rlyb7_defects(a.dim, r.e, B, dmap), None) is None
@@ -271,13 +269,7 @@ def _matrix_from_columns(cols: list[Vector], e: int) -> Matrix:
 
 def adjoint(a: LYAlgebra) -> Representation:
     """rho(a) = [a, .], D(a,b) = {a, b, .}, theta(a,b) = {., a, b}."""
-    if not is_valid(a):
-        raise InvalidAlgebra("adjoint needs a valid algebra")
-    return _adjoint(a)
-
-
-def _adjoint(a: LYAlgebra) -> Representation:
-    """``adjoint`` without its validity check, for callers that validate ``a`` themselves."""
+    _require_valid(a)
     d = a.dim
     rho = tuple(_matrix_from_columns([a.binary[i][j] for j in range(d)], d) for i in range(d))
     dmap = tuple(

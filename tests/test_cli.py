@@ -174,6 +174,31 @@ def test_cohomology_p1(tmp_path, capsys):
     assert "reading" in p
 
 
+@pytest.mark.parametrize("command", ["cohomology", "rep-check", "semidirect", "twist"])
+def test_negative_rep_dim_is_refused(tmp_path, capsys, command):
+    path = write_fixture(tmp_path, "3dim")
+    extra = ["--tau-cocycle", "0"] if command == "twist" else []
+    code, report = run_cli(capsys, command, path, "--rep", "trivial", "--rep-dim", "-1", *extra)
+    assert code == 2
+    assert (report["command"], report["status"], report["payload"]) == (command, "error", {})
+    assert report["diagnostics"] == ["matrix shape -1x-1 is negative"]
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("cohomology", ["3dim", "--p", "20000"]),
+        ("bundle-cohomology", ["circle-bundle", "--which", "upper", "--p", "20000"]),
+    ],
+)
+def test_huge_p_hits_the_cap(tmp_path, capsys, command, argv):
+    """C^(2p+3) has 3 * 3**20001 coordinates: refused by its size, never formatted."""
+    code, report = run_cli(capsys, command, write_fixture(tmp_path, argv[0]), *argv[1:])
+    assert code == 3
+    assert (report["command"], report["status"], report["payload"]) == (command, "error", {})
+    assert report["diagnostics"] == ["target cochain space has more than 2**2048 coordinates, cap is 50000"]
+
+
 def test_cohomology_trivial_rep(tmp_path, capsys):
     path = write_fixture(tmp_path, "abelian2")
     code, report = run_cli(

@@ -7,6 +7,7 @@ import pytest
 
 from lieyamaguti import (
     adjoint,
+    check_representation,
     delta,
     delta_star,
     delta_zero,
@@ -15,6 +16,7 @@ from lieyamaguti import (
     h1,
     h23,
     h_upper,
+    inner_derivation,
     meson,
     trivial_rep,
     zero_algebra,
@@ -37,6 +39,7 @@ from lieyamaguti.errors import ShapeMismatch, SizeCapExceeded
 from lieyamaguti.cli import run
 from lieyamaguti.fixtures import cross_product_lie, fixture, render
 from lieyamaguti.linalg import Matrix, SubspaceBasis
+from lieyamaguti.representation import check_rlyb7
 
 from random_cochains import eval_vectors, random_c1, random_cochain, random_cochain_pair
 
@@ -245,6 +248,25 @@ def test_h23_size_cap(monkeypatch):
     monkeypatch.setattr(lieyamaguti.cohomology, "_assemble", no_assembly)
     with pytest.raises(SizeCapExceeded, match="81 coordinates, cap is 80"):
         h23(a, r, cap=80)
+
+def test_cap_refuses_a_huge_level_without_building_it(monkeypatch):
+    """C^(2p+3) has e * d * C(d, 2)**(p+1) coordinates, counted exactly up to 2**2048."""
+    a = example_3dim()
+    r = trivial_rep(a, 1)
+    with pytest.raises(SizeCapExceeded, match=f"has {3 * 3**2048} coordinates, cap is 50000"):
+        h_upper(a, r, 2047)
+
+    def no_shape(*args):
+        raise AssertionError("built a cochain shape for a level over the cap")
+
+    monkeypatch.setattr(lieyamaguti.cohomology, "_shape", no_shape)
+    for p in (2048, 10**9):
+        with pytest.raises(SizeCapExceeded, match=r"more than 2\*\*2048 coordinates, cap is 50000"):
+            h_upper(a, r, p)
+    # on d = 2 the largest space stays e * d = 2 coordinates at any p
+    small = meson(2)
+    lieyamaguti.cohomology._check_cap(small, trivial_rep(small, 1), 10**9, 2)
+
 
 def test_h_upper_rejects_p1():
     a = example_3dim()
@@ -462,12 +484,7 @@ def test_groups_never_densify(monkeypatch):
     assert transport_defects(a, r, 1, [(identity, identity)]) == [0]
 
 def test_validation_runs_once_per_entry_point(monkeypatch, rng, tmp_path, capsys):
-    a = meson(3)
-    r = adjoint(a)
-    path = tmp_path / "meson3.json"
-    path.write_text(render(fixture("meson3")), encoding="utf-8")
-    c = random_cochain_pair(1, a.dim, r.e, rng)
-    f = random_c1(a.dim, r.e, rng)
+    """A fresh algebra is validated once across every entry point; a CLI job validates once."""
     calls = []
     check_axioms = lieyamaguti.algebra.check_axioms
 
@@ -480,27 +497,40 @@ def test_validation_runs_once_per_entry_point(monkeypatch, rng, tmp_path, capsys
         capsys.readouterr()
 
     monkeypatch.setattr(lieyamaguti.algebra, "check_axioms", counting)
+    a = meson(3)
+    r = adjoint(a)
+    c = random_cochain_pair(1, a.dim, r.e, rng)
+    f = random_c1(a.dim, r.e, rng)
+    identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
     entry_points = {
+        "adjoint": lambda: adjoint(a),
         "h1": lambda: h1(a, r),
         "h23": lambda: h23(a, r),
         "h_upper": lambda: h_upper(a, r, 2),
         "delta": lambda: delta(a, r, c),
         "delta_star": lambda: delta_star(a, r, c),
         "delta_zero": lambda: delta_zero(a, r, f),
-        "cohomology --p 1": lambda: cli_job("cohomology", str(path), "--p", "1"),
+        "transport_defects": lambda: transport_defects(a, r, 1, [(identity, identity)]),
+        "derivations": lambda: derivations(a),
+        "inner_derivation": lambda: inner_derivation(a, (1, 0, 0), (0, 1, 0)),
+        "check_representation": lambda: check_representation(a, r),
+        "check_rlyb7": lambda: check_rlyb7(a, r),
     }
-    for name, call in entry_points.items():
-        calls.clear()
+    for call in entry_points.values():
         call()
-        assert len(calls) == 1, name
-    # a bundle job validates the fibre on load and once more in its fibre group
-    # (h1 for h1 and der, h23 for h23); the adjoint module and the transport check reuse it
+    assert len(calls) == 1
+    # each CLI job loads a fresh algebra and validates it once: a bundle job on load,
+    # and its fibre group, adjoint module and transport check reuse that
+    path = tmp_path / "meson3.json"
+    path.write_text(render(fixture("meson3")), encoding="utf-8")
     circle = tmp_path / "circle.json"
     circle.write_text(render(fixture("circle-bundle")), encoding="utf-8")
-    for which in ("h1", "der", "h23"):
+    jobs = [("cohomology", str(path), "--p", "1")]
+    jobs += [("bundle-cohomology", str(circle), "--which", which) for which in ("h1", "der", "h23", "upper")]
+    for argv in jobs:
         calls.clear()
-        cli_job("bundle-cohomology", str(circle), "--which", which)
-        assert len(calls) == 2, which
+        cli_job(*argv)
+        assert len(calls) == 1, argv
 
 
 def test_cohomology_p1_assembles_delta_zero_once(monkeypatch, tmp_path, capsys):

@@ -105,6 +105,15 @@ def test_shape_mismatch_on_bad_entries():
         Matrix(2, 2, [1, 2, 3])
 
 
+@pytest.mark.parametrize("rows, cols", [(-1, -1), (-1, 0), (2, -3)])
+def test_negative_shape_is_refused(rows, cols):
+    """(-1) * (-1) = 1 entry would otherwise build a "-1 x -1" matrix."""
+    with pytest.raises(ShapeMismatch, match="is negative"):
+        Matrix.zero(rows, cols)
+    with pytest.raises(ShapeMismatch, match="is negative"):
+        Matrix(rows, cols, [0] * max(rows * cols, 0))
+
+
 # ---------------------------------------------------------------------------
 # the sparse fraction-free core against dense Fraction Gauss-Jordan
 
