@@ -192,19 +192,9 @@ def _eval_rows(matrix: tuple, coords: tuple, pt: Point, mode: EvalMode) -> list:
     return [[evaluate(x, env) for x in row] for row in matrix]
 
 
-def eval_transition(tf: TransitionFamily, pt: Point, mode: EvalMode = EXACT):
-    """Entrywise evaluation at a point of the from-chart.
-
-    Exact mode returns a rational Matrix, float mode a list of float rows.
-    """
-    rows = _eval_rows(tf.matrix, tf.coords, pt, mode)
-    return Matrix.from_rows(rows) if mode.kind == "exact" else rows
-
-
-def _value(tf: TransitionFamily, pt: Point, mode: EvalMode) -> list:
-    """``eval_transition`` as rows of Fractions or floats."""
-    value = eval_transition(tf, pt, mode)
-    return value.row_list() if mode.kind == "exact" else value
+def eval_transition(tf: TransitionFamily, pt: Point, mode: EvalMode = EXACT) -> list:
+    """Entrywise evaluation at a point of the from-chart, as rows of Fractions or floats."""
+    return _eval_rows(tf.matrix, tf.coords, pt, mode)
 
 
 def _scaled(v, k: int, mode: EvalMode) -> list:
@@ -313,7 +303,7 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
     def value(tf: TransitionFamily, pt: Point) -> tuple:
         key = (tf.frm, tf.to, pt)
         if key not in values:
-            values[key] = _cleared(_value(tf, pt, mode), mode)
+            values[key] = _cleared(eval_transition(tf, pt, mode), mode)
         return values[key]
 
     def check(kind: str, where: str, point, worst, scale: int, detail: str) -> None:
@@ -425,7 +415,7 @@ def check_subbundle(b: BundleSpec, h: SubspaceBasis) -> SubbundleReport:
     report = SubbundleReport(dim_h=h.dim)
     for tf in b.transitions:
         for pt in tf.samples:
-            val = eval_transition(tf, pt, EXACT)
+            val = Matrix.from_rows(eval_transition(tf, pt))
             images = [val.matvec(v) for v in basis]
             outside = any(not h.contains(img) for img in images)
             if outside or SubspaceBasis(h.ambient_dim, images).dim != h.dim:
@@ -535,7 +525,7 @@ def transport_failures(
     failures, where, maps = [], [], []
     for tf in b.transitions:
         for pt in tf.samples:
-            s = _value(tf, pt, mode)
+            s = eval_transition(tf, pt, mode)
             s_inv = _invert(s)[1]
             if s_inv is None:
                 failures.append(CocycleFailure("transport", tf.label(), pt, None, "matrix is singular"))

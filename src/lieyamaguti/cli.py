@@ -5,8 +5,15 @@ stdout, and exits with a stable code:
 
     0  pass (checks clean / computation done)
     1  checks failed (violations found)
-    2  usage or input error (bad JSON, parse error, unknown example, ...)
+    2  usage or input error (bad JSON, JSON nested too deeply, parse error,
+       unknown example, unwritable --out, ...)
     3  internal size cap exceeded
+
+A handler returns ``(payload, diagnostics)`` and nothing else; ``run`` builds
+the envelope, judges it and writes it at one site.  The status is ``fail``,
+with exit 1, exactly when there are diagnostics, and ``pass`` otherwise.  An
+error envelope carries an empty payload.  When --out cannot be written, the
+error envelope goes to stdout.
 
 The ``examples`` command emits the bare fixture JSON (byte-stable) instead of
 a report envelope so its output is directly usable as an input file.
@@ -45,7 +52,10 @@ from .schemas import (
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ShapeMismatch(f"{path}: JSON nested too deeply to read") from None
 
 
 def _resolve_rep(selector: str, a: alg.LYAlgebra, rep_dim: int) -> rep.Representation:
@@ -216,44 +226,29 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(args, report: dict) -> None:
-    _write(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
+def _report(command: str, status: str, payload: dict, diagnostics: list[str]) -> str:
+    envelope = {"command": command, "status": status, "payload": payload, "diagnostics": diagnostics}
+    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
-def _write(args, text: str) -> None:
-    """Write text to --out, or to stdout without one."""
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _report(command: str, status: str, payload: dict, diagnostics: list[str]) -> dict:
-    return {"command": command, "status": status, "payload": payload, "diagnostics": diagnostics}
-
-
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, list[str]]:
     a = algebra_from_json(_load_json(args.input))
     report = alg.check_axioms(a)
     payload = {"dim": a.dim, "name": a.name, "axioms": _axiom_report_json(report)}
-    diags = [] if report.ok else [report.summary()]
-    _emit(args, _report("check", "pass" if report.ok else "fail", payload, diags))
-    return 0 if report.ok else 1
+    return payload, [] if report.ok else [report.summary()]
 
 
-def _cmd_derivations(args) -> int:
+def _cmd_derivations(args) -> tuple[dict, list[str]]:
     a = algebra_from_json(_load_json(args.input))
     basis = alg.derivations(a)
     payload = {
         "dim": basis.dim,
         "basis": [matrix_to_json(Matrix(a.dim, a.dim, v)) for v in basis.vectors],
     }
-    _emit(args, _report("derivations", "pass", payload, []))
-    return 0
+    return payload, []
 
 
-def _cmd_cohomology(args) -> int:
+def _cmd_cohomology(args) -> tuple[dict, list[str]]:
     a = algebra_from_json(_load_json(args.input))
     r = _resolve_rep(args.rep, a, args.rep_dim)
     if args.level < 1:
@@ -274,36 +269,35 @@ def _cmd_cohomology(args) -> int:
         "delta_squared_zero": res.delta_squared_zero,
         **extra,
     }
-    _emit(args, _report("cohomology", "pass", payload, []))
-    return 0
+    return payload, []
 
 
-def _cmd_rep_check(args) -> int:
+def _cmd_rep_check(args) -> tuple[dict, list[str]]:
     a = algebra_from_json(_load_json(args.input))
     r = _resolve_rep(args.rep, a, args.rep_dim)
     report = rep.check_representation(a, r)
-    payload = _rep_report_json(report)
-    diags = [] if report.ok else [f"violated: {', '.join(report.violated())}"]
-    _emit(args, _report("rep-check", "pass" if report.ok else "fail", payload, diags))
-    return 0 if report.ok else 1
+    return _rep_report_json(report), [] if report.ok else [f"violated: {', '.join(report.violated())}"]
 
 
-def _cmd_semidirect(args) -> int:
-    a = algebra_from_json(_load_json(args.input))
-    r = _resolve_rep(args.rep, a, args.rep_dim)
-    product = rep.semidirect(a, r)
+def _product_report(product: alg.LYAlgebra, **extra) -> tuple[dict, list[str]]:
+    """The report of a semi-direct or twisted product: the algebra and its one axiom check."""
     report = alg.check_axioms(product)
     payload = {
         "algebra": algebra_to_json(product),
         "axioms_ok": report.ok,
         "violated_axioms": report.violated_axioms(),
+        **extra,
     }
-    diags = [] if report.ok else [report.summary()]
-    _emit(args, _report("semidirect", "pass" if report.ok else "fail", payload, diags))
-    return 0 if report.ok else 1
+    return payload, [] if report.ok else [report.summary()]
 
 
-def _cmd_twist(args) -> int:
+def _cmd_semidirect(args) -> tuple[dict, list[str]]:
+    a = algebra_from_json(_load_json(args.input))
+    r = _resolve_rep(args.rep, a, args.rep_dim)
+    return _product_report(rep.semidirect(a, r))
+
+
+def _cmd_twist(args) -> tuple[dict, list[str]]:
     a = algebra_from_json(_load_json(args.input))
     r = _resolve_rep(args.rep, a, args.rep_dim)
     if (args.tau is None) == (args.tau_cocycle is None):
@@ -321,37 +315,22 @@ def _cmd_twist(args) -> int:
     is_cocycle = coh.delta(a, r, tau).is_zero() and all(
         c.is_zero() for c in coh.delta_star(a, r, tau)
     )
-    product = rep.twisted_semidirect(a, r, tau)
-    report = alg.check_axioms(product)
-    payload = {
-        "algebra": algebra_to_json(product),
-        "axioms_ok": report.ok,
-        "violated_axioms": report.violated_axioms(),
-        "tau_is_cocycle": is_cocycle,
-    }
-    diags = [] if report.ok else [report.summary()]
-    _emit(args, _report("twist", "pass" if report.ok else "fail", payload, diags))
-    return 0 if report.ok else 1
+    return _product_report(rep.twisted_semidirect(a, r, tau), tau_is_cocycle=is_cocycle)
 
 
-def _cmd_bundle_check(args) -> int:
+def _cmd_bundle_check(args) -> tuple[dict, list[str]]:
     b = bundle_from_json(_load_json(args.input))
     report = bnd.check_cocycle(b, _parse_mode(args))
-    payload = _cocycle_report_json(report)
-    diags = [] if report.ok else [f"{len(report.failures)} failures"]
-    _emit(args, _report("bundle-check", "pass" if report.ok else "fail", payload, diags))
-    return 0 if report.ok else 1
+    return _cocycle_report_json(report), [] if report.ok else [f"{len(report.failures)} failures"]
 
 
-def _cmd_bundle_cohomology(args) -> int:
+def _cmd_bundle_cohomology(args) -> tuple[dict, list[str]]:
     b = bundle_from_json(_load_json(args.input))
     mode = _parse_mode(args)
     try:
         res = bnd.bundle_cohomology(b, args.which, args.level, mode, cap=args.cap)
     except CocycleCheckFailed as exc:
-        payload = {"cocycle": _cocycle_report_json(exc.report)}
-        _emit(args, _report("bundle-cohomology", "fail", payload, [str(exc)]))
-        return 1
+        return {"cocycle": _cocycle_report_json(exc.report)}, [str(exc)]
     failures = [_failure_json(f) for f in res.transport_failures]
     if res.which == "der":
         payload = {"which": "der", "conjugation_ok": res.constant, "conjugation_failures": failures}
@@ -361,14 +340,7 @@ def _cmd_bundle_cohomology(args) -> int:
     payload["constant"] = res.constant
     if failures:
         payload["transport_failures"] = failures
-    diags = [] if res.constant else [f"{len(failures)} transport failures"]
-    _emit(args, _report("bundle-cohomology", "pass" if res.constant else "fail", payload, diags))
-    return 0 if res.constant else 1
-
-
-def _cmd_examples(args) -> int:
-    _write(args, render(fixture(args.name)))
-    return 0
+    return payload, [] if res.constant else [f"{len(failures)} transport failures"]
 
 
 _HANDLERS = {
@@ -380,35 +352,48 @@ _HANDLERS = {
     "twist": _cmd_twist,
     "bundle-check": _cmd_bundle_check,
     "bundle-cohomology": _cmd_bundle_cohomology,
-    "examples": _cmd_examples,
 }
 
 
-def run(argv: list[str] | None = None) -> int:
-    """Parse argv, run one command, return the exit code (never raises)."""
-    parser = build_parser()
+def _outcome(args) -> tuple[str, int]:
+    """The report text of one parsed command and its exit code: the envelope, or a bare fixture."""
+    command = args.command
+    if command == "examples":
+        return render(fixture(args.name)), 0
     try:
-        args = parser.parse_args(argv)
+        payload, diagnostics = _HANDLERS[command](args)
+    except SizeCapExceeded as exc:
+        return _report(command, "error", {}, [str(exc)]), 3
+    except LieYamagutiError as exc:
+        return _report(command, "error", {}, [str(exc)]), 2
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        return _report(command, "error", {}, [f"{type(exc).__name__}: {exc}"]), 2
+    if diagnostics:
+        return _report(command, "fail", payload, diagnostics), 1
+    return _report(command, "pass", payload, diagnostics), 0
+
+
+def run(argv: list[str] | None = None) -> int:
+    """Parse argv, run one command, write its report at one site, return the exit code (never raises)."""
+    try:
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
-        _emit(None, _report(exc.command, "error", {}, [str(exc)]))
-        return 2
+        command, out = exc.command, None
+        text, code = _report(command, "error", {}, [str(exc)]), 2
     except SystemExit as exc:
         return 2 if exc.code else 0
-    try:
-        return _HANDLERS[args.command](args)
-    except SizeCapExceeded as exc:
-        _emit_error(args, str(exc))
-        return 3
-    except LieYamagutiError as exc:
-        _emit_error(args, str(exc))
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        _emit_error(args, f"{type(exc).__name__}: {exc}")
-        return 2
-
-
-def _emit_error(args, message: str) -> None:
-    _emit(args, _report(getattr(args, "command", "?"), "error", {}, [message]))
+    else:
+        command, out = args.command, args.out
+        text, code = _outcome(args)
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        except OSError as exc:
+            text, code = _report(command, "error", {}, [f"--out: {type(exc).__name__}: {exc}"]), 2
+    sys.stdout.write(text)
+    return code
 
 
 def main() -> None:

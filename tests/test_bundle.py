@@ -57,7 +57,7 @@ def test_eval_transition_identity_matrix():
     tf = TransitionFamily(
         "U", "V", exprs([["1", "0"], ["0", "1"]]), ((q(5),),), ("t",)
     )
-    assert eval_transition(tf, (q(5),)) == Matrix.identity(2)
+    assert Matrix.from_rows(eval_transition(tf, (q(5),))) == Matrix.identity(2)
 
 
 def test_eval_transition_polynomial_entries():
@@ -68,7 +68,7 @@ def test_eval_transition_polynomial_entries():
         ((q(1),),),
         ("t",),
     )
-    m = eval_transition(tf, (q(1),))
+    m = Matrix.from_rows(eval_transition(tf, (q(1),)))
     assert m == Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
 
 
@@ -165,7 +165,7 @@ def test_clutching_identity_at_overlap_samples(circle):
     fib = circle.fiber
     for tf in circle.transitions:
         for pt in tf.samples:
-            g = eval_transition(tf, pt)
+            g = Matrix.from_rows(eval_transition(tf, pt))
             cols = [g.col(j) for j in range(fib.dim)]
             for i in range(fib.dim):
                 for j in range(fib.dim):

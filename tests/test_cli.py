@@ -89,11 +89,26 @@ def test_check_failure_exit_code(tmp_path, capsys):
 
 
 def test_check_malformed_json_exit_2(tmp_path, capsys):
+    """Bad syntax, and nesting too deep for the decoder, are input errors."""
     path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
-    code, report = run_cli(capsys, "check", str(path))
+    for text, diagnostic in [
+        ("{not json", "JSONDecodeError: Expecting property name enclosed in double quotes"),
+        ("[" * 200_000 + "]" * 200_000, f"{path}: JSON nested too deeply to read"),
+    ]:
+        path.write_text(text, encoding="utf-8")
+        code, report = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert (report["status"], report["payload"]) == ("error", {})
+        assert report["diagnostics"][0].startswith(diagnostic)
+
+
+def test_deeply_nested_rep_file_exit_2(tmp_path, capsys):
+    deep = tmp_path / "deep-rep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code, report = run_cli(capsys, "rep-check", write_fixture(tmp_path, "3dim"), "--rep", str(deep))
     assert code == 2
-    assert report["status"] == "error"
+    assert (report["command"], report["status"], report["payload"]) == ("rep-check", "error", {})
+    assert report["diagnostics"] == [f"{deep}: JSON nested too deeply to read"]
 
 
 def test_check_missing_file_exit_2(capsys):
@@ -539,6 +554,90 @@ def test_out_flag_writes_file(tmp_path):
     assert code == 0
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["status"] == "pass"
+
+
+@pytest.mark.parametrize("command", ["check", "examples"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_out_flag_unwritable_exit_2(tmp_path, capsys, command, where):
+    """A failed --out write prints the error envelope on stdout and exits 2."""
+    target = write_fixture(tmp_path, "3dim") if command == "check" else "3dim"
+    out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, report = run_cli(capsys, command, target, "--out", str(out))
+    assert code == 2
+    assert (report["command"], report["status"], report["payload"]) == (command, "error", {})
+    [diagnostic] = report["diagnostics"]
+    assert diagnostic.startswith("--out: ") and str(out) in diagnostic
+    assert not (tmp_path / "missing").exists()
+
+
+# (command, argv with input names from ``envelope_inputs``, exit code); every
+# command that can fail has a failing row, and exits 2 and 3 are errors.
+ENVELOPE_CASES = [
+    ("check", ["3dim"], 0),
+    ("check", ["broken"], 1),
+    ("check", ["malformed"], 2),
+    ("derivations", ["3dim"], 0),
+    ("derivations", ["broken"], 2),
+    ("cohomology", ["3dim", "--p", "1"], 0),
+    ("cohomology", ["meson3", "--p", "4", "--cap", "100"], 3),
+    ("rep-check", ["3dim"], 0),
+    ("rep-check", ["3dim", "--rep", "bad-rep"], 1),
+    ("semidirect", ["3dim"], 0),
+    ("semidirect", ["3dim", "--rep", "bad-rep"], 1),
+    ("twist", ["3dim", "--tau-cocycle", "0"], 0),
+    ("twist", ["3dim", "--tau", "bad-tau"], 1),
+    ("twist", ["3dim"], 2),
+    ("bundle-check", ["circle-bundle"], 0),
+    ("bundle-check", ["bad-bundle"], 1),
+    ("bundle-cohomology", ["circle-bundle"], 0),
+    ("bundle-cohomology", ["bad-bundle"], 1),
+    ("bundle-cohomology", ["circle-bundle", "--which", "h23", "--cap", "1"], 3),
+    ("examples", ["nope"], 2),
+]
+OUTCOMES = {0: "pass", 1: "fail", 2: "error", 3: "capped"}
+
+
+@pytest.fixture
+def envelope_inputs(tmp_path):
+    from lieyamaguti import adjoint, example_3dim
+    from lieyamaguti.schemas import representation_to_json
+
+    files = {name: write_fixture(tmp_path, name) for name in ("3dim", "meson3", "circle-bundle")}
+    broken = fixture("3dim")
+    broken["ternary"][0][3][0] = "1"
+    bad_bundle = fixture("circle-bundle")
+    bad_bundle["transitions"][0]["matrix"] = [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    bad_rep = representation_to_json(adjoint(example_3dim()))
+    bad_rep["theta"][0][1][0][0] = "1"
+    texts = {
+        "broken": render(broken),
+        "bad-bundle": render(bad_bundle),
+        "bad-rep": json.dumps(bad_rep),
+        "bad-tau": json.dumps({"p": 1, "f": [[1, 2, ["1", "0", "0"]]], "g": []}),
+        "malformed": "{not json",
+    }
+    for name, text in texts.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+    return files
+
+
+@pytest.mark.parametrize(
+    "command, argv, expected",
+    ENVELOPE_CASES,
+    ids=[f"{command}-{OUTCOMES[code]}" for command, _, code in ENVELOPE_CASES],
+)
+def test_envelope_status_follows_diagnostics(envelope_inputs, capsys, command, argv, expected):
+    """One rule for every command: fail exactly when there are diagnostics, and then exit 1."""
+    code, report = run_cli(capsys, command, *[envelope_inputs.get(a, a) for a in argv])
+    assert code == expected, report
+    assert set(report) == {"command", "status", "payload", "diagnostics"}
+    assert report["command"] == command
+    if code in (2, 3):
+        assert (report["status"], report["payload"]) == ("error", {})
+        assert report["diagnostics"]
+    else:
+        assert (report["status"] == "fail") == bool(report["diagnostics"]) == (code == 1)
 
 
 def test_console_script_entry_point(tmp_path):
