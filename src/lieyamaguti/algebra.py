@@ -7,7 +7,9 @@ defining identities: validity is a predicate (``check_axioms``), not a type
 invariant, so negative fixtures and perturbation tests are expressible.  An
 algebra is immutable, so its validity is computed at most once per instance
 (the cached first-violation report behind ``is_valid``), and every entry
-point that needs a valid algebra calls one guard, ``_require_valid``.
+point that needs a valid algebra calls one guard, ``_require_valid``.  The
+instance likewise holds its adjoint module and, per module object, the
+coboundary operators assembled for it (``cohomology._held``).
 
 Every constructor, and the semidirect and twisted products in
 ``representation``, builds through ``_from_entries``: exact vectors keyed by
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -122,6 +124,37 @@ class LYAlgebra:
     def _first_violation(self) -> "AxiomReport":
         """``check_axioms(self, first_only=True)``, run at most once per instance."""
         return check_axioms(self, first_only=True)
+
+    @functools.cached_property
+    def _adjoint(self):
+        """The adjoint module, built at most once per instance; ``representation.adjoint`` guards it."""
+        from .representation import Representation
+
+        d = self.dim
+
+        def columns(vectors) -> Matrix:
+            return Matrix(d, d, [v[i] for i in range(d) for v in vectors])
+
+        rng = range(d)
+        rho = tuple(columns([self.binary[i][j] for j in rng]) for i in rng)
+        dmap = tuple(tuple(columns([self.ternary[i][j][k] for k in rng]) for j in rng) for i in rng)
+        theta = tuple(tuple(columns([self.ternary[k][i][j] for k in rng]) for j in rng) for i in rng)
+        return Representation(d, rho, dmap, theta)
+
+    @functools.cached_property
+    def _operators(self) -> dict:
+        """Coboundary operators held per module: id(module) -> (module, {(src, dst): operator}).
+
+        Filled by ``cohomology._held``.  An entry keeps its module alive, so
+        the id is not reused while the entry lives, and a lookup checks the
+        module with ``is``.  References run algebra -> module only, so the
+        operators go when the algebra does.
+        """
+        return {}
+
+    def __getstate__(self) -> dict:
+        """The fields only: a copied or unpickled algebra computes its held values again."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass

@@ -550,7 +550,9 @@ def bundle_cohomology(
 
     Requires a known ``which`` and a passing cocycle check.  The fibre group
     is computed once; ``constant`` reports that transport along every sampled
-    transition value preserves it, that is, no ``transport_failures``.
+    transition value preserves it, that is, no ``transport_failures``.  Both
+    read the one adjoint module the fibre holds, so each coboundary is
+    assembled once per job.
     """
     level, key = _group(which, p)
     gate = check_cocycle(b, mode)
@@ -577,6 +579,6 @@ def der_bundle_dims(b: BundleSpec, mode: EvalMode = EXACT) -> BundleCohomologyRe
     """``bundle_cohomology(b, "der")``.
 
     Kept only because the benchmark tracer wraps this name; it goes once
-    ROADMAP item 6 drops that trace point.
+    ROADMAP item 1 drops that trace point.
     """
     return bundle_cohomology(b, "der", mode=mode)

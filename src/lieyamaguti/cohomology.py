@@ -26,11 +26,16 @@ C^(2p,2p+1).  delta = (delta_I, delta_II) maps level p to level p + 1 for
 every p >= 0; delta_zero is delta at p = 0, one term generator for both.  The
 auxiliary delta* leaves level 1.  Each operator is sparse, defined only by
 its term generator and assembled on the representatives of its target shape.
-Applying it to a cochain, densifying it (``*_matrix``) and computing groups
-all go through that operator.  One table lists the operators into and out of
-each level, and the group at level p (``h1``, ``h23``, ``h_upper``) is Z/B
-with Z the joint kernel of the operators out and B the image of the one in;
-transport of cochains is checked against the same operators.  Kernels and
+It is assembled at most once per (algebra instance, module object) and held
+on the algebra (``_held``); it is shared by every caller, so its entries are
+a read-only mapping.  Applying it to a cochain, densifying it (``*_matrix``)
+and computing groups all go through that operator.  One table lists the
+operators into and out of each level, and the group at level p (``h1``,
+``h23``, ``h_upper``) is Z/B with Z the joint kernel of the operators out
+and B the image of the one in; transport of cochains is checked against the
+same operators.  A group refuses its level before assembly when C^(2p+3) has
+more coordinates than the cap, or when the level's work, which grows as that
+count times (2p+3)**3, is over the budget derived from the cap.  Kernels and
 images are read off the operator's nonzero entries by ``linalg``'s sparse
 fraction-free elimination; they are never densified.  The groups, the
 applied coboundaries and ``transport_defects`` call the algebra's validity
@@ -51,7 +56,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import LYAlgebra, _require_valid
 from .errors import (
@@ -214,11 +220,16 @@ def _require_rep(a: LYAlgebra, r: Representation) -> None:
 
 
 class _Operator(NamedTuple):
-    """Sparse rows x cols operator; ``entries[row * cols + col]`` is a coefficient."""
+    """Sparse rows x cols operator; ``entries[row * cols + col]`` is a coefficient.
+
+    An operator is immutable: it is held on its algebra and shared by every
+    caller, so ``entries`` is a read-only mapping and every method that
+    derives an operator builds a new one.
+    """
 
     rows: int
     cols: int
-    entries: dict
+    entries: Mapping
 
     def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
         out = [Fraction(0)] * self.rows
@@ -262,12 +273,12 @@ class _Operator(NamedTuple):
             for col, x in by_row.get(k, ()):
                 out = row * other.cols + col
                 entries[out] = entries.get(out, 0) + c * x
-        return _Operator(self.rows, other.cols, entries)
+        return _Operator(self.rows, other.cols, MappingProxyType(entries))
 
     def stack(self, other: "_Operator") -> "_Operator":
         shift = self.rows * self.cols
         below = {key + shift: c for key, c in other.entries.items()}
-        return _Operator(self.rows + other.rows, self.cols, {**self.entries, **below})
+        return _Operator(self.rows + other.rows, self.cols, MappingProxyType({**self.entries, **below}))
 
 
 def _assemble(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, terms) -> _Operator:
@@ -297,7 +308,7 @@ def _assemble(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, terms) ->
                             key = (row + m) * cols + col + base + l
                             entries[key] = entries.get(key, 0) + sign * coeff * x
             row += e
-    return _Operator(row, cols, entries)
+    return _Operator(row, cols, MappingProxyType(entries))
 
 
 def _weighted(coeff, tup: tuple, slot: int, weights: Sequence[Fraction]):
@@ -397,12 +408,27 @@ def _transport_terms(value, inverse, space: tuple):
     return terms
 
 
+def _held(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, terms) -> _Operator:
+    """``_assemble(a, r, src, dst, terms)``, run at most once per (r, src, dst) and held on ``a``.
+
+    The entry for ``r`` in ``a._operators`` is found by id and confirmed by
+    identity, so a module equal to ``r`` but not ``r`` gets its own operators.
+    """
+    entry = a._operators.get(id(r))
+    if entry is None or entry[0] is not r:
+        entry = a._operators[id(r)] = (r, {})
+    ops = entry[1]
+    if (src, dst) not in ops:
+        ops[src, dst] = _assemble(a, r, src, dst, terms)
+    return ops[src, dst]
+
+
 def _delta_op(a: LYAlgebra, r: Representation, p: int) -> _Operator:
-    return _assemble(a, r, _space(p), _space(p + 1), _delta_terms)
+    return _held(a, r, _space(p), _space(p + 1), _delta_terms)
 
 
 def _delta_star_op(a: LYAlgebra, r: Representation) -> _Operator:
-    return _assemble(a, r, _space(1), _STAR_TARGET, _delta_star_terms)
+    return _held(a, r, _space(1), _STAR_TARGET, _delta_star_terms)
 
 
 def _coboundaries(a: LYAlgebra, r: Representation, p: int) -> tuple[list, list]:
@@ -497,13 +523,13 @@ class CohomologyResult:
 _HUGE_BITS = 2048
 
 
-def _check_cap(a: LYAlgebra, r: Representation, p: int, cap: int) -> None:
+def _check_cap(a: LYAlgebra, r: Representation, p: int, cap: int) -> int:
     """Refuse levels whose largest target space, C^(2p+3), has more than ``cap`` coordinates.
 
-    C^(2p+3) has e * d * C(d, 2)**(p+1) coordinates.  With b the bit length
-    of C(d, 2), that is at least 2**((p+1)(b-1)); past ``_HUGE_BITS`` the
-    level is refused without forming the count, so a huge p builds no
-    p-sized shape and formats no p-digit number.
+    C^(2p+3) has e * d * C(d, 2)**(p+1) coordinates, which are returned.
+    With b the bit length of C(d, 2), that is at least 2**((p+1)(b-1)); past
+    ``_HUGE_BITS`` the level is refused without forming the count, so a huge
+    p builds no p-sized shape and formats no p-digit number.
     """
     pairs = math.comb(a.dim, 2)
     if r.e > 0 and (p + 1) * (pairs.bit_length() - 1) > _HUGE_BITS:
@@ -515,19 +541,42 @@ def _check_cap(a: LYAlgebra, r: Representation, p: int, cap: int) -> None:
         raise SizeCapExceeded(
             f"target cochain space has {largest} coordinates, cap is {cap}"
         )
+    return largest
+
+
+# Arity of C^(2p+3) up to which the coordinate cap alone bounds a level (p <= 2).
+_FREE_ARITY = 7
+
+
+def _check_work(largest: int, p: int, cap: int) -> None:
+    """Refuse levels whose assembly work, ``largest`` * (2p+3)**3, is over ``cap`` * 7**3.
+
+    Each coordinate of C^(2p+3) (``largest`` of them) gets O(p**2) terms,
+    and each term locates its argument tuple by walking p + 1 slot groups,
+    so assembly grows as largest * (2p+3)**3 even where largest stays small
+    (e * d on a 2-dim algebra).  Up to p = 2 the bound follows from the
+    coordinate cap; above, a level counts at least one coordinate, since it
+    still builds shapes of its arity.  Nothing p-sized is built or formatted.
+    """
+    n = 2 * p + 3
+    if n > _FREE_ARITY and max(largest, 1) * n**3 > cap * _FREE_ARITY**3:
+        raise SizeCapExceeded(
+            f"assembly work of {largest} coordinates x (2p+3)**3 is over cap x 7**3 = {cap * _FREE_ARITY**3}"
+        )
 
 
 def _cohomology(a: LYAlgebra, r: Representation, p: int, cap: int) -> CohomologyResult:
     """Z/B at level p: Z the joint kernel of the operators out, B the image of the one in.
 
     SizeCapExceeded is raised before assembly if C^(2p+3) has more than
-    ``cap`` coordinates.  Containment B <= Z (every composite of the operator
-    in with an operator out vanishes) is tested exactly and reported as
-    ``delta_squared_zero``; failure raises CocycleContainmentFailure, which
-    signals a formula-transcription bug.
+    ``cap`` coordinates or the level's work is over the bound that
+    ``_check_work`` derives from ``cap``.  Containment B <= Z (every
+    composite of the operator in with an operator out vanishes) is tested
+    exactly and reported as ``delta_squared_zero``; failure raises
+    CocycleContainmentFailure, which signals a formula-transcription bug.
     """
     _require_rep(a, r)
-    _check_cap(a, r, p, cap)
+    _check_work(_check_cap(a, r, p, cap), p, cap)
     into, out = _coboundaries(a, r, p)
     z = functools.reduce(_Operator.stack, (op for _, _, op in out)).kernel()
     b = into[0][2].image() if into else SubspaceBasis.from_sparse(z.ambient_dim, ())

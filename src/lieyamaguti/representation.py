@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .algebra import LYAlgebra, _from_entries, _require_valid, integer_tables
 from .errors import ShapeMismatch
-from .linalg import Matrix, Vector, scaled_sparse, vec_scale, zero_vector
+from .linalg import Matrix, scaled_sparse, vec_scale, zero_vector
 
 RLYB_CONDITIONS = ("RLYB1", "RLYB2", "RLYB3", "RLYB4", "RLYB5", "RLYB6")
 
@@ -263,24 +263,14 @@ def trivial_rep(a: LYAlgebra, e: int) -> Representation:
     )
 
 
-def _matrix_from_columns(cols: list[Vector], e: int) -> Matrix:
-    return Matrix(e, len(cols), [cols[j][i] for i in range(e) for j in range(len(cols))])
-
-
 def adjoint(a: LYAlgebra) -> Representation:
-    """rho(a) = [a, .], D(a,b) = {a, b, .}, theta(a,b) = {., a, b}."""
+    """rho(a) = [a, .], D(a,b) = {a, b, .}, theta(a,b) = {., a, b}.
+
+    Built once per algebra instance and held on it, so every caller gets the
+    same module, and with it the module's coboundary operators.
+    """
     _require_valid(a)
-    d = a.dim
-    rho = tuple(_matrix_from_columns([a.binary[i][j] for j in range(d)], d) for i in range(d))
-    dmap = tuple(
-        tuple(_matrix_from_columns([a.ternary[i][j][k] for k in range(d)], d) for j in range(d))
-        for i in range(d)
-    )
-    theta = tuple(
-        tuple(_matrix_from_columns([a.ternary[k][i][j] for k in range(d)], d) for j in range(d))
-        for i in range(d)
-    )
-    return Representation(d, rho, dmap, theta)
+    return a._adjoint
 
 
 def semidirect(a: LYAlgebra, r: Representation, name: str = "") -> LYAlgebra:
