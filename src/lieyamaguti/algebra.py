@@ -8,8 +8,9 @@ invariant, so negative fixtures and perturbation tests are expressible.  An
 algebra is immutable, so its validity is computed at most once per instance
 (the cached first-violation report behind ``is_valid``), and every entry
 point that needs a valid algebra calls one guard, ``_require_valid``.  The
-instance likewise holds its adjoint module and, per module object, the
-coboundary operators assembled for it (``cohomology._held``).
+instance likewise holds its adjoint module, per module object the
+coboundary operators assembled for it (``cohomology._held``), and the list of
+its nonzero structure constants (``_slots``).
 
 Every constructor, and the semidirect and twisted products in
 ``representation``, builds through ``_from_entries``: exact vectors keyed by
@@ -29,7 +30,10 @@ exact Fractions, for the report.
 
 Maps have one bracket-preservation defect, ``_map_defect``, for any scalar
 type: ``is_homomorphism`` and the bundle gate's automorphism check both run
-it.  The derivations are the cocycles of delta_zero with adjoint
+it.  It expands both sides from the nonzero structure constants of the two
+algebras and the nonzero entries of the map only, adding each term in the
+order the dense ``bracket``/``triple`` would, so float defects are the same
+to the bit.  The derivations are the cocycles of delta_zero with adjoint
 coefficients, so ``derivations`` reads them off that operator's kernel.
 """
 
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -52,8 +57,6 @@ from .linalg import (
     Matrix,
     SubspaceBasis,
     Vector,
-    _distance,
-    _matmul,
     _times,
     denominator_lcm,
     qvec,
@@ -151,6 +154,23 @@ class LYAlgebra:
         operators go when the algebra does.
         """
         return {}
+
+    @functools.cached_property
+    def _slots(self) -> tuple:
+        """The nonzero structure constants, listed at most once per instance for ``_map_defect``.
+
+        A pair (binary, ternary): each lists ((i, j), entries) or
+        ((i, j, k), entries) in index order, with the nonzero coordinates of
+        that slot's vector as (m, c) pairs; slots whose vector is zero are
+        left out.
+        """
+        rng = range(self.dim)
+        pairs = (((i, j), self.binary[i][j]) for i in rng for j in rng)
+        triples = (((i, j, k), self.ternary[i][j][k]) for i in rng for j in rng for k in rng)
+        return tuple(
+            [(idx, entries) for idx, v in slots if (entries := [(m, c) for m, c in enumerate(v) if c])]
+            for slots in (pairs, triples)
+        )
 
     def __getstate__(self) -> dict:
         """The fields only: a copied or unpickled algebra computes its held values again."""
@@ -528,18 +548,44 @@ def _map_defect(k, s: list, a: LYAlgebra, b: LYAlgebra) -> tuple:
     ``s`` is the rows of a map a -> b over any scalar type, and x, y, z run
     over the basis of a; (0, 0) means s carries both brackets of a to those
     of b, times k**-1 and k**-2.
+
+    Both sides are expanded from the nonzero slots of a and b (``_slots``)
+    and the nonzero entries of s only, into flat lists indexed by
+    (x, y[, z], coordinate).  Each entry sums its terms in the order that
+    ``bracket``/``triple`` and a row-by-column product would, so a float
+    defect is exactly the one those compute.
     """
-    cols = list(zip(*s)) if s else [()] * a.dim
-    pairs = list(itertools.product(range(a.dim), repeat=2))
-    triples = list(itertools.product(range(a.dim), repeat=3))
-    binary = _distance(
-        _matmul(_times(k, s), list(zip(*(a.binary[i][j] for i, j in pairs)))),
-        list(zip(*(b.bracket(cols[i], cols[j]) for i, j in pairs))),
-    )
-    ternary = _distance(
-        _matmul(_times(k * k, s), list(zip(*(a.ternary[i][j][l] for i, j, l in triples)))),
-        list(zip(*(b.triple(cols[i], cols[j], cols[l]) for i, j, l in triples))),
-    )
+    d, n = a.dim, b.dim
+    (a_binary, a_ternary), (b_binary, b_ternary) = a._slots, b._slots
+    nonzero = [[(i, x) for i, x in enumerate(row) if x] for row in s]
+
+    lhs, rhs, ks = [0] * (d * d * n), [0] * (d * d * n), _times(k, s)
+    for (i, j), entries in a_binary:
+        base = (i * d + j) * n
+        for r, row in enumerate(ks):
+            lhs[base + r] = sum(row[m] * c for m, c in entries)
+    for (p, q), entries in b_binary:
+        for i, x in nonzero[p]:
+            for j, y in nonzero[q]:
+                xy, base = x * y, (i * d + j) * n
+                for m, c in entries:
+                    rhs[base + m] += xy * c
+    binary = max(map(abs, map(operator.sub, lhs, rhs)), default=0)
+
+    lhs, rhs, ks = [0] * (d * d * d * n), [0] * (d * d * d * n), _times(k * k, s)
+    for (i, j, l), entries in a_ternary:
+        base = ((i * d + j) * d + l) * n
+        for r, row in enumerate(ks):
+            lhs[base + r] = sum(row[m] * c for m, c in entries)
+    for (p, q, r), entries in b_ternary:
+        for i, x in nonzero[p]:
+            for j, y in nonzero[q]:
+                xy = x * y
+                for l, z in nonzero[r]:
+                    xyz, base = xy * z, ((i * d + j) * d + l) * n
+                    for m, c in entries:
+                        rhs[base + m] += xyz * c
+    ternary = max(map(abs, map(operator.sub, lhs, rhs)), default=0)
     return binary, ternary
 
 

@@ -29,9 +29,11 @@ exact Fraction norm that a check on the rational values would report.  In
 float mode the pair is (1, s) and den is 1, the same code runs on floats,
 and a difference up to the tolerance counts as zero.  Transport runs on rows
 of Fractions or floats.  The automorphism check is ``algebra._map_defect``,
-and every matrix product, distance and inverse is ``linalg``'s row toolkit;
-this module defines no matrix arithmetic of its own.  Transition values and
-morphism matrices are evaluated by one row evaluator, ``_eval_rows``.
+which expands only the fibre's nonzero structure constants and the nonzero
+entries of S; every matrix product, distance and inverse is ``linalg``'s row
+toolkit, and this module defines no matrix arithmetic of its own.
+Transition values and morphism matrices are evaluated by one row evaluator,
+``_eval_rows``.
 """
 
 from __future__ import annotations
@@ -251,7 +253,9 @@ def _automorphism_defect(value: tuple, fibre: tuple, mode: EvalMode):
     With (D, S) = ``value`` and (den, F) = ``fibre``, ``algebra._map_defect``
     compares D S F(e_i, e_j) against F(S e_i, S e_j), which is D**2 den times
     the exact binary defect, and D**2 S F(e_i, e_j, e_k) against
-    F(S e_i, S e_j, S e_k), which is D**3 den**2 times the ternary one.
+    F(S e_i, S e_j, S e_k), which is D**3 den**2 times the ternary one.  Both
+    sides are expanded from the nonzero structure constants of F, listed
+    once per fibre model, and the nonzero entries of S.
     """
     (big_d, s), (den, f) = value, fibre
     binary, ternary = _map_defect(big_d, s, f, f)

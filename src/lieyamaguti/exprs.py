@@ -14,8 +14,9 @@ Note two consequences of the grammar: a rational literal binds tighter than
 division, so "6/2^2" reads ((6/2))^2 = 9 while "6/x^2" divides by x^2; and
 unary minus binds looser than ^, so "-2^2" is -(2^2).
 
-Exact evaluation uses Fractions and rejects sin/cos/exp away from argument 0
-(where they take the exact values 0, 1, 1); float evaluation uses the math
+Exact evaluation uses Fractions, rejects sin/cos/exp away from argument 0
+(where they take the exact values 0, 1, 1) and refuses a power longer than
+MAX_POWER_BITS bits before computing it; float evaluation uses the math
 module and raises EvalError on overflow or a non-finite result.  Identifiers
 resolve at evaluation time against a chart environment.
 """
@@ -106,6 +107,11 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 # and every parenthesised group, so it bounds the tree the evaluators recurse
 # over as well as the parser's own recursion.
 MAX_DEPTH = 100
+
+# Largest exact power evaluation computes, in bits of its numerator or
+# denominator.  A power whose result would be longer is refused before it is
+# computed; bases 0 and +-1 are never refused.
+MAX_POWER_BITS = 1 << 16
 
 
 class _Parser:
@@ -270,6 +276,11 @@ def _evaluate(node: Expr, env: dict, scalar, call):
         b = _evaluate(node.base, env, scalar, call)
         if node.exponent < 0 and b == 0:
             raise EvalError("zero raised to a negative power")
+        if isinstance(b, Fraction):
+            # |x|**n has at least n * (bit_length(x) - 1) + 1 bits
+            size = max(b.numerator.bit_length(), b.denominator.bit_length()) - 1
+            if abs(node.exponent) * size >= MAX_POWER_BITS:
+                raise EvalError(f"exact power with exponent {node.exponent} exceeds {MAX_POWER_BITS} bits")
         return b**node.exponent
     if isinstance(node, Call):
         return call(node.func, _evaluate(node.arg, env, scalar, call))
@@ -282,8 +293,13 @@ def _exact_call(func: str, a: Fraction) -> Fraction:
     return Fraction(int(func != "sin"))
 
 
+def _fraction(x) -> Fraction:
+    """x as a Fraction; a Fraction (every literal and coordinate) is returned as it is."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def eval_exact(node: Expr, env: dict) -> Fraction:
-    return _evaluate(node, env, Fraction, _exact_call)
+    return _evaluate(node, env, _fraction, _exact_call)
 
 
 def eval_float(node: Expr, env: dict) -> float:

@@ -372,6 +372,19 @@ def test_bundle_float_overflow_exit_2(tmp_path, capsys, entry, point):
         assert "NaN" not in out and "Infinity" not in out
 
 
+def test_bundle_check_huge_exact_power_exit_2(tmp_path, capsys):
+    """An exact power past exprs.MAX_POWER_BITS is refused before it is computed."""
+    line = {"dim": 1, "name": "line", "binary": [], "ternary": []}
+    charts = [{"name": n, "coords": [c], "samples": [["3"]]} for n, c in (("U", "t"), ("V", "s"))]
+    transitions = [{"from": "U", "to": "V", "matrix": [["t^99999999"]], "samples": [["3"]]}]
+    path = tmp_path / "huge-power.json"
+    path.write_text(json.dumps({"fiber": line, "charts": charts, "transitions": transitions}), encoding="utf-8")
+    code, report = run_cli(capsys, "bundle-check", str(path))
+    assert code == 2
+    assert (report["command"], report["status"], report["payload"]) == ("bundle-check", "error", {})
+    assert "exceeds" in report["diagnostics"][0]
+
+
 def test_bundle_cohomology_der_float_on_trig_atlas(tmp_path, capsys):
     rotation = [["cos({v})", "-sin({v})", "0"], ["sin({v})", "cos({v})", "0"], ["0", "0", "1"]]
     obj = {

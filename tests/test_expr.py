@@ -134,3 +134,30 @@ def test_depth_limit_admits_depth_max():
 def test_float_mode_refuses_overflow_and_non_finite(src, t):
     with pytest.raises(EvalError):
         eval_float(parse_expr(src), {"t": t})
+
+
+def test_exact_power_bound():
+    from lieyamaguti.exprs import MAX_POWER_BITS
+
+    # bases 0 and +-1 stay exact at any exponent
+    assert ev("t^99999999", t=1) == 1
+    assert ev("t^99999999", t=-1) == -1
+    assert ev("t^99999999", t=0) == 0
+    assert ev("t^-99999999", t=-1) == -1
+    # 2^n has n + 1 bits: the longest power of 2 computed, and the first refused
+    assert ev(f"2^{MAX_POWER_BITS - 1}") == 2 ** (MAX_POWER_BITS - 1)
+    assert ev(f"t^{-(MAX_POWER_BITS - 1)}", t=2) == Fraction(1, 2 ** (MAX_POWER_BITS - 1))
+    refused = [(f"2^{MAX_POWER_BITS}", 0), ("t^99999999", 3), ("t^-99999999", Fraction(1, 3)), ("(t^60000)^60000", 3)]
+    for src, t in refused:
+        with pytest.raises(EvalError, match="exceeds"):
+            ev(src, t=t)
+    # float mode keeps refusing on overflow and is not bounded in bits
+    with pytest.raises(EvalError, match="overflow"):
+        eval_float(parse_expr("t^99999999"), {"t": 3.0})
+    assert eval_float(parse_expr("t^99999999"), {"t": 0.5}) == 0.0
+
+
+def test_exact_evaluation_keeps_fraction_values():
+    half = Fraction(1, 2)
+    assert eval_exact(parse_expr("t"), {"t": half}) is half
+    assert ev("t + 1", t=2) == 3 and type(ev("t", t=2)) is Fraction
