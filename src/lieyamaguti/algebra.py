@@ -18,7 +18,13 @@ Every constructor, and the semidirect and twisted products in
 twice.  ``from_tensors`` is the entry for raw full tensors and coerces every
 coordinate to a Fraction; ``from_sparse`` (and so every JSON load) takes i<j
 entries and derives the antisymmetric mirrors, which makes LY1/LY2
-violations impossible along that path.
+violations impossible along that path.  ``from_lie`` decides whether its
+input is a Lie algebra through the built algebra's own first-violation scan:
+with {a, b, c} = [[a, b], c], LY1 is antisymmetry and LY3 is twice the
+Jacobi sum, so the algebra it returns has been validated once, and every
+later guard reads that answer.  ``from_leibniz`` keeps its own Leibniz loop,
+because the derived algebra can pass LY1..LY6 for a product that is not
+Leibniz.
 
 Axiom checking runs over basis tuples only; multilinearity over Q makes that
 equivalent to the universally quantified identities.  It works on sparse
@@ -424,30 +430,25 @@ def from_sparse(
 def from_lie(binary, name: str = "") -> LYAlgebra:
     """Lie algebra -> LY algebra with {a, b, c} = [[a, b], c].
 
-    The input binary tensor must be antisymmetric and satisfy Jacobi.
+    The input binary tensor must be antisymmetric and satisfy Jacobi.  The
+    built algebra's first-violation scan decides (see the module docstring):
+    NotALieAlgebra carries the 0-based pair where LY1 fails or the triple
+    where LY3 fails.
     """
     d = len(binary)
     b = _exact_slots(binary, 2)
     lie = _from_entries(d, b, {}, name)
-    for i in range(d):
-        for j in range(d):
-            if not vec_is_zero(vec_add(lie.binary[i][j], lie.binary[j][i])):
-                raise NotALieAlgebra("binary tensor is not antisymmetric", triple=(i, j))
-    for i, j, k in itertools.product(range(d), repeat=3):
-        jac = vec_add(
-            vec_add(
-                lie.bracket(lie.binary[i][j], lie.basis_vector(k)),
-                lie.bracket(lie.binary[j][k], lie.basis_vector(i)),
-            ),
-            lie.bracket(lie.binary[k][i], lie.basis_vector(j)),
-        )
-        if not vec_is_zero(jac):
-            raise NotALieAlgebra("Jacobi identity fails", triple=(i, j, k))
     t = {
         (i, j, k): qvec(lie.bracket(lie.binary[i][j], lie.basis_vector(k)))
         for i, j, k in itertools.product(range(d), repeat=3)
     }
-    return _from_entries(d, b, t, name)
+    a = _from_entries(d, b, t, name)
+    report = a._first_violation
+    if not report.ok:
+        axiom = report.violated_axioms()[0]
+        message = "binary tensor is not antisymmetric" if axiom == "LY1" else "Jacobi identity fails"
+        raise NotALieAlgebra(message, triple=report.violations[axiom][0][0])
+    return a
 
 
 def from_leibniz(product, name: str = "") -> LYAlgebra:

@@ -13,7 +13,9 @@ A handler returns ``(payload, diagnostics)`` and nothing else; ``run`` builds
 the envelope, judges it and writes it at one site.  The status is ``fail``,
 with exit 1, exactly when there are diagnostics, and ``pass`` otherwise.  An
 error envelope carries an empty payload.  When --out cannot be written, the
-error envelope goes to stdout.
+error envelope goes to stdout.  Axiom and RLYB reports share one violations
+writer, ``_violations_json``; ``cohomology`` refuses a trivial module whose
+e x e maps hold more than --cap entries before building it.
 
 The ``examples`` command emits the bare fixture JSON (byte-stable) instead of
 a report envelope so its output is directly usable as an input file.
@@ -43,6 +45,7 @@ from .schemas import (
     algebra_to_json,
     bundle_from_json,
     cochain_pair_from_json,
+    frac_from_json,
     frac_to_str,
     matrix_to_json,
     representation_from_json,
@@ -66,32 +69,15 @@ def _resolve_rep(selector: str, a: alg.LYAlgebra, rep_dim: int) -> rep.Represent
     return representation_from_json(_load_json(selector), a.dim)
 
 
-def _axiom_report_json(report: alg.AxiomReport) -> dict:
+def _violations_json(report, defect_json) -> dict:
+    """An axiom or RLYB report: its verdict and each violation's 1-based tuple and defect."""
     return {
         "ok": report.ok,
         "violations": {
-            ax: [
-                {"tuple": [i + 1 for i in tup], "defect": vec_to_json(defect)}
-                for tup, defect in entries
-            ]
-            for ax, entries in report.violations.items()
+            name: [{"tuple": [i + 1 for i in tup], "defect": defect_json(defect)} for tup, defect in entries]
+            for name, entries in report.violations.items()
             if entries
         },
-    }
-
-
-def _rep_report_json(report: rep.RepReport) -> dict:
-    return {
-        "ok": report.ok,
-        "violations": {
-            cond: [
-                {"tuple": [i + 1 for i in tup], "defect": matrix_to_json(defect)}
-                for tup, defect in entries
-            ]
-            for cond, entries in report.violations.items()
-            if entries
-        },
-        "rlyb7_ok": not report.rlyb7_violations,
     }
 
 
@@ -122,8 +108,8 @@ def _parse_mode(args) -> bnd.EvalMode:
     if args.tol is None:
         return bnd.EvalMode(args.mode)
     try:
-        tol = float(Fraction(args.tol))
-    except (ValueError, ZeroDivisionError, OverflowError):
+        tol = float(frac_from_json(args.tol))
+    except (ShapeMismatch, OverflowError):
         raise ShapeMismatch(f"--tol {args.tol!r} is not a finite positive number") from None
     return bnd.EvalMode(args.mode, tol)
 
@@ -234,7 +220,7 @@ def _report(command: str, status: str, payload: dict, diagnostics: list[str]) ->
 def _cmd_check(args) -> tuple[dict, list[str]]:
     a = algebra_from_json(_load_json(args.input))
     report = alg.check_axioms(a)
-    payload = {"dim": a.dim, "name": a.name, "axioms": _axiom_report_json(report)}
+    payload = {"dim": a.dim, "name": a.name, "axioms": _violations_json(report, vec_to_json)}
     return payload, [] if report.ok else [report.summary()]
 
 
@@ -250,6 +236,10 @@ def _cmd_derivations(args) -> tuple[dict, list[str]]:
 
 def _cmd_cohomology(args) -> tuple[dict, list[str]]:
     a = algebra_from_json(_load_json(args.input))
+    e = args.rep_dim
+    if args.rep == "trivial" and e > 0 and e * e > args.cap:
+        # the module's e x e maps, refused before they are built; C^(2p+3) grows only as e
+        raise SizeCapExceeded(f"trivial module maps have {e}x{e} = {e * e} entries, cap is {args.cap}")
     r = _resolve_rep(args.rep, a, args.rep_dim)
     if args.level < 1:
         raise ShapeMismatch("--p must be >= 1")
@@ -276,7 +266,8 @@ def _cmd_rep_check(args) -> tuple[dict, list[str]]:
     a = algebra_from_json(_load_json(args.input))
     r = _resolve_rep(args.rep, a, args.rep_dim)
     report = rep.check_representation(a, r)
-    return _rep_report_json(report), [] if report.ok else [f"violated: {', '.join(report.violated())}"]
+    payload = {**_violations_json(report, matrix_to_json), "rlyb7_ok": not report.rlyb7_violations}
+    return payload, [] if report.ok else [f"violated: {', '.join(report.violated())}"]
 
 
 def _product_report(product: alg.LYAlgebra, **extra) -> tuple[dict, list[str]]:

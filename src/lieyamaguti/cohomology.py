@@ -38,8 +38,9 @@ more coordinates than the cap, or when the level's work, which grows as that
 count times (2p+3)**3, is over the budget derived from the cap.  Kernels and
 images are read off the operator's nonzero entries by ``linalg``'s sparse
 fraction-free elimination; they are never densified.  The groups, the
-applied coboundaries and ``transport_defects`` call the algebra's validity
-guard; the ``*_matrix`` functions accept any algebra.
+applied coboundaries and ``transport_defects`` call the (algebra, module)
+guard ``representation._require_rep``; the ``*_matrix`` functions accept any
+algebra.
 
 The sign convention of delta*'s rho-block, - rho(x1) f(x2, x3) summed
 cyclically, is the unique one (given its cyclic f- and g-blocks) for which
@@ -59,14 +60,14 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .algebra import LYAlgebra, _require_valid
+from .algebra import LYAlgebra
 from .errors import (
     CocycleContainmentFailure,
     ShapeMismatch,
     SizeCapExceeded,
 )
 from .linalg import Matrix, SubspaceBasis, Vector, sparse_kernel, zero_vector
-from .representation import Representation, _check_shapes
+from .representation import Representation, _check_shapes, _require_rep
 
 DEFAULT_SIZE_CAP = 50_000
 
@@ -208,11 +209,6 @@ class CochainPair:
 
     def is_zero(self) -> bool:
         return self.f.is_zero() and self.g.is_zero()
-
-
-def _require_rep(a: LYAlgebra, r: Representation) -> None:
-    _require_valid(a)
-    _check_shapes(a, r)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,10 @@ bracket are scaled by den, and D, theta and the ternary bracket by den**2.
 Each condition is homogeneous of weight w (``RLYB_WEIGHTS``), so its integer
 defect is den**w times the exact one; a violated tuple's defect is reported
 as a Matrix of exact Fractions.
+
+Every entry point that needs a valid algebra and a module shaped for it,
+here and in ``cohomology``, calls one guard, ``_require_rep``: the algebra's
+validity guard, then the shape check.
 """
 
 from __future__ import annotations
@@ -88,6 +92,12 @@ def _check_shapes(a: LYAlgebra, r: Representation) -> None:
             for m in row:
                 if m.rows != r.e or m.cols != r.e:
                     raise ShapeMismatch("D/theta matrices must be e x e")
+
+
+def _require_rep(a: LYAlgebra, r: Representation) -> None:
+    """The guard for an (algebra, module) pair: a valid algebra and a module shaped for its basis."""
+    _require_valid(a)
+    _check_shapes(a, r)
 
 
 # Weight of each condition in the cleared data (rho and the binary tensor
@@ -225,8 +235,7 @@ def check_representation(a: LYAlgebra, r: Representation, first_only: bool = Fal
     integers on ``_integer_data``; a violated tuple's defect is reported as
     a matrix of exact Fractions.  RLYB7 is skipped with ``first_only``.
     """
-    _require_valid(a)
-    _check_shapes(a, r)
+    _require_rep(a, r)
     den, B, T, rho, dmap, theta = _integer_data(a, r)
     report = RepReport()
     for cond, tup, acc in _rlyb_defects(a.dim, r.e, B, T, rho, dmap, theta):
@@ -246,8 +255,7 @@ def is_representation(a: LYAlgebra, r: Representation) -> bool:
 
 def check_rlyb7(a: LYAlgebra, r: Representation) -> bool:
     """Cyclic identity D([a,b],c) + D([b,c],a) + D([c,a],b) = 0 on basis triples."""
-    _require_valid(a)
-    _check_shapes(a, r)
+    _require_rep(a, r)
     _, B, _, _, dmap, _ = _integer_data(a, r)
     return next(_rlyb7_defects(a.dim, r.e, B, dmap), None) is None
 

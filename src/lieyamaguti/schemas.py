@@ -6,19 +6,27 @@ Basis indices are 1-based in every schema, and integer fields refuse JSON
 booleans.  Algebras and (2,3)-cochain pairs share one entry format,
 [i, j, vector] and [i, j, k, vector] with i < j in the antisymmetric slot
 pair, read and written by one pair of helpers; loaders derive the mirrored
-entries, so files cannot express LY1/LY2 violations.
+entries, so files cannot express LY1/LY2 violations; an index tuple may
+appear once in either format.
+
+``frac_from_json`` is the one reader of rationals from outside, the CLI's
+--tol included.  It accepts what Fraction accepts ("1.5", "1e-9") but
+refuses a decimal exponent E whose 10**|E| would be longer than
+``exprs.MAX_POWER_BITS`` bits, before computing it.  Lists are read with
+``_list``/``_as_list``, which name the field they refuse.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .algebra import LYAlgebra, from_sparse
 from .bundle import BundleSpec, Chart, TransitionFamily, TripleOverlap
 from .cohomology import CochainPair, _pair_space, _shape
 from .errors import ExprSyntaxError, ShapeMismatch
-from .exprs import parse_expr
+from .exprs import MAX_POWER_BITS, parse_expr
 from .linalg import Matrix, vec_is_zero
 from .representation import Representation
 
@@ -28,12 +36,33 @@ def frac_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+# Largest |E| in a literal's decimal exponent: 10**|E| then has at most
+# MAX_POWER_BITS bits, the bound exact powers use.
+_MAX_EXPONENT = int(MAX_POWER_BITS / math.log2(10))
+
+
+def _exponent(s: str) -> int:
+    """The decimal exponent of a literal such as "1.5e-3", read without computing 10**E; 0 if none."""
+    cut = max(s.rfind("e"), s.rfind("E"))
+    try:
+        return int(s[cut + 1 :]) if cut >= 0 else 0
+    except ValueError:
+        return 0  # not a valid exponent, so Fraction refuses the literal
+
+
 def frac_from_json(v) -> Fraction:
+    """A rational from a JSON int or a string Fraction accepts ("p/q", "1.5", "1e-9").
+
+    A string whose decimal exponent E has |E| past ``_MAX_EXPONENT`` is
+    refused before Fraction computes 10**|E|.
+    """
     if isinstance(v, bool):
         raise ShapeMismatch("booleans are not rationals")
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        if abs(_exponent(v)) > _MAX_EXPONENT:
+            raise ShapeMismatch(f"rational literal {v!r} has a decimal exponent past {_MAX_EXPONENT}")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
@@ -74,6 +103,18 @@ def _integer(v, what: str) -> int:
     return v
 
 
+def _as_list(v, what: str) -> list:
+    """``v`` if it is a list; ``what`` names the field in the refusal."""
+    if not isinstance(v, list):
+        raise ShapeMismatch(f"{what} must be a list, got {v!r}")
+    return v
+
+
+def _list(obj: dict, key: str, what: str) -> list:
+    """``obj[key]``, empty if absent, if it is a list."""
+    return _as_list(obj.get(key, []), f"{what}: {key!r}")
+
+
 def _objects(v, what: str) -> list:
     """``v`` if it is a list of JSON objects."""
     if not (isinstance(v, list) and all(isinstance(x, dict) for x in v)):
@@ -101,10 +142,12 @@ def _entries_from_json(entries, arity: int, d: int, length: int, what: str):
 
     An entry is [i, j, vector] (arity 2) or [i, j, k, vector] (arity 3) with
     1 <= i < j <= d and 1 <= k <= d; each vector has ``length`` rationals.
+    An index tuple may appear once.
     """
     form = "[i, j, vector]" if arity == 2 else "[i, j, k, vector]"
     if not isinstance(entries, list):
         raise ShapeMismatch(f"{what} must be a list of {form} entries")
+    seen = set()
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == arity + 1):
             raise ShapeMismatch(f"{what} entries are {form}")
@@ -112,6 +155,9 @@ def _entries_from_json(entries, arity: int, d: int, length: int, what: str):
         idx = tuple(_integer(x, f"{what} entry index") for x in idx)
         if not (1 <= idx[0] < idx[1] <= d and all(1 <= k <= d for k in idx[2:])):
             raise ShapeMismatch(f"{what} entry needs 1 <= i < j <= {d} and 1 <= k <= {d}, got {idx}")
+        if idx in seen:
+            raise ShapeMismatch(f"duplicate {what} entry {idx}")
+        seen.add(idx)
         yield tuple(x - 1 for x in idx), vec_from_json(vec, length)
 
 
@@ -134,16 +180,9 @@ def algebra_from_json(obj) -> LYAlgebra:
     d = _integer(obj["dim"], "'dim'")
     if d < 0:
         raise ShapeMismatch("'dim' must be a non-negative integer")
-
-    def entries(key: str, arity: int) -> dict:
-        out = {}
-        for idx, vec in _entries_from_json(obj.get(key, []), arity, d, d, key):
-            if idx in out:
-                raise ShapeMismatch(f"duplicate {key} entry {tuple(i + 1 for i in idx)}")
-            out[idx] = vec
-        return out
-
-    return from_sparse(d, entries("binary", 2), entries("ternary", 3), str(obj.get("name", "")))
+    binary = dict(_entries_from_json(obj.get("binary", []), 2, d, d, "binary"))
+    ternary = dict(_entries_from_json(obj.get("ternary", []), 3, d, d, "ternary"))
+    return from_sparse(d, binary, ternary, str(obj.get("name", "")))
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +204,18 @@ def representation_from_json(obj, d: int) -> Representation:
     e = _integer(obj["e"], "'e'")
     if e < 0:
         raise ShapeMismatch("'e' must be a non-negative integer")
-    rho = obj.get("rho", [])
-    dm = obj.get("D", [])
-    th = obj.get("theta", [])
+    rho, dm, th = (_list(obj, key, "representation") for key in ("rho", "D", "theta"))
     if len(rho) != d or len(dm) != d or len(th) != d:
         raise ShapeMismatch("rho, D, theta must be indexed by the algebra basis")
-    return Representation(
-        e,
-        tuple(matrix_from_json(m, (e, e)) for m in rho),
-        tuple(tuple(matrix_from_json(m, (e, e)) for m in row) for row in dm),
-        tuple(tuple(matrix_from_json(m, (e, e)) for m in row) for row in th),
-    )
+
+    def family(key: str, rows: list) -> tuple:
+        return tuple(
+            tuple(matrix_from_json(m, (e, e)) for m in _as_list(row, f"representation: {key!r} row {n}"))
+            for n, row in enumerate(rows, 1)
+        )
+
+    rho = tuple(matrix_from_json(m, (e, e)) for m in rho)
+    return Representation(e, rho, family("D", dm), family("theta", th))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +235,6 @@ def cochain_pair_from_json(obj, d: int, e: int) -> CochainPair:
         raise ShapeMismatch("cochain JSON must be an object with p = 1")
     f, g = (_shape(groups, d, e) for groups in _pair_space(1))
     flat = [0] * (f.dim + g.dim)
-    # a repeated entry overwrites the earlier one
     for key, arity, shape, shift in (("f", 2, f, 0), ("g", 3, g, f.dim)):
         for idx, vec in _entries_from_json(obj.get(key, []), arity, d, e, key):
             base = shift + shape.offset(idx)[1]
@@ -212,14 +251,6 @@ def _required(obj: dict, key: str, what: str):
     if key not in obj:
         raise ShapeMismatch(f"{what} has no {key!r} field")
     return obj[key]
-
-
-def _list(obj: dict, key: str, what: str) -> list:
-    """``obj[key]``, empty if absent, if it is a list."""
-    v = obj.get(key, [])
-    if not isinstance(v, list):
-        raise ShapeMismatch(f"{what}: {key!r} must be a list, got {v!r}")
-    return v
 
 
 def _point(v, what: str) -> tuple[Fraction, ...]:

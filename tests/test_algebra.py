@@ -153,14 +153,23 @@ def test_from_lie_rejects_non_jacobi():
         [[0, 0, -1], [0, 0, 0], [0, 0, 0]],
         [[-1, 0, 0], [0, 0, 0], [0, 0, 0]],
     ]
-    with pytest.raises(NotALieAlgebra):
+    with pytest.raises(NotALieAlgebra) as exc:
         from_lie(bad)
+    assert (str(exc.value), exc.value.triple) == ("Jacobi identity fails", (0, 1, 2))
 
 
 def test_from_lie_rejects_non_antisymmetric():
     bad = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
-    with pytest.raises(NotALieAlgebra):
+    with pytest.raises(NotALieAlgebra) as exc:
         from_lie(bad)
+    assert (str(exc.value), exc.value.triple) == ("binary tensor is not antisymmetric", (0, 1))
+
+
+def test_from_lie_is_validated_at_construction():
+    """from_lie decides through the algebra's own first-violation scan, so no later guard scans again."""
+    a = from_lie(_CROSS_BINARY)
+    assert "_first_violation" in vars(a)
+    assert a._first_violation.ok
 
 
 def test_from_lie_abelian_gives_zero_ternary():

@@ -230,6 +230,61 @@ def test_cohomology_cap_exit_3(tmp_path, capsys):
     assert report["status"] == "error"
 
 
+def test_trivial_module_past_the_cap_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch):
+    """--cap bounds the trivial module's e x e maps: 224**2 > 50000 exits 3 without building them."""
+
+    def refuse(*args):
+        raise AssertionError("trivial_rep called")
+
+    monkeypatch.setattr("lieyamaguti.representation.trivial_rep", refuse)
+    path = write_fixture(tmp_path, "meson2")
+    code, report = run_cli(capsys, "cohomology", path, "--rep", "trivial", "--rep-dim", "224")
+    assert code == 3
+    assert (report["status"], report["payload"]) == ("error", {})
+    assert report["diagnostics"] == ["trivial module maps have 224x224 = 50176 entries, cap is 50000"]
+    code, _ = run_cli(capsys, "cohomology", path, "--rep", "trivial", "--rep-dim", "3", "--cap", "8")
+    assert code == 3
+
+
+def test_trivial_module_at_the_cap_is_accepted(tmp_path, capsys):
+    path = write_fixture(tmp_path, "meson2")
+    code, report = run_cli(capsys, "cohomology", path, "--rep", "trivial", "--rep-dim", "3", "--cap", "9")
+    assert code == 0
+    assert report["payload"]["delta_squared_zero"] is True
+
+
+@pytest.mark.parametrize(
+    "key, value, where",
+    [
+        ("rho", 5, "representation: 'rho' must be a list"),
+        ("D", [1, 2, 3], "representation: 'D' row 1 must be a list"),
+    ],
+    ids=["rho-not-a-list", "D-row-not-a-list"],
+)
+def test_rep_loader_names_the_field(tmp_path, capsys, key, value, where):
+    from lieyamaguti import adjoint, example_3dim
+    from lieyamaguti.schemas import representation_to_json
+
+    alg_path = write_fixture(tmp_path, "3dim")
+    obj = {**representation_to_json(adjoint(example_3dim())), key: value}
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(obj), encoding="utf-8")
+    code, report = run_cli(capsys, "rep-check", alg_path, "--rep", str(rep_path))
+    assert code == 2
+    assert (report["status"], report["payload"]) == ("error", {})
+    assert report["diagnostics"][0].startswith(where), report["diagnostics"]
+
+
+def test_twist_refuses_repeated_tau_entry(tmp_path, capsys):
+    path = write_fixture(tmp_path, "3dim")
+    tau_path = tmp_path / "tau.json"
+    f = [[1, 2, ["1", "0", "0"]], [1, 2, ["0", "0", "0"]]]
+    tau_path.write_text(json.dumps({"p": 1, "f": f, "g": []}), encoding="utf-8")
+    code, report = run_cli(capsys, "twist", path, "--tau", str(tau_path))
+    assert code == 2
+    assert report["diagnostics"] == ["duplicate f entry (1, 2)"]
+
+
 def test_rep_check_adjoint(tmp_path, capsys):
     path = write_fixture(tmp_path, "meson2")
     code, report = run_cli(capsys, "rep-check", path)
@@ -343,6 +398,26 @@ def test_bundle_check_rejects_bad_tolerance(tmp_path, capsys, tol):
     assert code == 2
     assert report["status"] == "error"
     assert report["payload"] == {}
+
+
+def test_bundle_check_refuses_huge_tolerance_exponent(tmp_path, capsys):
+    """A --tol whose 10**|E| would pass exprs.MAX_POWER_BITS is refused by the reader, before Fraction computes it."""
+    path = write_fixture(tmp_path, "circle-bundle")
+    code, report = run_cli(capsys, "bundle-check", path, "--mode", "float", "--tol=1e-20000")
+    assert code == 2
+    assert report["diagnostics"] == ["--tol '1e-20000' is not a finite positive number"]
+
+
+def test_bundle_check_refuses_huge_sample_exponent(tmp_path, capsys):
+    """A sample point's rational is read with the same exponent bound, though bundle-check never evaluates it."""
+    obj = fixture("circle-bundle")
+    obj["charts"][0]["samples"][0][0] = "1e20000"
+    path = tmp_path / "huge-sample.json"
+    path.write_text(render(obj), encoding="utf-8")
+    code, report = run_cli(capsys, "bundle-check", str(path))
+    assert code == 2
+    assert (report["status"], report["payload"]) == ("error", {})
+    assert "'1e20000' has a decimal exponent past 19728" in report["diagnostics"][0]
 
 
 def test_bundle_check_accepts_rational_tolerance(tmp_path, capsys):

@@ -31,6 +31,17 @@ def test_frac_rejects_junk():
             frac_from_json(bad)
 
 
+def test_frac_refuses_huge_decimal_exponent():
+    """10**|E| past exprs.MAX_POWER_BITS bits (|E| > 19728) is refused before Fraction computes it."""
+    for bad in ("1e20000", "1E-20000", "2.5e+19729", "1e999999999"):
+        with pytest.raises(ShapeMismatch, match="decimal exponent"):
+            frac_from_json(bad)
+    assert frac_from_json("1e-9") == Fraction(1, 10**9)
+    assert frac_from_json("1.5") == Fraction(3, 2)
+    assert frac_from_json("1/1000") == Fraction(1, 1000)
+    assert frac_from_json("1e19728") == 10**19728
+
+
 def test_algebra_round_trip(corpus):
     for name, (a, _) in corpus.items():
         obj = algebra_to_json(a)
@@ -48,7 +59,7 @@ def test_algebra_json_rejects_upper_triangle_violation():
 
 def test_algebra_json_rejects_duplicates():
     obj = {"dim": 2, "binary": [[1, 2, ["1", "0"]], [1, 2, ["0", "1"]]], "ternary": []}
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match=r"duplicate binary entry \(1, 2\)"):
         algebra_from_json(obj)
 
 
@@ -91,13 +102,17 @@ def test_cochain_pair_json_rejects_bad_indices():
         cochain_pair_from_json({"p": 1, "f": [[2, 1, ["1", "0", "0"]]], "g": []}, 3, 3)
 
 
-def test_cochain_pair_json_later_entries_overwrite_earlier_ones():
-    obj = {
-        "p": 1,
-        "f": [[1, 2, ["1", "0"]], [1, 2, ["0", "2"]]],
-        "g": [[1, 3, 2, ["5", "0"]], [1, 3, 2, ["0", "-1/3"]]],
-    }
-    c = cochain_pair_from_json(obj, 3, 2)
+def test_cochain_pair_json_rejects_duplicates():
+    """A repeated f or g entry is refused, as a repeated algebra entry is, naming the entry."""
+    cases = [
+        ({"f": [[1, 2, ["1", "0"]], [1, 2, ["0", "2"]]], "g": []}, "duplicate f entry (1, 2)"),
+        ({"f": [], "g": [[1, 3, 2, ["5", "0"]], [1, 3, 2, ["0", "1"]]]}, "duplicate g entry (1, 3, 2)"),
+    ]
+    for obj, message in cases:
+        with pytest.raises(ShapeMismatch) as exc:
+            cochain_pair_from_json({"p": 1, **obj}, 3, 2)
+        assert str(exc.value) == message
+    c = cochain_pair_from_json({"p": 1, "f": [[1, 2, ["0", "2"]]], "g": [[1, 3, 2, ["0", "-1/3"]]]}, 3, 2)
     assert c.f.eval_basis((0, 1)) == (Fraction(0), Fraction(2))
     assert c.g.eval_basis((0, 2, 1)) == (Fraction(0), Fraction(-1, 3))
     assert sum(1 for x in c.flat() if x) == 2
