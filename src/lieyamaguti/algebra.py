@@ -642,7 +642,7 @@ def derivations(a: LYAlgebra) -> SubspaceBasis:
         s, r = divmod(col, d)
         return r * d + s
 
-    lines = _delta_op(a, adjoint(a), 0)._lines(by_column=False)
+    lines = _delta_op(a, adjoint(a), 0).lines
     basis = sparse_kernel(d * d, ([(entry(col), x) for col, x in line] for line in lines))
 
     # closure under commutator is a theorem; assert it as a consistency check

@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LYAlgebra, _map_defect, _require_valid, is_homomorphism, structure_lcm
+from .algebra import LYAlgebra, _from_entries, _map_defect, _require_valid, is_homomorphism, structure_lcm
 from .cohomology import DEFAULT_SIZE_CAP, h1, h23, h_upper, transport_defects
 from .errors import (
     CocycleCheckFailed,
@@ -227,9 +227,12 @@ def _fibre(a: LYAlgebra, mode: EvalMode) -> tuple:
     mode den is 1 and the algebra holds the constants as floats.
     """
     den = structure_lcm(a) if mode.kind == "exact" else 1
-    binary = tuple(tuple(_scaled(v, den, mode) for v in row) for row in a.binary)
-    ternary = tuple(tuple(tuple(_scaled(v, den * den, mode) for v in vs) for vs in row) for row in a.ternary)
-    return den, LYAlgebra(a.dim, binary, ternary, a.name)
+    slots = range(a.dim)
+    binary = {(i, j): _scaled(a.binary[i][j], den, mode) for i in slots for j in slots}
+    ternary = {
+        (i, j, k): _scaled(a.ternary[i][j][k], den * den, mode) for i in slots for j in slots for k in slots
+    }
+    return den, _from_entries(a.dim, binary, ternary, a.name)
 
 
 def _norm(worst, scale: int, mode: EvalMode):
@@ -238,6 +241,9 @@ def _norm(worst, scale: int, mode: EvalMode):
     Exact in exact mode; float mode never scales (every D and den is 1).
     """
     return Fraction(worst, scale) if mode.kind == "exact" else worst
+
+
+_SINGULAR = {"exact": "matrix is singular", "float": "matrix is numerically singular"}
 
 
 def _singular(s: list, mode: EvalMode) -> bool:
@@ -371,13 +377,12 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
             where = f"{tf.label()} / {rev.label()}"
             check("inverse", where, (pt_f, pt_r), worst, df * dr, "g_ji != g_ij^-1")
 
-    singular = "matrix is singular" if mode.kind == "exact" else "matrix is numerically singular"
     for tf in b.transitions:
         for pt in tf.samples:
             report.checks += 1
             pair = value(tf, pt)
             if _singular(pair[1], mode):
-                report.add("automorphism", tf.label(), pt, None, singular)
+                report.add("automorphism", tf.label(), pt, None, _SINGULAR[mode.kind])
                 continue
             norm = _automorphism_defect(pair, fibre, mode)
             if norm > bound:
@@ -523,19 +528,19 @@ def transport_failures(
     Adjoint coefficients; "der" is "h1", whose cocycles are the derivations,
     and transport acts on them as T -> s T s^-1.  ``cohomology.transport_defects``
     names the coboundaries checked.  Exact in exact mode, within the tolerance
-    in float mode; every automorphism passes.
+    in float mode; every automorphism passes.  A value is singular by the
+    cocycle gate's test, ``_singular``, and reported in the gate's words.
     """
     level = _group(which, p)[0]
     failures, where, maps = [], [], []
     for tf in b.transitions:
         for pt in tf.samples:
             s = eval_transition(tf, pt, mode)
-            s_inv = _invert(s)[1]
-            if s_inv is None:
-                failures.append(CocycleFailure("transport", tf.label(), pt, None, "matrix is singular"))
+            if _singular(_cleared(s, mode)[1], mode):
+                failures.append(CocycleFailure("transport", tf.label(), pt, None, _SINGULAR[mode.kind]))
             else:
                 where.append((tf.label(), pt))
-                maps.append((s, s_inv))
+                maps.append((s, _invert(s)[1]))
     defects = transport_defects(b.fiber, adjoint(b.fiber), level, maps)
     for (label, pt), norm in zip(where, defects):
         if norm > mode.bound:

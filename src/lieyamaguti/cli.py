@@ -14,8 +14,11 @@ the envelope, judges it and writes it at one site.  The status is ``fail``,
 with exit 1, exactly when there are diagnostics, and ``pass`` otherwise.  An
 error envelope carries an empty payload.  When --out cannot be written, the
 error envelope goes to stdout.  Axiom and RLYB reports share one violations
-writer, ``_violations_json``; ``cohomology`` refuses a trivial module whose
-e x e maps hold more than --cap entries before building it.
+writer, ``_violations_json``.  Every command builds its module in
+``_resolve_rep``, which refuses a trivial module whose e x e maps hold more
+than --cap entries (``DEFAULT_SIZE_CAP`` where the command has no --cap)
+before building it; ``semidirect`` and ``twist`` also refuse, before the
+product is built, a product whose LY scan is over ``_PRODUCT_WORK``.
 
 The ``examples`` command emits the bare fixture JSON (byte-stable) instead of
 a report envelope so its output is directly usable as an input file.
@@ -61,12 +64,37 @@ def _load_json(path: str):
             raise ShapeMismatch(f"{path}: JSON nested too deeply to read") from None
 
 
-def _resolve_rep(selector: str, a: alg.LYAlgebra, rep_dim: int) -> rep.Representation:
-    if selector == "adjoint":
+def _resolve_rep(args, a: alg.LYAlgebra, cap: int = coh.DEFAULT_SIZE_CAP) -> rep.Representation:
+    """The module of --rep and --rep-dim; the one place every command builds it.
+
+    A trivial module whose e x e maps hold more than ``cap`` entries is
+    refused before they are built.
+    """
+    e = args.rep_dim
+    if args.rep == "trivial" and e > 0 and e * e > cap:
+        raise SizeCapExceeded(f"trivial module maps have {e}x{e} = {e * e} entries, cap is {cap}")
+    if args.rep == "adjoint":
         return rep.adjoint(a)
-    if selector == "trivial":
-        return rep.trivial_rep(a, rep_dim)
-    return representation_from_json(_load_json(selector), a.dim)
+    if args.rep == "trivial":
+        return rep.trivial_rep(a, e)
+    return representation_from_json(_load_json(args.rep), a.dim)
+
+
+# The LY scan of a product of dimension n runs over n**5 tuples; its budget is
+# the default cap times 7**3, as ``cohomology._check_work`` allows a level,
+# which admits n <= 27.
+_PRODUCT_WORK = coh.DEFAULT_SIZE_CAP * coh._FREE_ARITY**3
+
+
+def _product_rep(args, a: alg.LYAlgebra) -> rep.Representation:
+    """The module of a semi-direct or twisted product, refused before the product if its scan is over budget."""
+    r = _resolve_rep(args, a)
+    n = a.dim + r.e
+    if n**5 > _PRODUCT_WORK:
+        raise SizeCapExceeded(
+            f"a product of dimension {n} scans {n}**5 = {n**5} tuples, over cap x 7**3 = {_PRODUCT_WORK}"
+        )
+    return r
 
 
 def _violations_json(report, defect_json) -> dict:
@@ -236,11 +264,7 @@ def _cmd_derivations(args) -> tuple[dict, list[str]]:
 
 def _cmd_cohomology(args) -> tuple[dict, list[str]]:
     a = algebra_from_json(_load_json(args.input))
-    e = args.rep_dim
-    if args.rep == "trivial" and e > 0 and e * e > args.cap:
-        # the module's e x e maps, refused before they are built; C^(2p+3) grows only as e
-        raise SizeCapExceeded(f"trivial module maps have {e}x{e} = {e * e} entries, cap is {args.cap}")
-    r = _resolve_rep(args.rep, a, args.rep_dim)
+    r = _resolve_rep(args, a, args.cap)
     if args.level < 1:
         raise ShapeMismatch("--p must be >= 1")
     if args.level == 1:
@@ -264,7 +288,7 @@ def _cmd_cohomology(args) -> tuple[dict, list[str]]:
 
 def _cmd_rep_check(args) -> tuple[dict, list[str]]:
     a = algebra_from_json(_load_json(args.input))
-    r = _resolve_rep(args.rep, a, args.rep_dim)
+    r = _resolve_rep(args, a)
     report = rep.check_representation(a, r)
     payload = {**_violations_json(report, matrix_to_json), "rlyb7_ok": not report.rlyb7_violations}
     return payload, [] if report.ok else [f"violated: {', '.join(report.violated())}"]
@@ -284,13 +308,12 @@ def _product_report(product: alg.LYAlgebra, **extra) -> tuple[dict, list[str]]:
 
 def _cmd_semidirect(args) -> tuple[dict, list[str]]:
     a = algebra_from_json(_load_json(args.input))
-    r = _resolve_rep(args.rep, a, args.rep_dim)
-    return _product_report(rep.semidirect(a, r))
+    return _product_report(rep.semidirect(a, _product_rep(args, a)))
 
 
 def _cmd_twist(args) -> tuple[dict, list[str]]:
     a = algebra_from_json(_load_json(args.input))
-    r = _resolve_rep(args.rep, a, args.rep_dim)
+    r = _product_rep(args, a)
     if (args.tau is None) == (args.tau_cocycle is None):
         raise ShapeMismatch("twist needs exactly one of --tau PATH or --tau-cocycle K")
     if args.tau is not None:

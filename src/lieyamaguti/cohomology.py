@@ -25,19 +25,20 @@ The complex is indexed by level p: level 0 is C^1 and level p >= 1 is
 C^(2p,2p+1).  delta = (delta_I, delta_II) maps level p to level p + 1 for
 every p >= 0; delta_zero is delta at p = 0, one term generator for both.  The
 auxiliary delta* leaves level 1.  Each operator is sparse, defined only by
-its term generator and assembled on the representatives of its target shape.
-It is assembled at most once per (algebra instance, module object) and held
-on the algebra (``_held``); it is shared by every caller, so its entries are
-a read-only mapping.  Applying it to a cochain, densifying it (``*_matrix``)
-and computing groups all go through that operator.  One table lists the
-operators into and out of each level, and the group at level p (``h1``,
-``h23``, ``h_upper``) is Z/B with Z the joint kernel of the operators out
-and B the image of the one in; transport of cochains is checked against the
-same operators.  A group refuses its level before assembly when C^(2p+3) has
+its term generator and assembled on the representatives of its target shape,
+and held as its rows: the e rows of each target tuple, each a tuple of
+(col, coeff) entries.  It is assembled at most once per (algebra instance,
+module object) and held on the algebra (``_held``); it is shared by every
+caller, and its rows are tuples, so no caller can change it.  Applying it to
+a cochain, densifying it (``*_matrix``) and computing groups all go through
+that operator.  One table lists the operators into and out of each level,
+and the group at level p (``h1``, ``h23``, ``h_upper``) is Z/B with Z the
+kernel of the rows of the operators out, taken together, and B the image of
+the one in; transport of cochains is checked against the same operators.  A group refuses its level before assembly when C^(2p+3) has
 more coordinates than the cap, or when the level's work, which grows as that
 count times (2p+3)**3, is over the budget derived from the cap.  Kernels and
-images are read off the operator's nonzero entries by ``linalg``'s sparse
-fraction-free elimination; they are never densified.  The groups, the
+images are read off the operator's rows (for an image, its columns) by
+``linalg``'s sparse fraction-free elimination; they are never densified.  The groups, the
 applied coboundaries and ``transport_defects`` call the (algebra, module)
 guard ``representation._require_rep``; the ``*_matrix`` functions accept any
 algebra.
@@ -57,8 +58,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import LYAlgebra
 from .errors import (
@@ -216,65 +216,53 @@ class CochainPair:
 
 
 class _Operator(NamedTuple):
-    """Sparse rows x cols operator; ``entries[row * cols + col]`` is a coefficient.
+    """Sparse operator with ``cols`` columns, held as its rows.
 
-    An operator is immutable: it is held on its algebra and shared by every
-    caller, so ``entries`` is a read-only mapping and every method that
-    derives an operator builds a new one.
+    ``lines[i]`` is a tuple of the (col, coeff) entries of row i.  An operator
+    is immutable: it is held on its algebra and shared by every caller, so its
+    rows are tuples and every method that derives an operator builds a new one.
     """
 
-    rows: int
     cols: int
-    entries: Mapping
+    lines: tuple
+
+    @property
+    def rows(self) -> int:
+        return len(self.lines)
 
     def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
         out = [Fraction(0)] * self.rows
-        for key, c in self.entries.items():
-            row, col = divmod(key, self.cols)
-            if vec[col]:
-                out[row] += c * vec[col]
+        for row, line in enumerate(self.lines):
+            for col, c in line:
+                if vec[col]:
+                    out[row] += c * vec[col]
         return out
 
-    def _lines(self, by_column: bool) -> list:
-        """The (index, coefficient) entries of each nonzero row, or of each nonzero column."""
-        lines: dict[int, list] = {}
-        for key, c in self.entries.items():
-            row, col = divmod(key, self.cols)
-            if by_column:
-                row, col = col, row
-            lines.setdefault(row, []).append((col, c))
-        return list(lines.values())
-
     def kernel(self) -> SubspaceBasis:
-        return sparse_kernel(self.cols, self._lines(by_column=False))
+        return sparse_kernel(self.cols, self.lines)
 
     def image(self) -> SubspaceBasis:
         """The column span."""
-        return SubspaceBasis.from_sparse(self.rows, self._lines(by_column=True))
+        columns = [[] for _ in range(self.cols)]
+        for row, line in enumerate(self.lines):
+            for col, c in line:
+                columns[col].append((row, c))
+        return SubspaceBasis.from_sparse(self.rows, columns)
 
     def dense(self) -> Matrix:
-        entries = [0] * (self.rows * self.cols)
-        for key, c in self.entries.items():
-            entries[key] = c
-        return Matrix(self.rows, self.cols, entries)
+        rows = [dict(line) for line in self.lines]
+        return Matrix(self.rows, self.cols, [row.get(col, 0) for row in rows for col in range(self.cols)])
 
     def __matmul__(self, other: "_Operator") -> "_Operator":
         """The composite ``self`` after ``other``."""
-        by_row: dict[int, list] = {}
-        for key, c in other.entries.items():
-            by_row.setdefault(key // other.cols, []).append((key % other.cols, c))
-        entries: dict = {}
-        for key, c in self.entries.items():
-            row, k = divmod(key, self.cols)
-            for col, x in by_row.get(k, ()):
-                out = row * other.cols + col
-                entries[out] = entries.get(out, 0) + c * x
-        return _Operator(self.rows, other.cols, MappingProxyType(entries))
-
-    def stack(self, other: "_Operator") -> "_Operator":
-        shift = self.rows * self.cols
-        below = {key + shift: c for key, c in other.entries.items()}
-        return _Operator(self.rows + other.rows, self.cols, MappingProxyType({**self.entries, **below}))
+        lines = []
+        for line in self.lines:
+            row: dict = {}
+            for k, c in line:
+                for col, x in other.lines[k]:
+                    row[col] = row.get(col, 0) + c * x
+            lines.append(tuple(row.items()))
+        return _Operator(other.cols, tuple(lines))
 
 
 def _assemble(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, terms) -> _Operator:
@@ -290,21 +278,23 @@ def _assemble(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, terms) ->
         shape = _shape(groups, d, e)
         blocks[shape.n] = (shape, cols)
         cols += shape.dim
-    entries, row = {}, 0
+    lines = []
     for groups in dst:
         for xs in _shape(groups, d, e).tuples():
+            rows = [{} for _ in range(e)]
             for coeff, mat, tup in terms(a, r, xs):
                 shape, col = blocks[len(tup)]
                 sign, base = shape.offset(tup)
                 if not sign:
                     continue
-                for m in range(e):
+                col, c = col + base, sign * coeff
+                for m, row in enumerate(rows):
                     for l, x in enumerate(mat.row(m)) if mat is not None else ((m, 1),):
                         if x:
-                            key = (row + m) * cols + col + base + l
-                            entries[key] = entries.get(key, 0) + sign * coeff * x
-            row += e
-    return _Operator(row, cols, MappingProxyType(entries))
+                            k = col + l
+                            row[k] = row.get(k, 0) + c * x
+            lines += (tuple(row.items()) for row in rows)
+    return _Operator(cols, tuple(lines))
 
 
 def _weighted(coeff, tup: tuple, slot: int, weights: Sequence[Fraction]):
@@ -574,8 +564,9 @@ def _cohomology(a: LYAlgebra, r: Representation, p: int, cap: int) -> Cohomology
     _require_rep(a, r)
     _check_work(_check_cap(a, r, p, cap), p, cap)
     into, out = _coboundaries(a, r, p)
-    z = functools.reduce(_Operator.stack, (op for _, _, op in out)).kernel()
-    b = into[0][2].image() if into else SubspaceBasis.from_sparse(z.ambient_dim, ())
+    cols = out[0][2].cols
+    z = sparse_kernel(cols, itertools.chain.from_iterable(op.lines for _, _, op in out))
+    b = into[0][2].image() if into else SubspaceBasis.from_sparse(cols, ())
     contained = z.contains_basis(b)
     if not contained:
         raise CocycleContainmentFailure(f"B is not contained in Z at level p={p}")
@@ -624,9 +615,11 @@ def transport_defects(a: LYAlgebra, r: Representation, p: int, maps) -> list:
         }
         worst = 0
         for src, dst, op in ops:
-            left = (transport[dst] @ op).entries
-            right = (op @ transport[src]).entries
-            for key in left.keys() | right.keys():
-                worst = max(worst, abs(left.get(key, 0) - right.get(key, 0)))
+            left, right = transport[dst] @ op, op @ transport[src]
+            for left_line, right_line in zip(left.lines, right.lines):
+                diff = dict(left_line)
+                for col, x in right_line:
+                    diff[col] = diff.get(col, 0) - x
+                worst = max([worst, *map(abs, diff.values())])
         defects.append(worst)
     return defects

@@ -14,7 +14,9 @@ antisymmetric partners) and by mixed LY3, which reduces them to RLYB1; among
 the completions compatible with RLYB1 this is the one whose twisted version
 matches the cohomology operators: a (2,3)-pair twists it into a Lie-Yamaguti
 algebra exactly when delta and delta_star both kill the pair, and shifting a
-twist by a coboundary is the shear isomorphism (x, u) -> (x, u + h(x)).
+twist by a coboundary is a shear isomorphism: for h in C^1, the map
+(x, u) -> (x, u - h(x)) carries the twist by tau onto the twist by
+tau + delta_zero h.
 
 RLYB1..RLYB7 are evaluated on sparse integer data: with den the LCM of every
 denominator of the algebra and the representation, rho and the binary

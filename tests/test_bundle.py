@@ -330,6 +330,24 @@ def test_transport_fails_off_the_automorphisms(which, kind):
     assert all(f.defect_norm > EvalMode(kind).bound for f in failures)
 
 
+def test_transport_and_the_gate_agree_on_singular_values():
+    """A value with |det| = 1e-26 is numerically singular to both; exactly it is an automorphism."""
+    spec = fixture_circle_bundle()
+    spec["transitions"][0]["matrix"] = [["1", "0", "0"], ["0", "t", "0"], ["0", "0", "t"]]
+    spec["transitions"][0]["samples"][0] = ["1e-13"]
+    b = bundle_from_json(spec)
+    tiny = b.transitions[0].samples[0]
+    float_mode = EvalMode("float")
+    expected = [("automorphism", "U1->U2", tiny, None, "matrix is numerically singular")]
+    gate = check_cocycle(b, float_mode).failures
+    assert [(f.kind, f.where, f.point, f.defect_norm, f.detail) for f in gate if f.kind == "automorphism"] == expected
+    for which in ("h1", "h23"):
+        failures = transport_failures(b, which, mode=float_mode)
+        assert [(f.where, f.point, f.defect_norm, f.detail) for f in failures] == [expected[0][1:]], which
+        assert failures[0].kind == "transport"
+        assert transport_failures(b, which) == [], which
+
+
 def test_transport_passes_on_rotations():
     b = _cayley_bundle()
     assert check_cocycle(b).ok

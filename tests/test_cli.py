@@ -231,19 +231,44 @@ def test_cohomology_cap_exit_3(tmp_path, capsys):
 
 
 def test_trivial_module_past_the_cap_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch):
-    """--cap bounds the trivial module's e x e maps: 224**2 > 50000 exits 3 without building them."""
+    """Every command bounds the trivial module's e x e maps: 224**2 > 50000 exits 3 without building them.
 
-    def refuse(*args):
-        raise AssertionError("trivial_rep called")
+    ``cohomology`` bounds them by --cap; the commands without --cap by the
+    default cap.  ``semidirect`` and ``twist`` also refuse, before building
+    it, a product whose LY scan of n**5 tuples is over 50000 x 7**3, that is
+    n = d + e > 27.
+    """
 
-    monkeypatch.setattr("lieyamaguti.representation.trivial_rep", refuse)
+    def refuse(what):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{what} called")
+
+        return refused
+
     path = write_fixture(tmp_path, "meson2")
-    code, report = run_cli(capsys, "cohomology", path, "--rep", "trivial", "--rep-dim", "224")
-    assert code == 3
-    assert (report["status"], report["payload"]) == ("error", {})
-    assert report["diagnostics"] == ["trivial module maps have 224x224 = 50176 entries, cap is 50000"]
-    code, _ = run_cli(capsys, "cohomology", path, "--rep", "trivial", "--rep-dim", "3", "--cap", "8")
-    assert code == 3
+    commands = {
+        "cohomology": [],
+        "rep-check": [],
+        "semidirect": [],
+        "twist": ["--tau-cocycle", "0"],
+    }
+    with monkeypatch.context() as patched:
+        patched.setattr("lieyamaguti.representation.trivial_rep", refuse("trivial_rep"))
+        for command, extra in commands.items():
+            code, report = run_cli(capsys, command, path, "--rep", "trivial", "--rep-dim", "224", *extra)
+            assert code == 3, command
+            assert (report["status"], report["payload"]) == ("error", {}), command
+            assert report["diagnostics"] == ["trivial module maps have 224x224 = 50176 entries, cap is 50000"]
+        code, _ = run_cli(capsys, "cohomology", path, "--rep", "trivial", "--rep-dim", "3", "--cap", "8")
+        assert code == 3
+    monkeypatch.setattr("lieyamaguti.representation._product_algebra", refuse("_product_algebra"))
+    monkeypatch.setattr("lieyamaguti.cohomology.h23", refuse("h23"))
+    for command in ("semidirect", "twist"):
+        code, report = run_cli(capsys, command, path, "--rep", "trivial", "--rep-dim", "26", *commands[command])
+        assert code == 3, command
+        assert report["diagnostics"] == [
+            "a product of dimension 28 scans 28**5 = 17210368 tuples, over cap x 7**3 = 17150000"
+        ]
 
 
 def test_trivial_module_at_the_cap_is_accepted(tmp_path, capsys):

@@ -5,7 +5,9 @@ Two static checks over the source of ``lieyamaguti``, standard library only:
 - no module imports a name it never uses (the package ``__init__`` is
   exempt: it re-exports what it imports);
 - every module-level private function or class (``_name``) is referenced
-  somewhere in the library outside its own definition.
+  somewhere in the library outside its own definition;
+- ``LYAlgebra(...)`` is called only inside ``algebra._from_entries``, the one
+  way to build an algebra.
 """
 
 import ast
@@ -58,3 +60,19 @@ def test_every_private_definition_has_a_caller():
             if everywhere[node.name] == sum(name == node.name for name in _referenced(node)):
                 orphans.append(f"{module}: {node.name}")
     assert not orphans, orphans
+
+
+def test_algebras_are_built_only_by_from_entries():
+    outside = []
+    for module, tree in MODULES.items():
+        allowed = [
+            node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_from_entries"
+        ]
+        inside = {id(n) for definition in allowed for n in ast.walk(definition)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and id(n) not in inside:
+                func = n.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "LYAlgebra":
+                    outside.append(f"{module}:{n.lineno}")
+    assert not outside, outside

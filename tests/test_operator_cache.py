@@ -74,16 +74,16 @@ KEYS = (0, 1, "star")
 
 
 def _fresh(a, r, key):
-    """The operator ``key`` (a level p, or "star"), assembled without the held copy."""
+    """The rows of the operator ``key`` (a level p, or "star"), assembled without the held copy."""
     if key == "star":
-        return dict(_assemble(a, r, _space(1), _STAR_TARGET, _delta_star_terms).entries)
-    return dict(_assemble(a, r, _space(key), _space(key + 1), _delta_terms).entries)
+        return _assemble(a, r, _space(1), _STAR_TARGET, _delta_star_terms).lines
+    return _assemble(a, r, _space(key), _space(key + 1), _delta_terms).lines
 
 
 def _entries(a, r, key):
-    """The held operator ``key``."""
+    """The rows of the held operator ``key``."""
     op = _delta_star_op(a, r) if key == "star" else _delta_op(a, r, key)
-    return dict(op.entries)
+    return op.lines
 
 
 def test_one_assembly_per_module_and_operator(assembled, rng):
@@ -234,32 +234,36 @@ def test_held_operators_are_read_only():
     a = example_3dim()
     r = adjoint(a)
     d0, d1, star = _delta_op(a, r, 0), _delta_op(a, r, 1), _delta_star_op(a, r)
-    for op in (d0, d1, star, d1 @ d0, d1.stack(star)):
+    for op in (d0, d1, star, d1 @ d0, _Operator(d1.cols, d1.lines + star.lines)):
         assert isinstance(op, _Operator)
         with pytest.raises(TypeError):
-            op.entries[0] = Fraction(1)
+            op.lines[0] = ((0, Fraction(1)),)
+        with pytest.raises(TypeError):
+            op.lines[0][0] = (0, Fraction(1))
         with pytest.raises((TypeError, AttributeError)):
-            op.entries.clear()
+            op.lines.clear()
         with pytest.raises(AttributeError):
-            op.entries = {}
+            op.lines = ()
 
 
 def test_operator_methods_leave_entries_unchanged():
     a = example_3dim()
     r = adjoint(a)
     op, star, d0 = _delta_op(a, r, 1), _delta_star_op(a, r), _delta_op(a, r, 0)
-    before = dict(op.entries), dict(star.entries), dict(d0.entries)
+
+    def snapshot():
+        return [[list(line) for line in o.lines] for o in (op, star, d0)]
+
+    before = snapshot()
     op.apply([Fraction(1)] * op.cols)
-    op.stack(star)
+    _Operator(op.cols, op.lines + star.lines).kernel()
     op @ d0
     star @ d0
     op.kernel()
     op.image()
     op.dense()
-    op._lines(by_column=False)
-    op._lines(by_column=True)
     h23(a, r)
-    assert (dict(op.entries), dict(star.entries), dict(d0.entries)) == before
+    assert snapshot() == before
     assert _delta_op(a, r, 1) is op
 
 

@@ -8,8 +8,11 @@ from lieyamaguti import (
     check_axioms,
     check_representation,
     check_rlyb7,
+    delta_zero,
     example_3dim,
+    h23,
     inner_derivation,
+    is_homomorphism,
     is_representation,
     meson,
     semidirect,
@@ -22,6 +25,8 @@ from lieyamaguti.cohomology import CochainPair
 from lieyamaguti.errors import ShapeMismatch
 from lieyamaguti.linalg import Matrix
 from lieyamaguti.representation import Representation
+
+from random_cochains import random_c1
 
 
 def perturb_theta(r, i, j, row, col, amount=1):
@@ -196,6 +201,47 @@ def test_twisted_by_random_noncocycle_mostly_fails(rng):
         if not check_axioms(twisted_semidirect(a, r, tau), first_only=True).ok:
             failures += 1
     assert failures >= total - 1
+
+
+def _shear(f: Matrix, sign: int) -> Matrix:
+    """The map (x, v) -> (x, v + sign * f(x)) on g (+) V, for f in C^1 as an e x d matrix."""
+    e, d = f.rows, f.cols
+    n = d + e
+
+    def entry(i, j):
+        if i >= d and j < d:
+            return sign * f[i - d, j]
+        return int(i == j)
+
+    return Matrix(n, n, [entry(i, j) for i in range(n) for j in range(n)])
+
+
+@pytest.mark.parametrize("module", ("adjoint", "trivial"))
+@pytest.mark.parametrize("name", ("3dim", "crossproduct-lie", "meson3"))
+def test_coboundary_shift_of_a_twist_is_the_shear(corpus, name, module):
+    """An oracle for B outside the operator code.
+
+    For every basis cocycle tau and a seeded f in C^1, the shear
+    (x, v) -> (x, v - f(x)) is a homomorphism from the twist by tau to the
+    twist by tau + delta_zero f, the shear with + is not, and delta_zero f
+    lies in h23's B.  An f with delta_zero f = 0 is drawn again: both shears
+    are then automorphisms of one twist.
+    """
+    a, r = corpus[name]
+    if module == "trivial":
+        r = trivial_rep(a, 2)
+    res = h23(a, r)
+    rng = random.Random(19)
+    for v in res.z_basis:
+        tau = CochainPair.from_flat(1, a.dim, r.e, list(v))
+        f = random_c1(a.dim, r.e, rng)
+        while (shift := delta_zero(a, r, f)).is_zero():
+            f = random_c1(a.dim, r.e, rng)
+        assert res.b_basis.contains(shift.flat())
+        shifted = CochainPair.from_flat(1, a.dim, r.e, [x + y for x, y in zip(tau.flat(), shift.flat())])
+        source, target = twisted_semidirect(a, r, tau), twisted_semidirect(a, r, shifted)
+        assert is_homomorphism(_shear(f, -1), source, target)
+        assert not is_homomorphism(_shear(f, 1), source, target)
 
 
 def test_twisted_semidirect_rejects_wrong_level():
