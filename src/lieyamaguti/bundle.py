@@ -279,9 +279,16 @@ class CocycleFailure:
 
 @dataclass
 class CocycleReport:
+    """Failures of ``check_cocycle``; ``values`` keeps each evaluated (transition, point).
+
+    ``values`` maps (from, to, point) to the pair (D, S) of ``_cleared``, so
+    a later check of the same bundle evaluates no transition again.
+    """
+
     mode: EvalMode
     failures: list[CocycleFailure] = field(default_factory=list)
     checks: int = 0
+    values: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -289,6 +296,14 @@ class CocycleReport:
 
     def add(self, kind: str, where: str, point, norm, detail: str = "") -> None:
         self.failures.append(CocycleFailure(kind, where, point, norm, detail))
+
+
+def _value(values: dict, tf: TransitionFamily, pt: Point, mode: EvalMode) -> tuple:
+    """The pair (D, S) of ``_cleared`` for tf at pt, evaluated on first use and kept in ``values``."""
+    key = (tf.frm, tf.to, pt)
+    if key not in values:
+        values[key] = _cleared(eval_transition(tf, pt, mode), mode)
+    return values[key]
 
 
 def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
@@ -300,21 +315,16 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
     and every evaluated transition value is a fibrewise automorphism of the
     fibre model.  All failures are reported with their point and the largest
     entrywise defect.  Each (transition, point) is evaluated once and kept as
-    its pair (D, S) of ``_cleared``.  Every identity is homogeneous, so each is
-    compared with both sides multiplied out of the denominators, and its
-    integer defect is divided by that one scale for the report.
+    its pair (D, S) of ``_cleared`` in the report's ``values``.  Every
+    identity is homogeneous, so each is compared with both sides multiplied
+    out of the denominators, and its integer defect is divided by that one
+    scale for the report.
     """
     report = CocycleReport(mode)
     bound = mode.bound
     fibre = _fibre(b.fiber, mode)
     ident = _identity(b.fiber.dim)
-    values: dict = {}
-
-    def value(tf: TransitionFamily, pt: Point) -> tuple:
-        key = (tf.frm, tf.to, pt)
-        if key not in values:
-            values[key] = _cleared(eval_transition(tf, pt, mode), mode)
-        return values[key]
+    values = report.values
 
     def check(kind: str, where: str, point, worst, scale: int, detail: str) -> None:
         norm = _norm(worst, scale, mode)
@@ -325,7 +335,7 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
         if tf.frm == tf.to:
             for pt in tf.samples:
                 report.checks += 1
-                d, s = value(tf, pt)
+                d, s = _value(values, tf, pt, mode)
                 worst = _distance(s, _times(d, ident))
                 check("identity", tf.label(), pt, worst, d, "g_ii is not the identity")
 
@@ -347,7 +357,7 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
                     )
                     break
                 else:
-                    legs.append(value(tf, pt))
+                    legs.append(_value(values, tf, pt, mode))
             else:
                 (d1, s1), (d2, s2), (d3, s3) = legs
                 worst = _distance(_times(d3, _matmul(s1, s2)), _times(d1 * d2, s3))
@@ -372,7 +382,7 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
             continue
         for pt_f, pt_r in zip(tf.samples, rev.samples):
             report.checks += 1
-            (df, sf), (dr, sr) = value(tf, pt_f), value(rev, pt_r)
+            (df, sf), (dr, sr) = _value(values, tf, pt_f, mode), _value(values, rev, pt_r, mode)
             worst = _distance(_matmul(sf, sr), _times(df * dr, ident))
             where = f"{tf.label()} / {rev.label()}"
             check("inverse", where, (pt_f, pt_r), worst, df * dr, "g_ji != g_ij^-1")
@@ -380,7 +390,7 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
     for tf in b.transitions:
         for pt in tf.samples:
             report.checks += 1
-            pair = value(tf, pt)
+            pair = _value(values, tf, pt, mode)
             if _singular(pair[1], mode):
                 report.add("automorphism", tf.label(), pt, None, _SINGULAR[mode.kind])
                 continue
@@ -521,7 +531,7 @@ def _group(which: str, p: int) -> tuple:
 
 
 def transport_failures(
-    b: BundleSpec, which: str = "h1", p: int = 2, mode: EvalMode = EXACT
+    b: BundleSpec, which: str = "h1", p: int = 2, mode: EvalMode = EXACT, values: dict | None = None
 ) -> list[CocycleFailure]:
     """Sampled transition values whose transport does not preserve the fibre's ``which`` group.
 
@@ -530,13 +540,17 @@ def transport_failures(
     names the coboundaries checked.  Exact in exact mode, within the tolerance
     in float mode; every automorphism passes.  A value is singular by the
     cocycle gate's test, ``_singular``, and reported in the gate's words.
+    ``values`` is a ``CocycleReport.values`` of ``b`` in ``mode``; a value
+    found there is not evaluated again.
     """
     level = _group(which, p)[0]
+    values = {} if values is None else values
     failures, where, maps = [], [], []
     for tf in b.transitions:
         for pt in tf.samples:
-            s = eval_transition(tf, pt, mode)
-            if _singular(_cleared(s, mode)[1], mode):
+            big_d, scaled = _value(values, tf, pt, mode)
+            s = [[Fraction(x, big_d) for x in row] for row in scaled] if mode.kind == "exact" else scaled
+            if _singular(scaled, mode):
                 failures.append(CocycleFailure("transport", tf.label(), pt, None, _SINGULAR[mode.kind]))
             else:
                 where.append((tf.label(), pt))
@@ -561,7 +575,8 @@ def bundle_cohomology(
     is computed once; ``constant`` reports that transport along every sampled
     transition value preserves it, that is, no ``transport_failures``.  Both
     read the one adjoint module the fibre holds, so each coboundary is
-    assembled once per job.
+    assembled once per job, and the transport check reads the values the
+    cocycle check evaluated, so each (transition, point) is evaluated once.
     """
     level, key = _group(which, p)
     gate = check_cocycle(b, mode)
@@ -580,7 +595,7 @@ def bundle_cohomology(
         res = h23(fiber, module, cap=cap) if level == 1 else h_upper(fiber, module, level, cap=cap)
         dims = {"dimZ": res.dim_z, "dimB": res.dim_b, key.format(2 * level, 2 * level + 1): res.dim}
     points = [FiberCohomologyPoint(c.name, pt, dims) for c in b.charts for pt in c.samples]
-    failures = transport_failures(b, which, p, mode)
+    failures = transport_failures(b, which, p, mode, gate.values)
     return BundleCohomologyReport(which, p if which == "upper" else None, points, failures)
 
 

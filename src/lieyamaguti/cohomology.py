@@ -25,22 +25,30 @@ The complex is indexed by level p: level 0 is C^1 and level p >= 1 is
 C^(2p,2p+1).  delta = (delta_I, delta_II) maps level p to level p + 1 for
 every p >= 0; delta_zero is delta at p = 0, one term generator for both.  The
 auxiliary delta* leaves level 1.  Each operator is sparse, defined only by
-its term generator and assembled on the representatives of its target shape,
-and held as its rows: the e rows of each target tuple, each a tuple of
-(col, coeff) entries.  It is assembled at most once per (algebra instance,
-module object) and held on the algebra (``_held``); it is shared by every
-caller, and its rows are tuples, so no caller can change it.  Applying it to
-a cochain, densifying it (``*_matrix``) and computing groups all go through
-that operator.  One table lists the operators into and out of each level,
-and the group at level p (``h1``, ``h23``, ``h_upper``) is Z/B with Z the
-kernel of the rows of the operators out, taken together, and B the image of
-the one in; transport of cochains is checked against the same operators.  A group refuses its level before assembly when C^(2p+3) has
-more coordinates than the cap, or when the level's work, which grows as that
-count times (2p+3)**3, is over the budget derived from the cap.  Kernels and
-images are read off the operator's rows (for an image, its columns) by
-``linalg``'s sparse fraction-free elimination; they are never densified.  The groups, the
-applied coboundaries and ``transport_defects`` call the (algebra, module)
-guard ``representation._require_rep``; the ``*_matrix`` functions accept any
+its term generator and assembled on the representatives of its target shape
+from the integer tables of ``representation._integer_data``: with den the
+LCM of the denominators of the algebra and the module, rho and the binary
+bracket (weight 1) are cleared by den and get a second factor den, D, theta
+and the ternary bracket (weight 2) are cleared by den**2, and delta*'s
+identity term is den**2.  The operator is held as its rows, the e rows of
+each target tuple, each a tuple of nonzero (col, int) entries, together with
+the one scale den**2 that they are divided by.  It is assembled at most once
+per (algebra instance, module object) and held on the algebra (``_held``);
+it is shared by every caller, and its rows are tuples, so no caller can
+change it.  Applying it to a cochain (integer dot products, one division per
+row), densifying it (``*_matrix``, one division per entry) and computing
+groups all go through that operator.  One table lists the operators into and
+out of each level, and the group at level p (``h1``, ``h23``, ``h_upper``)
+is Z/B with Z the kernel of the rows of the operators out, taken together,
+and B the image of the one in; the scale changes neither.  Transport of
+cochains is checked against the same operators.  A group refuses its level
+before assembly when C^(2p+3) has more coordinates than the cap, or when the
+level's work, which grows as that count times (2p+3)**3, is over the budget
+derived from the cap.  Kernels and images are read off the operator's rows
+(for an image, its columns) by ``linalg``'s sparse fraction-free
+elimination; they are never densified.  The groups, the applied coboundaries
+and ``transport_defects`` call the (algebra, module) guard
+``representation._require_rep``; the ``*_matrix`` functions accept any
 algebra.
 
 The sign convention of delta*'s rho-block, - rho(x1) f(x2, x3) summed
@@ -67,7 +75,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .linalg import Matrix, SubspaceBasis, Vector, sparse_kernel, zero_vector
-from .representation import Representation, _check_shapes, _require_rep
+from .representation import Representation, _check_shapes, _integer_data, _require_rep
 
 DEFAULT_SIZE_CAP = 50_000
 
@@ -216,26 +224,37 @@ class CochainPair:
 
 
 class _Operator(NamedTuple):
-    """Sparse operator with ``cols`` columns, held as its rows.
+    """Sparse operator with ``cols`` columns, held as its rows times one ``scale``.
 
-    ``lines[i]`` is a tuple of the (col, coeff) entries of row i.  An operator
-    is immutable: it is held on its algebra and shared by every caller, so its
-    rows are tuples and every method that derives an operator builds a new one.
+    ``lines[i]`` is a tuple of the (col, coeff) entries of row i, none of them
+    0, and the operator is their matrix divided by ``scale``.  A coboundary's
+    coefficients are ints and its scale is den**2, with den the LCM of the
+    denominators of its (algebra, module); a transport map keeps its
+    Fraction or float coefficients, with scale 1.  An operator is immutable:
+    it is held on its algebra and shared by every caller, so its rows are
+    tuples and every method that derives an operator builds a new one.
     """
 
     cols: int
     lines: tuple
+    scale: int = 1
 
     @property
     def rows(self) -> int:
         return len(self.lines)
 
     def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * self.rows
-        for row, line in enumerate(self.lines):
+        """The image of ``vec``: integer dot products with vec times the LCM L of its denominators."""
+        big_l = math.lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (big_l // x.denominator) for x in vec]
+        den = big_l * self.scale
+        out = []
+        for line in self.lines:
+            acc = 0
             for col, c in line:
-                if vec[col]:
-                    out[row] += c * vec[col]
+                if ints[col]:
+                    acc += c * ints[col]
+            out.append(Fraction(acc, den))
         return out
 
     def kernel(self) -> SubspaceBasis:
@@ -251,7 +270,8 @@ class _Operator(NamedTuple):
 
     def dense(self) -> Matrix:
         rows = [dict(line) for line in self.lines]
-        return Matrix(self.rows, self.cols, [row.get(col, 0) for row in rows for col in range(self.cols)])
+        entries = [Fraction(row[col], self.scale) if col in row else 0 for row in rows for col in range(self.cols)]
+        return Matrix(self.rows, self.cols, entries)
 
     def __matmul__(self, other: "_Operator") -> "_Operator":
         """The composite ``self`` after ``other``."""
@@ -262,17 +282,18 @@ class _Operator(NamedTuple):
                 for col, x in other.lines[k]:
                     row[col] = row.get(col, 0) + c * x
             lines.append(tuple(row.items()))
-        return _Operator(other.cols, tuple(lines))
+        return _Operator(other.cols, tuple(lines), self.scale * other.scale)
 
 
-def _assemble(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, terms) -> _Operator:
+def _assemble(d: int, e: int, src: tuple, dst: tuple, terms, data, scale: int = 1) -> _Operator:
     """Operator between the direct sums of the shapes with slot groups ``src`` and ``dst``.
 
     The e rows of each representative target tuple xs hold the sum of
-    coeff * mat * h(tup) over the terms (coeff, mat, tup) of ``terms(a, r, xs)``:
-    h is the source component of arity len(tup), and mat None is the identity.
+    coeff * mat * h(tup) over the terms (coeff, mat, tup) of ``terms(data, xs)``:
+    h is the source component of arity len(tup), mat is None for the identity
+    or else e rows of (col, coeff) entries, and the operator is that sum
+    divided by ``scale``.  An entry that cancels to 0 is dropped.
     """
-    d, e = a.dim, r.e
     blocks, cols = {}, 0
     for groups in src:
         shape = _shape(groups, d, e)
@@ -282,76 +303,71 @@ def _assemble(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, terms) ->
     for groups in dst:
         for xs in _shape(groups, d, e).tuples():
             rows = [{} for _ in range(e)]
-            for coeff, mat, tup in terms(a, r, xs):
+            for coeff, mat, tup in terms(data, xs):
                 shape, col = blocks[len(tup)]
                 sign, base = shape.offset(tup)
                 if not sign:
                     continue
                 col, c = col + base, sign * coeff
                 for m, row in enumerate(rows):
-                    for l, x in enumerate(mat.row(m)) if mat is not None else ((m, 1),):
-                        if x:
-                            k = col + l
-                            row[k] = row.get(k, 0) + c * x
-            lines += (tuple(row.items()) for row in rows)
-    return _Operator(cols, tuple(lines))
+                    for l, x in mat[m] if mat is not None else ((m, 1),):
+                        k = col + l
+                        row[k] = row.get(k, 0) + c * x
+            lines += (tuple((k, x) for k, x in row.items() if x) for row in rows)
+    return _Operator(cols, tuple(lines), scale)
 
 
-def _weighted(coeff, tup: tuple, slot: int, weights: Sequence[Fraction]):
-    """Terms of h(tup) with the argument in ``slot`` replaced by the vector ``weights``."""
+def _weighted(coeff, tup: tuple, slot: int, weights: Sequence[tuple]):
+    """Terms of h(tup) with the argument in ``slot`` replaced by the sparse vector ``weights``."""
     args = list(tup)
-    for l, w in enumerate(weights):
-        if w:
-            args[slot] = l
-            yield coeff * w, None, tuple(args)
+    for l, w in weights:
+        args[slot] = l
+        yield coeff * w, None, tuple(args)
 
 
-def _delta_terms(a: LYAlgebra, r: Representation, xs: tuple):
-    """delta_I (f, g) on 2p+2 arguments and delta_II (f, g) on 2p+3 arguments.
+def _delta_terms(data: tuple, xs: tuple):
+    """delta_I (f, g) on 2p+2 arguments and delta_II (f, g) on 2p+3 arguments, times den**2.
 
-    At p = 0 every term reads the one-argument component, so this is
-    delta_zero on C^1.
+    ``data`` is ``representation._integer_data`` of the pair: rho and the
+    binary bracket carry one factor den and get a second here, D, theta and
+    the ternary bracket carry den**2.  At p = 0 every term reads the
+    one-argument component, so this is delta_zero on C^1.
     """
+    den, binary, ternary, rho, dmap, theta = data
     p = (len(xs) - 2) // 2
     sgn_p = (-1) ** p
     head = xs[: 2 * p]
     if len(xs) == 2 * p + 2:
         x_a, x_b = xs[2 * p :]
-        yield sgn_p, r.rho[x_a], head + (x_b,)
-        yield -sgn_p, r.rho[x_b], head + (x_a,)
-        yield from _weighted(-sgn_p, head + (0,), 2 * p, a.binary[x_a][x_b])
+        yield sgn_p * den, rho[x_a], head + (x_b,)
+        yield -sgn_p * den, rho[x_b], head + (x_a,)
+        yield from _weighted(-sgn_p * den, head + (0,), 2 * p, binary[x_a][x_b])
         ks = range(1, p + 1)
     else:
         x_a, x_b, x_c = xs[2 * p :]
-        yield sgn_p, r.theta[x_b][x_c], head + (x_a,)
-        yield -sgn_p, r.theta[x_a][x_c], head + (x_b,)
+        yield sgn_p, theta[x_b][x_c], head + (x_a,)
+        yield -sgn_p, theta[x_a][x_c], head + (x_b,)
         ks = range(1, p + 2)
     for k in ks:
         i, j = xs[2 * k - 2], xs[2 * k - 1]
         reduced = xs[: 2 * k - 2] + xs[2 * k :]
-        yield (-1) ** (k + 1), r.dmap[i][j], reduced
+        yield (-1) ** (k + 1), dmap[i][j], reduced
         for pos in range(2 * k, len(xs)):
-            yield from _weighted((-1) ** k, reduced, pos - 2, a.ternary[i][j][xs[pos]])
+            yield from _weighted((-1) ** k, reduced, pos - 2, ternary[i][j][xs[pos]])
 
 
-def _delta_star_terms(a: LYAlgebra, r: Representation, xs: tuple):
-    """delta* (f, g) on (x1, x2, x3) and (x1, x2, x3, x4): cyclic sums over x1, x2, x3."""
+def _delta_star_terms(data: tuple, xs: tuple):
+    """delta* (f, g) on (x1, x2, x3) and (x1, x2, x3, x4) times den**2: cyclic sums over x1, x2, x3."""
+    den, binary, _, rho, _, theta = data
     x0, x1, x2 = xs[:3]
     tail = xs[3:]
     for u, v, w in ((x0, x1, x2), (x1, x2, x0), (x2, x0, x1)):
-        yield from _weighted(1, (0, w) + tail, 0, a.binary[u][v])
+        yield from _weighted(den, (0, w) + tail, 0, binary[u][v])
         if tail:
-            yield 1, r.theta[u][tail[0]], (v, w)
+            yield 1, theta[u][tail[0]], (v, w)
         else:
-            yield -1, r.rho[u], (v, w)
-            yield 1, None, (u, v, w)
-
-
-class _Rows(tuple):
-    """A square matrix over any scalar type as a tuple of rows, read like ``Matrix.row``."""
-
-    def row(self, m: int):
-        return self[m]
+            yield -den, rho[u], (v, w)
+            yield den * den, None, (u, v, w)
 
 
 def _minor(m, rows: tuple, cols: tuple):
@@ -364,48 +380,45 @@ def _minor(m, rows: tuple, cols: tuple):
     return total
 
 
-def _transport_terms(value, inverse, space: tuple):
-    """Term generator of the transport (s.h)(x1, ..., xn) = s h(s^-1 x1, ..., s^-1 xn) on ``space``.
+def _transport_terms(data: tuple, xs: tuple):
+    """Term generator of the transport (s.h)(x1, ..., xn) = s h(s^-1 x1, ..., s^-1 xn).
 
-    ``value`` and ``inverse`` are the rows of s and s^-1.  h alternates within
-    each slot group, so a group of k slots at the basis indices u contributes
-    the k x k minors of s^-1 on columns u, one per increasing row tuple.
+    ``data`` is (rows of s as (col, coeff) entries, rows of s^-1, the slot
+    groups of the space, the minors found so far).  h alternates within each
+    slot group, so a group of k slots at the basis indices u contributes the
+    k x k minors of s^-1 on columns u, one per increasing row tuple.
     """
-    value = _Rows(value)
-    groups = {sum(g): g for g in space}
-    minors = {}
-
-    def terms(a: LYAlgebra, r: Representation, xs: tuple):
-        slots, start = [], 0
-        for k in groups[len(xs)]:
-            cols = xs[start : start + k]
-            if cols not in minors:
-                reps = _alternating(k, a.dim)[0]
-                minors[cols] = [(rows, x) for rows in reps if (x := _minor(inverse, rows, cols))]
-            slots.append(minors[cols])
-            start += k
-        for combo in itertools.product(*slots):
-            coeff, tup = 1, ()
-            for rows, x in combo:
-                coeff *= x
-                tup += rows
-            yield coeff, value, tup
-
-    return terms
+    value, inverse, space, minors = data
+    slots, start = [], 0
+    for k in next(groups for groups in space if sum(groups) == len(xs)):
+        cols = xs[start : start + k]
+        if cols not in minors:
+            reps = _alternating(k, len(inverse))[0]
+            minors[cols] = [(rows, x) for rows in reps if (x := _minor(inverse, rows, cols))]
+        slots.append(minors[cols])
+        start += k
+    for combo in itertools.product(*slots):
+        coeff, tup = 1, ()
+        for rows, x in combo:
+            coeff *= x
+            tup += rows
+        yield coeff, value, tup
 
 
 def _held(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, terms) -> _Operator:
-    """``_assemble(a, r, src, dst, terms)``, run at most once per (r, src, dst) and held on ``a``.
+    """The operator of ``terms`` from ``src`` to ``dst``, assembled at most once and held on ``a``.
 
     The entry for ``r`` in ``a._operators`` is found by id and confirmed by
     identity, so a module equal to ``r`` but not ``r`` gets its own operators.
+    It also holds ``_integer_data(a, r)``, cleared once per (algebra,
+    module) and read by every assembly, each with scale den**2.
     """
     entry = a._operators.get(id(r))
     if entry is None or entry[0] is not r:
-        entry = a._operators[id(r)] = (r, {})
-    ops = entry[1]
+        entry = a._operators[id(r)] = (r, _integer_data(a, r), {})
+    _, data, ops = entry
     if (src, dst) not in ops:
-        ops[src, dst] = _assemble(a, r, src, dst, terms)
+        ops[src, dst] = _assemble(a.dim, r.e, src, dst, terms, data, data[0] ** 2)
     return ops[src, dst]
 
 
@@ -600,17 +613,20 @@ def transport_defects(a: LYAlgebra, r: Representation, p: int, maps) -> list:
 
     s (acting on the module) and s^-1 (on the arguments) are row lists of
     Fractions or floats.  The result is the largest entry of T o delta -
-    delta o T over every operator into and out of level p.  0 means T maps
-    cocycles and coboundaries into themselves.
+    delta o T over every operator into and out of level p, divided once by
+    the coboundaries' scale.  0 means T maps cocycles and coboundaries into
+    themselves.
     """
     _require_rep(a, r)
     into, out = _coboundaries(a, r, p)
     ops = into + out
     spaces = {space for op in ops for space in op[:2]}
+    scale = out[0][2].scale
     defects = []
     for value, inverse in maps:
+        rows, minors = [[(l, x) for l, x in enumerate(row) if x] for row in value], {}
         transport = {
-            space: _assemble(a, r, space, space, _transport_terms(value, inverse, space))
+            space: _assemble(a.dim, r.e, space, space, _transport_terms, (rows, inverse, space, minors))
             for space in spaces
         }
         worst = 0
@@ -621,5 +637,5 @@ def transport_defects(a: LYAlgebra, r: Representation, p: int, maps) -> list:
                 for col, x in right_line:
                     diff[col] = diff.get(col, 0) - x
                 worst = max([worst, *map(abs, diff.values())])
-        defects.append(worst)
+        defects.append(worst / scale if worst else 0)
     return defects

@@ -415,3 +415,27 @@ def test_float_failures_report_kind_point_and_norm():
             points = list(zip(b.transitions[0].samples, b.transitions[1].samples))
         assert [(f.kind, f.where, f.point) for f in hits] == [(kind, where, pt) for pt in points]
         assert all(isinstance(f.defect_norm, float) and f.defect_norm > tol for f in hits)
+
+
+@pytest.mark.parametrize("which", ["h1", "der"])
+def test_bundle_cohomology_evaluates_each_transition_value_once(monkeypatch, tmp_path, capsys, which):
+    """The transport check reads the values the cocycle gate evaluated.
+
+    ``circle-bundle`` has 6 distinct (transition, point) values; the gate
+    and the transport check used to evaluate each of them, 12 calls in all.
+    """
+    from lieyamaguti import bundle
+
+    calls = []
+    evaluate = bundle.eval_transition
+
+    def counting(tf, pt, mode=bundle.EXACT):
+        calls.append((tf.frm, tf.to, pt))
+        return evaluate(tf, pt, mode)
+
+    monkeypatch.setattr(bundle, "eval_transition", counting)
+    path = tmp_path / "circle.json"
+    path.write_text(render(fixture("circle-bundle")), encoding="utf-8")
+    assert run(["bundle-cohomology", str(path), "--which", which]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["constant"] is True
+    assert len(calls) == len(set(calls)) == 6

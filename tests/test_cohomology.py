@@ -28,6 +28,7 @@ from lieyamaguti.cohomology import (
     CochainPair,
     _cochain_groups,
     _delta_op,
+    _delta_star_op,
     _shape,
     cochain_dim,
     delta_matrix,
@@ -42,6 +43,7 @@ from lieyamaguti.linalg import Matrix, SubspaceBasis
 from lieyamaguti.representation import check_rlyb7
 
 from random_cochains import eval_vectors, random_c1, random_cochain, random_cochain_pair
+from test_denominators import rebased
 
 
 def test_cochain_dim_examples():
@@ -413,6 +415,76 @@ def _basis_digest(basis) -> str:
     pivots = [next(k for k, x in enumerate(v) if x) for v in basis.vectors]
     rows = ";".join(",".join(map(str, v)) for v in basis.vectors)
     return hashlib.sha256(f"{basis.ambient_dim}:{pivots}:{rows}".encode()).hexdigest()
+
+
+# Pins where the held operators have scale den**2 != 1: 3dim and
+# crossproduct-lie in the basis f_i = s_i e_i of ``test_denominators.rebased``,
+# whose structure constants have denominator LCM 126 and 4410.  The matrices
+# are digested as in OPERATOR_DIGESTS; "applied" is the SHA-256 of delta,
+# delta_star and delta_zero on five seeded draws (";"-separated vectors of
+# ","-joined entries).  All were recorded from the Fraction-valued assembly
+# that the integer one replaced.
+REBASED_DIGESTS = {
+    "3dim/adjoint/delta_zero": "934bf449687a85f77f5717e88b4ab464e5cfe395928c54d59c4b56397c818d16",
+    "3dim/adjoint/delta_p1": "fc310ee0cb82a81faae257a8472a318e7043153d3aa4226eed636b0d6f3ea41f",
+    "3dim/adjoint/delta_p2": "23e738edd3eb60a513d88cf615f96388ed49251fafb130d4ab7a2fe0eb4ab07d",
+    "3dim/adjoint/delta_star": "44bb780fae4c984ae7d43648dda74f0084d10601f46856c11a51dc500405f691",
+    "3dim/adjoint/applied": "7de836cdb3062ae1da456cdd2d32ab76928b33b56a4a8bcbebeec45f1f51e74f",
+    "3dim/trivial2/delta_zero": "263c167024d5a35fee2fc2ef77bb652b2a7a5378d7ade05346130d2efd58f5e9",
+    "3dim/trivial2/delta_p1": "24ed46ee72aa9d0595515c9e6f58b43b38c8b13debf0b43f8d59e1d5bd33b90e",
+    "3dim/trivial2/delta_p2": "fd10fb2759b2fa260fe1c9afa2d2083a6dad4f0146b010fdda2dc666a578bf8a",
+    "3dim/trivial2/delta_star": "292c160805c45d85d1527d11f0b2d7931a272b189983c82ca1d004788c7e1c9d",
+    "3dim/trivial2/applied": "73c1f3756a111f49043e28f1312563abe0776715064852fdf909f8377ea80c0a",
+    "crossproduct-lie/adjoint/delta_zero": "8fcd32510963a7f9561c4efddc342d62bc870716e3927ed137ea84b42830f769",
+    "crossproduct-lie/adjoint/delta_p1": "6baab4634514dd7997d3ce62384b02f19bb2c984275a8dc1281762e09529049b",
+    "crossproduct-lie/adjoint/delta_p2": "da598e82d25f20a43967793f62f143397e6c9ca8c3ea0e124abcf39e7b096a8e",
+    "crossproduct-lie/adjoint/delta_star": "1abac9deefeef1e4e2ddf003e2114b70853a0e34f65ae09c5dce2b9369a2b533",
+    "crossproduct-lie/adjoint/applied": "34e05ceab4e18f9a3c616b838f59651a6253da33f078aac5784464a0b5bcb51f",
+    "crossproduct-lie/trivial2/delta_zero": "3b96816746c2caf7e9a660d719568f106487f734a7b1b388ce6389a9cdc110b0",
+    "crossproduct-lie/trivial2/delta_p1": "c0511739664bbdf923532226e5329d42b0b39a579fc7e0bf06c795548e8158aa",
+    "crossproduct-lie/trivial2/delta_p2": "8bd1da8e99416a7475d0a4b2dd6084634ee29e745aca33417b375845b51f7b65",
+    "crossproduct-lie/trivial2/delta_star": "292c160805c45d85d1527d11f0b2d7931a272b189983c82ca1d004788c7e1c9d",
+    "crossproduct-lie/trivial2/applied": "219d74a65155016551ac2995e365fa1dc8e86da6b6bb354cd3aff8e46cf1330c",
+}
+REBASED_H23 = {
+    "3dim/adjoint/h23": (14, 5),
+    "3dim/trivial2/h23": (12, 2),
+    "crossproduct-lie/adjoint/h23": (7, 6),
+    "crossproduct-lie/trivial2/h23": (6, 6),
+}
+
+
+@pytest.mark.parametrize("rep", ["adjoint", "trivial2"])
+@pytest.mark.parametrize("base", [example_3dim(), cross_product_lie()], ids=["3dim", "crossproduct-lie"])
+def test_rebased_operators_pinned(base, rep):
+    a = rebased(base)
+    r = adjoint(a) if rep == "adjoint" else trivial_rep(a, 2)
+    key = f"{base.name}/{rep}"
+    operators = {
+        "delta_zero": delta_zero_matrix(a, r),
+        "delta_p1": delta_matrix(a, r, 1),
+        "delta_p2": delta_matrix(a, r, 2),
+        "delta_star": delta_star_matrix(a, r),
+    }
+    for op, m in operators.items():
+        assert _digest(m) == REBASED_DIGESTS[f"{key}/{op}"], op
+    res = h23(a, r)
+    assert (res.dim_z, res.dim_b) == REBASED_H23[f"{key}/h23"]
+    rng = random.Random(5)
+    out = []
+    for _ in range(5):
+        pair = random_cochain_pair(1, a.dim, r.e, rng)
+        f = random_c1(a.dim, r.e, rng)
+        out.append(delta(a, r, pair).flat())
+        out.extend(c.coeffs for c in delta_star(a, r, pair))
+        out.append(delta_zero(a, r, f).flat())
+    applied = ";".join(",".join(map(str, v)) for v in out)
+    assert hashlib.sha256(applied.encode()).hexdigest() == REBASED_DIGESTS[f"{key}/applied"]
+    # every held operator: int entries, none of them 0, over one scale den**2
+    den = 126 if base.name == "3dim" else 4410
+    for op in (_delta_op(a, r, 0), _delta_op(a, r, 1), _delta_op(a, r, 2), _delta_star_op(a, r)):
+        assert op.scale == den**2
+        assert all(type(x) is int and x for line in op.lines for _, x in line)
 
 
 @pytest.mark.parametrize("rep", ["adjoint", "trivial1", "trivial2"])

@@ -53,6 +53,7 @@ from lieyamaguti.cohomology import (
 from lieyamaguti.errors import SizeCapExceeded
 from lieyamaguti.fixtures import fixture, render
 from lieyamaguti.linalg import Matrix
+from lieyamaguti.representation import _integer_data
 
 from random_cochains import random_c1, random_cochain_pair
 
@@ -62,9 +63,9 @@ def assembled(monkeypatch):
     """The term generator of every ``_assemble`` call, in call order."""
     calls = []
 
-    def counting(a, r, src, dst, terms):
+    def counting(d, e, src, dst, terms, *args):
         calls.append(terms)
-        return _assemble(a, r, src, dst, terms)
+        return _assemble(d, e, src, dst, terms, *args)
 
     monkeypatch.setattr(lieyamaguti.cohomology, "_assemble", counting)
     return calls
@@ -75,9 +76,10 @@ KEYS = (0, 1, "star")
 
 def _fresh(a, r, key):
     """The rows of the operator ``key`` (a level p, or "star"), assembled without the held copy."""
+    data = _integer_data(a, r)
     if key == "star":
-        return _assemble(a, r, _space(1), _STAR_TARGET, _delta_star_terms).lines
-    return _assemble(a, r, _space(key), _space(key + 1), _delta_terms).lines
+        return _assemble(a.dim, r.e, _space(1), _STAR_TARGET, _delta_star_terms, data, data[0] ** 2).lines
+    return _assemble(a.dim, r.e, _space(key), _space(key + 1), _delta_terms, data, data[0] ** 2).lines
 
 
 def _entries(a, r, key):

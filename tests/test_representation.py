@@ -23,10 +23,13 @@ from lieyamaguti import (
 from lieyamaguti.algebra import is_valid
 from lieyamaguti.cohomology import CochainPair
 from lieyamaguti.errors import ShapeMismatch
+from lieyamaguti.fixtures import cross_product_lie
 from lieyamaguti.linalg import Matrix
 from lieyamaguti.representation import Representation
 
 from random_cochains import random_c1
+from test_denominators import rebased
+from test_semidirect_cohomology import AFF1_AD
 
 
 def perturb_theta(r, i, j, row, col, amount=1):
@@ -216,8 +219,17 @@ def _shear(f: Matrix, sign: int) -> Matrix:
     return Matrix(n, n, [entry(i, j) for i in range(n) for j in range(n)])
 
 
+# Beyond the corpus: aff(1) ⋉ ad (d = 4), and 3dim and crossproduct-lie in the
+# rebased basis of ``test_denominators``, whose coboundaries have scale den**2 != 1.
+SHEAR_EXTRA = {
+    "aff1-ad": lambda: AFF1_AD,
+    "3dim-rebased": lambda: rebased(example_3dim()),
+    "crossproduct-lie-rebased": lambda: rebased(cross_product_lie()),
+}
+
+
 @pytest.mark.parametrize("module", ("adjoint", "trivial"))
-@pytest.mark.parametrize("name", ("3dim", "crossproduct-lie", "meson3"))
+@pytest.mark.parametrize("name", ("3dim", "crossproduct-lie", "meson3", *SHEAR_EXTRA))
 def test_coboundary_shift_of_a_twist_is_the_shear(corpus, name, module):
     """An oracle for B outside the operator code.
 
@@ -227,7 +239,11 @@ def test_coboundary_shift_of_a_twist_is_the_shear(corpus, name, module):
     lies in h23's B.  An f with delta_zero f = 0 is drawn again: both shears
     are then automorphisms of one twist.
     """
-    a, r = corpus[name]
+    if name in SHEAR_EXTRA:
+        a = SHEAR_EXTRA[name]()
+        r = adjoint(a)
+    else:
+        a, r = corpus[name]
     if module == "trivial":
         r = trivial_rep(a, 2)
     res = h23(a, r)
