@@ -538,10 +538,11 @@ def transport_failures(
     Adjoint coefficients; "der" is "h1", whose cocycles are the derivations,
     and transport acts on them as T -> s T s^-1.  ``cohomology.transport_defects``
     names the coboundaries checked.  Exact in exact mode, within the tolerance
-    in float mode; every automorphism passes.  A value is singular by the
-    cocycle gate's test, ``_singular``, and reported in the gate's words.
-    ``values`` is a ``CocycleReport.values`` of ``b`` in ``mode``; a value
-    found there is not evaluated again.
+    in float mode; every automorphism passes.  Each value s is inverted once,
+    and the determinant of that inversion decides singularity as the cocycle
+    gate does (det = 0 exactly, |det| <= tol in float mode); a singular value
+    is reported in the gate's words.  ``values`` is a ``CocycleReport.values``
+    of ``b`` in ``mode``; a value found there is not evaluated again.
     """
     level = _group(which, p)[0]
     values = {} if values is None else values
@@ -550,11 +551,12 @@ def transport_failures(
         for pt in tf.samples:
             big_d, scaled = _value(values, tf, pt, mode)
             s = [[Fraction(x, big_d) for x in row] for row in scaled] if mode.kind == "exact" else scaled
-            if _singular(scaled, mode):
+            det, inverse = _invert(s)
+            if abs(det) <= mode.bound:
                 failures.append(CocycleFailure("transport", tf.label(), pt, None, _SINGULAR[mode.kind]))
             else:
                 where.append((tf.label(), pt))
-                maps.append((s, _invert(s)[1]))
+                maps.append((s, inverse))
     defects = transport_defects(b.fiber, adjoint(b.fiber), level, maps)
     for (label, pt), norm in zip(where, defects):
         if norm > mode.bound:

@@ -20,6 +20,10 @@ than --cap entries (``DEFAULT_SIZE_CAP`` where the command has no --cap)
 before building it; ``semidirect`` and ``twist`` also refuse, before the
 product is built, a product whose LY scan is over ``_PRODUCT_WORK``.
 
+``build_parser`` builds the argparse tree once per process, and ``run``
+parses each argv into a fresh namespace, so calls in one process share the
+parser and no options.
+
 The ``examples`` command emits the bare fixture JSON (byte-stable) instead of
 a report envelope so its output is directly usable as an input file.
 """
@@ -27,6 +31,7 @@ a report envelope so its output is directly usable as an input file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -159,7 +164,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(words[1] if len(words) > 1 else "?", message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every command, built once per process."""
     ap = _Parser(
         prog="lieyamaguti",
         description="Exact checks and cohomology for Lie-Yamaguti algebras and sampled bundles",

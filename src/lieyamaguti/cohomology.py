@@ -30,14 +30,17 @@ from the integer tables of ``representation._integer_data``: with den the
 LCM of the denominators of the algebra and the module, rho and the binary
 bracket (weight 1) are cleared by den and get a second factor den, D, theta
 and the ternary bracket (weight 2) are cleared by den**2, and delta*'s
-identity term is den**2.  The operator is held as its rows, the e rows of
-each target tuple, each a tuple of nonzero (col, int) entries, together with
-the one scale den**2 that they are divided by.  It is assembled at most once
-per (algebra instance, module object) and held on the algebra (``_held``);
-it is shared by every caller, and its rows are tuples, so no caller can
-change it.  Applying it to a cochain (integer dot products, one division per
-row), densifying it (``*_matrix``, one division per entry) and computing
-groups all go through that operator.  One table lists the operators into and
+identity term is den**2.  Assembly skips every term whose module map is
+zero (each rho, D and theta term of a trivial module) and locates each
+distinct source tuple in its shape once per operator, through a map from the
+tuple to its sign and column local to the call.  The operator is held as its
+rows, the e rows of each target tuple, each a tuple of nonzero (col, int)
+entries, together with the one scale den**2 that they are divided by.  It
+is assembled at most once per (algebra instance, module object) and held on
+the algebra (``_held``); it is shared by every caller, and its rows are
+tuples, so no caller can change it.  Applying it to a cochain (integer dot
+products, one division per row), densifying it (``*_matrix``, one division
+per entry) and computing groups all go through that operator.  One table lists the operators into and
 out of each level, and the group at level p (``h1``, ``h23``, ``h_upper``)
 is Z/B with Z the kernel of the rows of the operators out, taken together,
 and B the image of the one in; the scale changes neither.  Transport of
@@ -46,10 +49,10 @@ before assembly when C^(2p+3) has more coordinates than the cap, or when the
 level's work, which grows as that count times (2p+3)**3, is over the budget
 derived from the cap.  Kernels and images are read off the operator's rows
 (for an image, its columns) by ``linalg``'s sparse fraction-free
-elimination; they are never densified.  The groups, the applied coboundaries
-and ``transport_defects`` call the (algebra, module) guard
-``representation._require_rep``; the ``*_matrix`` functions accept any
-algebra.
+elimination, which takes those int rows as they are; they are never
+densified.  The groups, the applied coboundaries and ``transport_defects``
+call the (algebra, module) guard ``representation._require_rep``; the
+``*_matrix`` functions accept any algebra.
 
 The sign convention of delta*'s rho-block, - rho(x1) f(x2, x3) summed
 cyclically, is the unique one (given its cyclic f- and g-blocks) for which
@@ -292,23 +295,32 @@ def _assemble(d: int, e: int, src: tuple, dst: tuple, terms, data, scale: int = 
     coeff * mat * h(tup) over the terms (coeff, mat, tup) of ``terms(data, xs)``:
     h is the source component of arity len(tup), mat is None for the identity
     or else e rows of (col, coeff) entries, and the operator is that sum
-    divided by ``scale``.  An entry that cancels to 0 is dropped.
+    divided by ``scale``.  A term whose mat is all zero is dropped, each
+    distinct source tuple is located in its shape once per call (``located``
+    maps it to its sign and first column), and an entry that cancels to 0 is
+    dropped.
     """
     blocks, cols = {}, 0
     for groups in src:
         shape = _shape(groups, d, e)
         blocks[shape.n] = (shape, cols)
         cols += shape.dim
-    lines = []
+    lines, located = [], {}
     for groups in dst:
         for xs in _shape(groups, d, e).tuples():
             rows = [{} for _ in range(e)]
             for coeff, mat, tup in terms(data, xs):
-                shape, col = blocks[len(tup)]
-                sign, base = shape.offset(tup)
+                if mat is not None and not any(mat):
+                    continue
+                hit = located.get(tup)
+                if hit is None:
+                    shape, start = blocks[len(tup)]
+                    sign, base = shape.offset(tup)
+                    hit = located[tup] = (sign, start + base)
+                sign, col = hit
                 if not sign:
                     continue
-                col, c = col + base, sign * coeff
+                c = sign * coeff
                 for m, row in enumerate(rows):
                     for l, x in mat[m] if mat is not None else ((m, 1),):
                         k = col + l
@@ -551,8 +563,10 @@ def _check_work(largest: int, p: int, cap: int) -> None:
     """Refuse levels whose assembly work, ``largest`` * (2p+3)**3, is over ``cap`` * 7**3.
 
     Each coordinate of C^(2p+3) (``largest`` of them) gets O(p**2) terms,
-    and each term locates its argument tuple by walking p + 1 slot groups,
-    so assembly grows as largest * (2p+3)**3 even where largest stays small
+    and each term builds and hashes an argument tuple of up to 2p + 3
+    entries to find it in the call's map of located tuples (a tuple not yet
+    there is located once, by walking its p + 1 slot groups), so assembly
+    grows as largest * (2p+3)**3 even where largest stays small
     (e * d on a 2-dim algebra).  Up to p = 2 the bound follows from the
     coordinate cap; above, a level counts at least one coordinate, since it
     still builds shapes of its arity.  Nothing p-sized is built or formatted.

@@ -8,8 +8,9 @@ rational data into sparse integer vectors for the axiom checkers.
 
 Every RREF, kernel and span (``Matrix.rref``, ``Matrix.kernel_basis``,
 ``SubspaceBasis``, ``sparse_kernel``) runs one fraction-free sparse core,
-``_eliminate``.  A row is a ``{col: int}`` dict of its nonzero entries, made
-by clearing the row's denominators.  A row r is reduced by a pivot row s with
+``_eliminate``.  A row is a ``{col: int}`` dict of its nonzero entries: a
+row of nonzero ints (a held coboundary's) as it is, any other made by
+clearing the row's denominators.  A row r is reduced by a pivot row s with
 pivot column c as ``s[c] r - r[c] s`` (each factor divided by their gcd) and
 then divided by its content, so entries stay integers, zeros are never
 touched, and the cost follows the nonzeros.  The reduced rows define the
@@ -81,6 +82,18 @@ def _integer_row(entries: Iterable[tuple[int, object]]) -> dict[int, int]:
             row[k] = x
     den = math.lcm(*(x.denominator for x in row.values()))
     return {k: x.numerator * (den // x.denominator) for k, x in row.items()}
+
+
+def _integer_rows(rows: Iterable[Iterable[tuple[int, object]]]):
+    """Each row's (col, value) entries as a ``{col: int}`` dict for ``_eliminate``.
+
+    A row of nonzero ints, such as a held coboundary's, is taken as it is;
+    only a row holding anything else (a Fraction, a float or a 0) is cleared
+    by ``_integer_row``.
+    """
+    for entries in rows:
+        row = dict(entries)
+        yield row if all(type(x) is int and x for x in row.values()) else _integer_row(row.items())
 
 
 def _combine(r: dict[int, int], s: dict[int, int], c: int) -> dict[int, int]:
@@ -343,7 +356,7 @@ class SubspaceBasis:
 
     def _span(self, ambient_dim: int, rows) -> None:
         self.ambient_dim = ambient_dim
-        pivot_rows = _eliminate(_integer_row(r) for r in rows)
+        pivot_rows = _eliminate(_integer_rows(rows))
         self._rows = {p: pivot_rows[p] for p in sorted(pivot_rows)}
         self._vectors = None
 
@@ -381,7 +394,7 @@ def sparse_kernel(cols: int, rows: Iterable[Iterable[tuple[int, object]]]) -> Su
     Free column f gives the kernel vector with 1 at f and -R[f] / R[p] at
     each pivot p of the eliminated rows R.
     """
-    pivot_rows = _eliminate(_integer_row(r) for r in rows)
+    pivot_rows = _eliminate(_integer_rows(rows))
     kernel = {f: {f: 1} for f in range(cols) if f not in pivot_rows}
     for p, row in pivot_rows.items():
         lead = row[p]

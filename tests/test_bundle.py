@@ -26,7 +26,7 @@ from lieyamaguti.errors import (
 from lieyamaguti.cli import run
 from lieyamaguti.exprs import parse_expr
 from lieyamaguti.fixtures import fixture, fixture_circle_bundle, render
-from lieyamaguti.linalg import Matrix, SubspaceBasis
+from lieyamaguti.linalg import Matrix, SubspaceBasis, _invert
 from lieyamaguti.schemas import bundle_from_json
 
 
@@ -346,6 +346,39 @@ def test_transport_and_the_gate_agree_on_singular_values():
         assert [(f.where, f.point, f.defect_norm, f.detail) for f in failures] == [expected[0][1:]], which
         assert failures[0].kind == "transport"
         assert transport_failures(b, which) == [], which
+
+
+@pytest.mark.parametrize("kind, detail", [("exact", "matrix is singular"), ("float", "matrix is numerically singular")])
+def test_transport_reports_a_singular_value_in_the_gates_words(kind, detail):
+    """A value of rank 1 handed straight to the transport check, with no gate before it."""
+    spec = fixture_circle_bundle()
+    spec["transitions"][0]["matrix"] = [["1", "0", "0"], ["0", "t", "0"], ["0", "0", "t"]]
+    spec["transitions"][0]["samples"][0] = ["0"]
+    b = bundle_from_json(spec)
+    zero = b.transitions[0].samples[0]
+    for which in ("h1", "h23"):
+        failures = transport_failures(b, which, mode=EvalMode(kind))
+        assert [(f.kind, f.where, f.point, f.defect_norm, f.detail) for f in failures] == [
+            ("transport", "U1->U2", zero, None, detail)
+        ], which
+
+
+def test_transport_inverts_each_value_once(monkeypatch, tmp_path, capsys):
+    """circle-bundle has 6 transition values: 6 inversions in the float gate, 6 in the transport check."""
+    from lieyamaguti import bundle
+
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return _invert(rows)
+
+    monkeypatch.setattr(bundle, "_invert", counting)
+    path = tmp_path / "circle.json"
+    path.write_text(render(fixture("circle-bundle")), encoding="utf-8")
+    assert run(["bundle-cohomology", str(path), "--which", "h1", "--mode", "float"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["constant"] is True
+    assert len(calls) == 12
 
 
 def test_transport_passes_on_rotations():

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -762,3 +763,35 @@ def test_console_script_entry_point(tmp_path):
     )
     obj = json.loads(result.stdout)
     assert obj["dim"] == 3
+
+
+def test_parser_is_built_once():
+    from lieyamaguti.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_leaves_no_state_between_runs(tmp_path, capsys):
+    """Non-default options, a usage error, then the default forms, in one process.
+
+    Each envelope equals the one the same argv gives in a fresh process, or
+    its golden file, so no option of one run leaks into the next.
+    """
+    algebra = write_fixture(tmp_path, "3dim")
+    circle = write_fixture(tmp_path, "circle-bundle")
+    golden = pathlib.Path(__file__).parent / "golden"
+    jobs = [
+        (["cohomology", algebra, "--rep", "trivial", "--rep-dim", "2"], None),
+        (["bundle-check", circle, "--mode", "float", "--tol", "1e-6"], None),
+        (["cohomology", algebra, "--p", "x"], None),  # usage error, exit 2
+        (["cohomology", algebra], golden / "report_cohomology_3dim.json"),
+        (["bundle-check", circle], golden / "report_bundle_check_circle.json"),
+    ]
+    for argv, path in jobs:
+        code = run(argv)
+        text = capsys.readouterr().out
+        if path is None:
+            fresh = subprocess.run([sys.executable, "-m", "lieyamaguti.cli", *argv], capture_output=True, text=True)
+            assert (code, text) == (fresh.returncode, fresh.stdout), argv
+        else:
+            assert (code, text) == (0, path.read_text(encoding="utf-8")), argv
