@@ -32,7 +32,7 @@ from .cohomology import (
     h23,
     h_upper,
 )
-from .linalg import Matrix, SubspaceBasis, kernel_basis, quotient_dim, rank
+from .linalg import Matrix, SubspaceBasis, quotient_dim
 from .representation import (
     Representation,
     RepReport,

@@ -10,7 +10,9 @@ algebra is immutable, so its validity is computed at most once per instance
 point that needs a valid algebra calls one guard, ``_require_valid``.  The
 instance likewise holds its adjoint module, per module object the
 coboundary operators assembled for it (``cohomology._held``), and the list of
-its nonzero structure constants (``_slots``).
+its nonzero structure constants (``_slots``), the one walk over the dense
+tensors: ``bracket``, ``triple``, ``structure_lcm``, ``integer_tables``,
+``_map_defect`` and the bundle gate's fibre read it and skip every zero slot.
 
 Every constructor, and the semidirect and twisted products in
 ``representation``, builds through ``_from_entries``: exact vectors keyed by
@@ -38,8 +40,8 @@ Maps have one bracket-preservation defect, ``_map_defect``, for any scalar
 type: ``is_homomorphism`` and the bundle gate's automorphism check both run
 it.  It expands both sides from the nonzero structure constants of the two
 algebras and the nonzero entries of the map only, adding each term in the
-order the dense ``bracket``/``triple`` would, so float defects are the same
-to the bit.  The derivations are the cocycles of delta_zero with adjoint
+order ``bracket``/``triple`` would, so float defects are the same to the
+bit.  The derivations are the cocycles of delta_zero with adjoint
 coefficients, so ``derivations`` reads them off that operator's kernel.
 """
 
@@ -66,7 +68,6 @@ from .linalg import (
     _times,
     denominator_lcm,
     qvec,
-    scaled_sparse,
     sparse_kernel,
     vec_add,
     vec_is_zero,
@@ -88,42 +89,27 @@ class LYAlgebra:
     name: str = ""
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        """Bilinear extension of the binary bracket to coordinate vectors of any scalar type."""
+        """Bilinear extension of the binary bracket to coordinate vectors of any scalar type.
+
+        Each coordinate adds its terms in slot-index order, skipping a slot
+        where a factor is zero, so float results are those of a dense loop.
+        """
         out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.binary[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                v = row[j]
+        for (i, j), entries in self._slots[0]:
+            if (xi := x[i]) and (yj := y[j]):
                 c = xi * yj
-                for k, vk in enumerate(v):
-                    if vk:
-                        out[k] += c * vk
+                for m, v in entries:
+                    out[m] += c * v
         return tuple(out)
 
     def triple(self, x, y, z) -> Vector:
-        """Trilinear extension of the ternary bracket, for any scalar type."""
+        """Trilinear extension of the ternary bracket, for any scalar type; the scalar is (x_i y_j) z_k."""
         out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            ti = self.ternary[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                tij = ti[j]
-                c = xi * yj
-                for k, zk in enumerate(z):
-                    if not zk:
-                        continue
-                    v = tij[k]
-                    czk = c * zk
-                    for l, vl in enumerate(v):
-                        if vl:
-                            out[l] += czk * vl
+        for (i, j, k), entries in self._slots[1]:
+            if (xi := x[i]) and (yj := y[j]) and (zk := z[k]):
+                c = xi * yj * zk
+                for m, v in entries:
+                    out[m] += c * v
         return tuple(out)
 
     def basis_vector(self, i: int) -> Vector:
@@ -163,7 +149,7 @@ class LYAlgebra:
 
     @functools.cached_property
     def _slots(self) -> tuple:
-        """The nonzero structure constants, listed at most once per instance for ``_map_defect``.
+        """The nonzero structure constants, listed at most once per instance.
 
         A pair (binary, ternary): each lists ((i, j), entries) or
         ((i, j, k), entries) in index order, with the nonzero coordinates of
@@ -221,13 +207,8 @@ LY_WEIGHTS = {"LY1": 1, "LY2": 2, "LY3": 2, "LY4": 3, "LY5": 3, "LY6": 4}
 
 def structure_lcm(a: LYAlgebra, extra: Iterable[Fraction] = ()) -> int:
     """The LCM of every denominator in the structure constants of ``a`` and in ``extra``."""
-    return denominator_lcm(
-        itertools.chain(
-            (x for row in a.binary for v in row for x in v),
-            (x for plane in a.ternary for row in plane for v in row for x in v),
-            extra,
-        )
-    )
+    constants = (c for _, entries in itertools.chain(*a._slots) for _, c in entries)
+    return denominator_lcm(itertools.chain(constants, extra))
 
 
 def integer_tables(a: LYAlgebra, extra: Iterable[Fraction] = ()) -> tuple[int, list, list]:
@@ -236,11 +217,16 @@ def integer_tables(a: LYAlgebra, extra: Iterable[Fraction] = ()) -> tuple[int, l
     Returns ``(den, B, T)``: ``den`` is the LCM of every denominator in ``a``
     and in ``extra``; ``B[i][j]`` holds den * [e_i, e_j] and ``T[i][j][k]``
     holds den**2 * {e_i, e_j, e_k}, each as a list of nonzero (index, int)
-    pairs.
+    pairs.  Only the nonzero slots are filled; the rest stay empty.
     """
     den = structure_lcm(a, extra)
-    b = [[scaled_sparse(v, den) for v in row] for row in a.binary]
-    t = [[[scaled_sparse(v, den * den) for v in row] for row in plane] for plane in a.ternary]
+    rng, den2 = range(a.dim), den * den
+    b = [[[] for _ in rng] for _ in rng]
+    t = [[[[] for _ in rng] for _ in rng] for _ in rng]
+    for (i, j), entries in a._slots[0]:
+        b[i][j] = [(m, c.numerator * (den // c.denominator)) for m, c in entries]
+    for (i, j, k), entries in a._slots[1]:
+        t[i][j][k] = [(m, c.numerator * (den2 // c.denominator)) for m, c in entries]
     return den, b, t
 
 

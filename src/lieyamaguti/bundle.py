@@ -20,7 +20,7 @@ s^-1 xn), must preserve the fibre's cocycles and coboundaries.
 
 Both evaluation modes run one code path.  The cocycle gate works on pairs
 (D, S) (``_cleared``): in exact mode D is the LCM of the denominators of a
-transition value s and S = D s is an integer matrix, and the fibre's
+transition value s and S = D s is an integer matrix, and the fibre's nonzero
 structure constants are cleared likewise, den * binary and den**2 * ternary
 (``_fibre``).  Each gate identity is homogeneous, so it is compared with both
 sides multiplied out of the denominators; the integer defect is then one
@@ -224,14 +224,12 @@ def _fibre(a: LYAlgebra, mode: EvalMode) -> tuple:
 
     In exact mode den is the LCM of the structure constants' denominators and
     the algebra holds the integers den * binary and den**2 * ternary; in float
-    mode den is 1 and the algebra holds the constants as floats.
+    mode den is 1 and the algebra holds the constants as floats.  Only the
+    nonzero slots of ``a`` are built.
     """
     den = structure_lcm(a) if mode.kind == "exact" else 1
-    slots = range(a.dim)
-    binary = {(i, j): _scaled(a.binary[i][j], den, mode) for i in slots for j in slots}
-    ternary = {
-        (i, j, k): _scaled(a.ternary[i][j][k], den * den, mode) for i in slots for j in slots for k in slots
-    }
+    binary = {(i, j): _scaled(a.binary[i][j], den, mode) for (i, j), _ in a._slots[0]}
+    ternary = {(i, j, k): _scaled(a.ternary[i][j][k], den * den, mode) for (i, j, k), _ in a._slots[1]}
     return den, _from_entries(a.dim, binary, ternary, a.name)
 
 

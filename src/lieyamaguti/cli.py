@@ -18,7 +18,8 @@ writer, ``_violations_json``.  Every command builds its module in
 ``_resolve_rep``, which refuses a trivial module whose e x e maps hold more
 than --cap entries (``DEFAULT_SIZE_CAP`` where the command has no --cap)
 before building it; ``semidirect`` and ``twist`` also refuse, before the
-product is built, a product whose LY scan is over ``_PRODUCT_WORK``.
+product is built, a product whose LY scan is over ``cohomology._SCAN_WORK``,
+the budget ``schemas.algebra_from_json`` holds every loaded algebra to.
 
 ``build_parser`` builds the argparse tree once per process, and ``run``
 parses each argv into a fresh namespace, so calls in one process share the
@@ -85,19 +86,13 @@ def _resolve_rep(args, a: alg.LYAlgebra, cap: int = coh.DEFAULT_SIZE_CAP) -> rep
     return representation_from_json(_load_json(args.rep), a.dim)
 
 
-# The LY scan of a product of dimension n runs over n**5 tuples; its budget is
-# the default cap times 7**3, as ``cohomology._check_work`` allows a level,
-# which admits n <= 27.
-_PRODUCT_WORK = coh.DEFAULT_SIZE_CAP * coh._FREE_ARITY**3
-
-
 def _product_rep(args, a: alg.LYAlgebra) -> rep.Representation:
     """The module of a semi-direct or twisted product, refused before the product if its scan is over budget."""
     r = _resolve_rep(args, a)
     n = a.dim + r.e
-    if n**5 > _PRODUCT_WORK:
+    if n**5 > coh._SCAN_WORK:
         raise SizeCapExceeded(
-            f"a product of dimension {n} scans {n}**5 = {n**5} tuples, over cap x 7**3 = {_PRODUCT_WORK}"
+            f"a product of dimension {n} scans {n}**5 = {n**5} tuples, over cap x 7**3 = {coh._SCAN_WORK}"
         )
     return r
 

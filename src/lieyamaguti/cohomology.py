@@ -77,7 +77,7 @@ from .errors import (
     ShapeMismatch,
     SizeCapExceeded,
 )
-from .linalg import Matrix, SubspaceBasis, Vector, sparse_kernel, zero_vector
+from .linalg import Matrix, SubspaceBasis, Vector, as_fraction, sparse_kernel, zero_vector
 from .representation import Representation, _check_shapes, _integer_data, _require_rep
 
 DEFAULT_SIZE_CAP = 50_000
@@ -171,7 +171,7 @@ class Cochain:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(x) for x in self.coeffs)
+        coeffs = tuple(map(as_fraction, self.coeffs))
         if len(coeffs) != self.shape.dim:
             raise ShapeMismatch(f"cochain needs {self.shape.dim} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
@@ -557,6 +557,12 @@ def _check_cap(a: LYAlgebra, r: Representation, p: int, cap: int) -> int:
 
 # Arity of C^(2p+3) up to which the coordinate cap alone bounds a level (p <= 2).
 _FREE_ARITY = 7
+
+# The LY scan of an algebra of dimension n runs over n**5 tuples; its budget is
+# the default cap times 7**3, as ``_check_work`` allows a level, which admits
+# n <= 27.  Every algebra load and every semi-direct or twisted product is
+# held to it before anything is built.
+_SCAN_WORK = DEFAULT_SIZE_CAP * _FREE_ARITY**3
 
 
 def _check_work(largest: int, p: int, cap: int) -> None:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EvalError, ExprSyntaxError, UnknownIdentifier
+from .linalg import as_fraction
 
 FUNCTIONS = ("sin", "cos", "exp")
 
@@ -293,13 +294,8 @@ def _exact_call(func: str, a: Fraction) -> Fraction:
     return Fraction(int(func != "sin"))
 
 
-def _fraction(x) -> Fraction:
-    """x as a Fraction; a Fraction (every literal and coordinate) is returned as it is."""
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def eval_exact(node: Expr, env: dict) -> Fraction:
-    return _evaluate(node, env, _fraction, _exact_call)
+    return _evaluate(node, env, as_fraction, _exact_call)
 
 
 def eval_float(node: Expr, env: dict) -> float:

@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms, positive denominator).  Matrices are immutable and row-major.
-Everything here is a pure function of its inputs, so values can be shared
-freely across threads.  ``denominator_lcm`` and ``scaled_sparse`` turn
-rational data into sparse integer vectors for the axiom checkers.
+terms, positive denominator).  ``as_fraction`` is the one exact coercion:
+``qvec``, ``Matrix``, cochains, expression evaluation and rational output
+keep a Fraction as it is and pass anything else through ``Fraction``.
+Matrices are immutable and row-major.  Everything here is a pure function of
+its inputs, so values can be shared freely across threads.
+``denominator_lcm`` and ``scaled_sparse`` clear the denominators of rational
+data for the integer checks.
 
 Every RREF, kernel and span (``Matrix.rref``, ``Matrix.kernel_basis``,
 ``SubspaceBasis``, ``sparse_kernel``) runs one fraction-free sparse core,
@@ -36,8 +39,13 @@ from .errors import NotASubspace, ShapeMismatch
 Vector = tuple[Fraction, ...]
 
 
+def as_fraction(x) -> Fraction:
+    """The one exact coercion: a Fraction is kept as it is, anything else goes through ``Fraction(x)``."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def qvec(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    return tuple(map(as_fraction, values))
 
 
 def zero_vector(n: int) -> Vector:
@@ -214,7 +222,7 @@ class Matrix:
             raise ShapeMismatch(f"matrix shape {rows}x{cols} is negative")
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(Fraction(x) for x in entries)
+        self.entries = tuple(map(as_fraction, entries))
         if len(self.entries) != rows * cols:
             raise ShapeMismatch(
                 f"matrix {rows}x{cols} needs {rows * cols} entries, got {len(self.entries)}"
@@ -402,14 +410,6 @@ def sparse_kernel(cols: int, rows: Iterable[Iterable[tuple[int, object]]]) -> Su
             if k != p:
                 kernel[k][p] = Fraction(-x, lead)
     return SubspaceBasis.from_sparse(cols, (v.items() for v in kernel.values()))
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Matrix) -> SubspaceBasis:
-    return m.kernel_basis()
 
 
 def quotient_dim(z: SubspaceBasis, b: SubspaceBasis) -> int:

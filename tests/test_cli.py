@@ -272,6 +272,34 @@ def test_trivial_module_past_the_cap_is_refused_before_it_is_built(tmp_path, cap
         ]
 
 
+@pytest.mark.parametrize("command", ["check", "cohomology", "bundle-check"])
+def test_huge_dim_is_refused_before_any_slot(tmp_path, capsys, monkeypatch, command):
+    """A 40-byte algebra with dim 10**9 exits 3 at load, before ``_from_entries`` allocates d**3 slots.
+
+    An algebra's LY scan runs over d**5 tuples, bounded by 50000 x 7**3 as a
+    product's is, so d <= 27; a bundle's fibre is read by the same loader.
+    """
+
+    def refused(*args, **kwargs):
+        raise AssertionError("_from_entries called")
+
+    monkeypatch.setattr("lieyamaguti.algebra._from_entries", refused)
+    monkeypatch.setattr("lieyamaguti.bundle._from_entries", refused)
+    algebra = {"dim": 10**9, "binary": [], "ternary": []}
+    if command == "bundle-check":
+        doc = {"fiber": algebra, "charts": [{"name": "U", "coords": ["t"], "samples": [["0"]]}]}
+    else:
+        doc = algebra
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report = run_cli(capsys, command, str(path))
+    assert code == 3
+    assert (report["status"], report["payload"]) == ("error", {})
+    assert report["diagnostics"] == [
+        "an algebra of dimension 1000000000 scans d**5 tuples, over cap x 7**3 = 17150000"
+    ]
+
+
 def test_trivial_module_at_the_cap_is_accepted(tmp_path, capsys):
     path = write_fixture(tmp_path, "meson2")
     code, report = run_cli(capsys, "cohomology", path, "--rep", "trivial", "--rep-dim", "3", "--cap", "9")

@@ -6,34 +6,56 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieyamaguti.errors import NotASubspace, ShapeMismatch
-from lieyamaguti.linalg import Matrix, SubspaceBasis, kernel_basis, quotient_dim, rank, sparse_kernel
+from lieyamaguti.linalg import Matrix, SubspaceBasis, as_fraction, qvec, quotient_dim, sparse_kernel
+
+
+def test_as_fraction_keeps_a_fraction_and_coerces_the_rest():
+    """One exact coercion: the same Fraction object is kept, anything else goes through Fraction."""
+    from lieyamaguti.cohomology import Cochain, _pair_space, _shape
+    from lieyamaguti.exprs import eval_exact, parse_expr
+    from lieyamaguti.schemas import frac_to_str
+
+    x = Fraction(-7, 3)
+    assert as_fraction(x) is x
+    assert qvec([x])[0] is x
+    assert Matrix(1, 1, [x]).entries[0] is x
+    f = _shape(_pair_space(1)[0], 2, 1)
+    assert Cochain(f, [x]).coeffs[0] is x
+    assert eval_exact(parse_expr("t"), {"t": x}) is x
+    for value in (3, -2, 0.5, -0.0, "5/6", "1.25", "1e-3", True, False):
+        got = as_fraction(value)
+        assert type(got) is Fraction and got == Fraction(value), value
+        assert frac_to_str(value) == frac_to_str(Fraction(value)), value
+    assert [type(v) for v in Matrix(1, 3, [1, 0.25, "2/3"]).entries] == [Fraction] * 3
+    with pytest.raises(ValueError):
+        as_fraction("a/b")
 
 
 def test_rank_identity():
-    assert rank(Matrix.identity(3)) == 3
+    assert Matrix.identity(3).rank() == 3
 
 
 def test_rank_zero():
-    assert rank(Matrix.zero(2, 2)) == 0
+    assert Matrix.zero(2, 2).rank() == 0
 
 
 def test_rank_dependent_rows():
     # second row is twice the first
-    assert rank(Matrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert Matrix.from_rows([[1, 2], [2, 4]]).rank() == 1
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(4)).dim == 0
+    assert Matrix.identity(4).kernel_basis().dim == 0
 
 
 def test_kernel_zero_map_full():
-    basis = kernel_basis(Matrix.zero(3, 3))
+    basis = Matrix.zero(3, 3).kernel_basis()
     assert basis.dim == 3
 
 
 def test_kernel_vectors_map_to_zero():
     m = Matrix.from_rows([[1, 1, 0]])
-    basis = kernel_basis(m)
+    basis = m.kernel_basis()
     assert basis.dim == 2
     for v in basis:
         assert all(x == 0 for x in m.matvec(v))
@@ -47,8 +69,8 @@ def test_rank_nullity_random():
         m = Matrix(
             rows, cols, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rows * cols)]
         )
-        ker = kernel_basis(m)
-        assert rank(m) + ker.dim == cols
+        ker = m.kernel_basis()
+        assert m.rank() + ker.dim == cols
         for v in ker:
             assert all(x == 0 for x in m.matvec(v))
 

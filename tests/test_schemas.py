@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lieyamaguti import adjoint, example_3dim, meson
-from lieyamaguti.errors import ShapeMismatch
+from lieyamaguti.errors import ShapeMismatch, SizeCapExceeded
 from lieyamaguti.schemas import (
     algebra_from_json,
     algebra_to_json,
@@ -40,6 +40,15 @@ def test_frac_refuses_huge_decimal_exponent():
     assert frac_from_json("1.5") == Fraction(3, 2)
     assert frac_from_json("1/1000") == Fraction(1, 1000)
     assert frac_from_json("1e19728") == 10**19728
+
+
+def test_algebra_dim_is_bounded_by_the_scan_budget():
+    """d**5 <= 50000 x 7**3 admits d = 27 and refuses d = 28, before any slot is built."""
+    a = algebra_from_json({"dim": 27, "ternary": [[1, 2, 27, ["1"] + ["0"] * 26]]})
+    assert a.dim == 27 and a.ternary[0][1][26][0] == 1 and a.ternary[1][0][26][0] == -1
+    for d in (28, 10**9, 10**4000):
+        with pytest.raises(SizeCapExceeded, match="scans d\\*\\*5 tuples, over cap x 7\\*\\*3 = 17150000"):
+            algebra_from_json({"dim": d})
 
 
 def test_algebra_round_trip(corpus):
