@@ -33,13 +33,15 @@ which expands only the fibre's nonzero structure constants and the nonzero
 entries of S; every matrix product, distance and inverse is ``linalg``'s row
 toolkit, and this module defines no matrix arithmetic of its own.
 Transition values and morphism matrices are evaluated by one row evaluator,
-``_eval_rows``.
+``_eval_rows``.  A bundle holds its transition values as pairs (D, S), each
+evaluated once per kind by ``_value``, and every check reads them there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .algebra import LYAlgebra, _from_entries, _map_defect, _require_valid, is_homomorphism, structure_lcm
@@ -184,6 +186,15 @@ class BundleSpec:
                 return tf
         return None
 
+    @functools.cached_property
+    def _values(self) -> dict:
+        """Evaluated transition values, (from, to, point, kind) -> the pair (D, S); filled by ``_value``."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        """The fields only: a copied or unpickled bundle evaluates its values again."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 def _eval_rows(matrix: tuple, coords: tuple, pt: Point, mode: EvalMode) -> list:
     """An expression matrix over ``coords``, evaluated at ``pt`` as rows of Fractions or floats."""
@@ -277,16 +288,9 @@ class CocycleFailure:
 
 @dataclass
 class CocycleReport:
-    """Failures of ``check_cocycle``; ``values`` keeps each evaluated (transition, point).
-
-    ``values`` maps (from, to, point) to the pair (D, S) of ``_cleared``, so
-    a later check of the same bundle evaluates no transition again.
-    """
-
     mode: EvalMode
     failures: list[CocycleFailure] = field(default_factory=list)
     checks: int = 0
-    values: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -296,12 +300,12 @@ class CocycleReport:
         self.failures.append(CocycleFailure(kind, where, point, norm, detail))
 
 
-def _value(values: dict, tf: TransitionFamily, pt: Point, mode: EvalMode) -> tuple:
-    """The pair (D, S) of ``_cleared`` for tf at pt, evaluated on first use and kept in ``values``."""
-    key = (tf.frm, tf.to, pt)
-    if key not in values:
-        values[key] = _cleared(eval_transition(tf, pt, mode), mode)
-    return values[key]
+def _value(b: BundleSpec, tf: TransitionFamily, pt: Point, mode: EvalMode) -> tuple:
+    """The pair (D, S) of ``_cleared`` for b's transition tf at pt, evaluated on first use and held on b."""
+    key = (tf.frm, tf.to, pt, mode.kind)
+    if key not in b._values:
+        b._values[key] = _cleared(eval_transition(tf, pt, mode), mode)
+    return b._values[key]
 
 
 def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
@@ -312,17 +316,14 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
     satisfy g_ji(m) = g_ij(m)^-1 under the positional sample correspondence;
     and every evaluated transition value is a fibrewise automorphism of the
     fibre model.  All failures are reported with their point and the largest
-    entrywise defect.  Each (transition, point) is evaluated once and kept as
-    its pair (D, S) of ``_cleared`` in the report's ``values``.  Every
-    identity is homogeneous, so each is compared with both sides multiplied
-    out of the denominators, and its integer defect is divided by that one
-    scale for the report.
+    entrywise defect.  Every identity is homogeneous, so each is compared
+    with both sides multiplied out of the denominators, and its integer
+    defect is divided by that one scale for the report.
     """
     report = CocycleReport(mode)
     bound = mode.bound
     fibre = _fibre(b.fiber, mode)
     ident = _identity(b.fiber.dim)
-    values = report.values
 
     def check(kind: str, where: str, point, worst, scale: int, detail: str) -> None:
         norm = _norm(worst, scale, mode)
@@ -333,7 +334,7 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
         if tf.frm == tf.to:
             for pt in tf.samples:
                 report.checks += 1
-                d, s = _value(values, tf, pt, mode)
+                d, s = _value(b, tf, pt, mode)
                 worst = _distance(s, _times(d, ident))
                 check("identity", tf.label(), pt, worst, d, "g_ii is not the identity")
 
@@ -355,7 +356,7 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
                     )
                     break
                 else:
-                    legs.append(_value(values, tf, pt, mode))
+                    legs.append(_value(b, tf, pt, mode))
             else:
                 (d1, s1), (d2, s2), (d3, s3) = legs
                 worst = _distance(_times(d3, _matmul(s1, s2)), _times(d1 * d2, s3))
@@ -380,7 +381,7 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
             continue
         for pt_f, pt_r in zip(tf.samples, rev.samples):
             report.checks += 1
-            (df, sf), (dr, sr) = _value(values, tf, pt_f, mode), _value(values, rev, pt_r, mode)
+            (df, sf), (dr, sr) = _value(b, tf, pt_f, mode), _value(b, rev, pt_r, mode)
             worst = _distance(_matmul(sf, sr), _times(df * dr, ident))
             where = f"{tf.label()} / {rev.label()}"
             check("inverse", where, (pt_f, pt_r), worst, df * dr, "g_ji != g_ij^-1")
@@ -388,7 +389,7 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
     for tf in b.transitions:
         for pt in tf.samples:
             report.checks += 1
-            pair = _value(values, tf, pt, mode)
+            pair = _value(b, tf, pt, mode)
             if _singular(pair[1], mode):
                 report.add("automorphism", tf.label(), pt, None, _SINGULAR[mode.kind])
                 continue
@@ -417,6 +418,7 @@ def check_subbundle(b: BundleSpec, h: SubspaceBasis) -> SubbundleReport:
     """Check g_ij(m) h = h for every evaluated transition value (exact mode).
 
     Requires h to be a subalgebra of the fibre (closure under both brackets).
+    A value s is read as its pair (D, S): S v spans what s v does.
     """
     fiber = b.fiber
     if h.ambient_dim != fiber.dim:
@@ -432,8 +434,8 @@ def check_subbundle(b: BundleSpec, h: SubspaceBasis) -> SubbundleReport:
     report = SubbundleReport(dim_h=h.dim)
     for tf in b.transitions:
         for pt in tf.samples:
-            val = Matrix.from_rows(eval_transition(tf, pt))
-            images = [val.matvec(v) for v in basis]
+            s = _value(b, tf, pt, EXACT)[1]
+            images = [[sum(x * y for x, y in zip(row, v)) for row in s] for v in basis]
             outside = any(not h.contains(img) for img in images)
             if outside or SubspaceBasis(h.ambient_dim, images).dim != h.dim:
                 report.failures.append(
@@ -528,9 +530,7 @@ def _group(which: str, p: int) -> tuple:
     return p if level is None else level, key
 
 
-def transport_failures(
-    b: BundleSpec, which: str = "h1", p: int = 2, mode: EvalMode = EXACT, values: dict | None = None
-) -> list[CocycleFailure]:
+def transport_failures(b: BundleSpec, which: str = "h1", p: int = 2, mode: EvalMode = EXACT) -> list[CocycleFailure]:
     """Sampled transition values whose transport does not preserve the fibre's ``which`` group.
 
     Adjoint coefficients; "der" is "h1", whose cocycles are the derivations,
@@ -539,15 +539,13 @@ def transport_failures(
     in float mode; every automorphism passes.  Each value s is inverted once,
     and the determinant of that inversion decides singularity as the cocycle
     gate does (det = 0 exactly, |det| <= tol in float mode); a singular value
-    is reported in the gate's words.  ``values`` is a ``CocycleReport.values``
-    of ``b`` in ``mode``; a value found there is not evaluated again.
+    is reported in the gate's words.
     """
     level = _group(which, p)[0]
-    values = {} if values is None else values
     failures, where, maps = [], [], []
     for tf in b.transitions:
         for pt in tf.samples:
-            big_d, scaled = _value(values, tf, pt, mode)
+            big_d, scaled = _value(b, tf, pt, mode)
             s = [[Fraction(x, big_d) for x in row] for row in scaled] if mode.kind == "exact" else scaled
             det, inverse = _invert(s)
             if abs(det) <= mode.bound:
@@ -575,8 +573,8 @@ def bundle_cohomology(
     is computed once; ``constant`` reports that transport along every sampled
     transition value preserves it, that is, no ``transport_failures``.  Both
     read the one adjoint module the fibre holds, so each coboundary is
-    assembled once per job, and the transport check reads the values the
-    cocycle check evaluated, so each (transition, point) is evaluated once.
+    assembled once per job, and both checks read the values the bundle
+    holds, so each (transition, point) is evaluated once.
     """
     level, key = _group(which, p)
     gate = check_cocycle(b, mode)
@@ -595,7 +593,7 @@ def bundle_cohomology(
         res = h23(fiber, module, cap=cap) if level == 1 else h_upper(fiber, module, level, cap=cap)
         dims = {"dimZ": res.dim_z, "dimB": res.dim_b, key.format(2 * level, 2 * level + 1): res.dim}
     points = [FiberCohomologyPoint(c.name, pt, dims) for c in b.charts for pt in c.samples]
-    failures = transport_failures(b, which, p, mode, gate.values)
+    failures = transport_failures(b, which, p, mode)
     return BundleCohomologyReport(which, p if which == "upper" else None, points, failures)
 
 

@@ -472,3 +472,54 @@ def test_bundle_cohomology_evaluates_each_transition_value_once(monkeypatch, tmp
     assert run(["bundle-cohomology", str(path), "--which", which]) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["constant"] is True
     assert len(calls) == len(set(calls)) == 6
+
+
+def _count_evaluations(monkeypatch) -> list:
+    """Patch ``bundle.eval_transition`` to record (from, to, point, kind) per call."""
+    from lieyamaguti import bundle
+
+    calls = []
+    evaluate = bundle.eval_transition
+
+    def counting(tf, pt, mode=bundle.EXACT):
+        calls.append((tf.frm, tf.to, pt, mode.kind))
+        return evaluate(tf, pt, mode)
+
+    monkeypatch.setattr(bundle, "eval_transition", counting)
+    return calls
+
+
+def test_a_bundle_evaluates_each_transition_value_once_per_kind(monkeypatch):
+    """The gate, transport, sub-bundle and bundle_cohomology checks read the values the bundle holds.
+
+    ``circle-bundle`` has 6 distinct (transition, point) values.  When each
+    check evaluated its own, these four exact checks made 24 calls.
+    """
+    calls = _count_evaluations(monkeypatch)
+    b = bundle_from_json(fixture_circle_bundle())
+    assert check_cocycle(b).ok
+    assert transport_failures(b, "h1") == []
+    assert check_subbundle(b, SubspaceBasis(3, [[0, 0, 1]])).ok
+    assert bundle_cohomology(b, "h1").constant
+    assert len(calls) == len(set(calls)) == 6
+    float_mode = EvalMode("float")
+    assert check_cocycle(b, float_mode).ok
+    assert transport_failures(b, "h1", mode=float_mode) == []
+    assert len(calls) == len(set(calls)) == 12
+    assert {kind for *_, kind in calls[6:]} == {"float"}
+
+
+def test_a_copied_or_unpickled_bundle_evaluates_its_values_again(monkeypatch):
+    import copy
+    import pickle
+
+    calls = _count_evaluations(monkeypatch)
+    b = bundle_from_json(fixture_circle_bundle())
+    assert check_cocycle(b).ok
+    assert len(calls) == 6
+    for other in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+        assert other == b and "_values" not in vars(other)
+        assert check_cocycle(other).ok
+    assert len(calls) == 24
+    assert check_cocycle(b).ok
+    assert len(calls) == 24
