@@ -17,9 +17,11 @@ error envelope goes to stdout.  Axiom and RLYB reports share one violations
 writer, ``_violations_json``.  Every command builds its module in
 ``_resolve_rep``, which refuses a trivial module whose e x e maps hold more
 than --cap entries (``DEFAULT_SIZE_CAP`` where the command has no --cap)
-before building it; ``semidirect`` and ``twist`` also refuse, before the
-product is built, a product whose LY scan is over ``cohomology._SCAN_WORK``,
-the budget ``schemas.algebra_from_json`` holds every loaded algebra to.
+before building it; ``rep-check``, ``semidirect`` and ``twist`` then refuse,
+in ``_product_rep``, a module whose product g ⋉ V has an LY scan over
+``cohomology._SCAN_WORK``, through the one guard ``cohomology._require_scan``
+that ``schemas`` holds every loaded algebra to.  ``schemas.bundle_from_json``
+refuses a bundle whose transition evaluations are over the same budget.
 
 ``build_parser`` builds the argparse tree once per process, and ``run``
 parses each argv into a fresh namespace, so calls in one process share the
@@ -87,13 +89,13 @@ def _resolve_rep(args, a: alg.LYAlgebra, cap: int = coh.DEFAULT_SIZE_CAP) -> rep
 
 
 def _product_rep(args, a: alg.LYAlgebra) -> rep.Representation:
-    """The module of a semi-direct or twisted product, refused before the product if its scan is over budget."""
+    """The module of ``rep-check``, ``semidirect`` or ``twist``, refused if g ⋉ V is over the scan budget.
+
+    The RLYB conditions hold exactly when g ⋉ V is an LY algebra, so
+    ``rep-check`` is bounded where the product is, before any check runs.
+    """
     r = _resolve_rep(args, a)
-    n = a.dim + r.e
-    if n**5 > coh._SCAN_WORK:
-        raise SizeCapExceeded(
-            f"a product of dimension {n} scans {n}**5 = {n**5} tuples, over cap x 7**3 = {coh._SCAN_WORK}"
-        )
+    coh._require_scan(a.dim + r.e, "a product g ⋉ V")
     return r
 
 
@@ -290,7 +292,7 @@ def _cmd_cohomology(args) -> tuple[dict, list[str]]:
 
 def _cmd_rep_check(args) -> tuple[dict, list[str]]:
     a = algebra_from_json(_load_json(args.input))
-    r = _resolve_rep(args, a)
+    r = _product_rep(args, a)
     report = rep.check_representation(a, r)
     payload = {**_violations_json(report, matrix_to_json), "rlyb7_ok": not report.rlyb7_violations}
     return payload, [] if report.ok else [f"violated: {', '.join(report.violated())}"]

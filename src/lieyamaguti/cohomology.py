@@ -560,9 +560,23 @@ _FREE_ARITY = 7
 
 # The LY scan of an algebra of dimension n runs over n**5 tuples; its budget is
 # the default cap times 7**3, as ``_check_work`` allows a level, which admits
-# n <= 27.  Every algebra load and every semi-direct or twisted product is
-# held to it before anything is built.
+# n <= _SCAN_DIM = 27.
 _SCAN_WORK = DEFAULT_SIZE_CAP * _FREE_ARITY**3
+_SCAN_DIM = math.floor(_SCAN_WORK ** (1 / 5))
+
+
+def _require_scan(n: int, what: str) -> None:
+    """Refuse ``what``, of dimension n, when its LY scan of n**5 tuples is over ``_SCAN_WORK``.
+
+    The one scan guard: every algebra load, every semi-direct or twisted
+    product and every ``rep-check`` module calls it before anything is
+    built.  The message formats neither n nor n**5, since a dimension read
+    from JSON can have thousands of digits.
+    """
+    if n > _SCAN_DIM:
+        raise SizeCapExceeded(
+            f"{what} of dimension over {_SCAN_DIM} scans n**5 tuples, over cap x 7**3 = {_SCAN_WORK}"
+        )
 
 
 def _check_work(largest: int, p: int, cap: int) -> None:

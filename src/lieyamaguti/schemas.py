@@ -14,7 +14,8 @@ appear once in either format.
 refuses a decimal exponent E whose 10**|E| would be longer than
 ``exprs.MAX_POWER_BITS`` bits, before computing it.  Lists are read with
 ``_list``/``_as_list``, which name the field they refuse.  Every algebra,
-bundle fibres included, has its dimension bounded before it is built.
+bundle fibres included, has its dimension bounded before it is built
+(``cohomology._require_scan``).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from fractions import Fraction
 
 from .algebra import LYAlgebra, from_sparse
 from .bundle import BundleSpec, Chart, TransitionFamily, TripleOverlap
-from .cohomology import _SCAN_WORK, CochainPair, _pair_space, _shape
-from .errors import ExprSyntaxError, ShapeMismatch, SizeCapExceeded
+from .cohomology import CochainPair, _pair_space, _require_scan, _shape
+from .errors import ExprSyntaxError, ShapeMismatch
 from .exprs import MAX_POWER_BITS, parse_expr
 from .linalg import Matrix, as_fraction, vec_is_zero
 from .representation import Representation
@@ -176,14 +177,13 @@ def algebra_to_json(a: LYAlgebra) -> dict:
 
 
 def algebra_from_json(obj) -> LYAlgebra:
-    """The algebra of a JSON object; a dim over 27 (a scan over ``_SCAN_WORK``) is refused first."""
+    """The algebra of a JSON object; a dim over 27 (``cohomology._require_scan``) is refused first."""
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ShapeMismatch("algebra JSON must be an object with a 'dim' field")
     d = _integer(obj["dim"], "'dim'")
     if d < 0:
         raise ShapeMismatch("'dim' must be a non-negative integer")
-    if d**5 > _SCAN_WORK:
-        raise SizeCapExceeded(f"an algebra of dimension {d} scans d**5 tuples, over cap x 7**3 = {_SCAN_WORK}")
+    _require_scan(d, "an algebra")
     binary = dict(_entries_from_json(obj.get("binary", []), 2, d, d, "binary"))
     ternary = dict(_entries_from_json(obj.get("ternary", []), 3, d, d, "ternary"))
     return from_sparse(d, binary, ternary, str(obj.get("name", "")))

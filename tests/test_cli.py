@@ -235,9 +235,9 @@ def test_trivial_module_past_the_cap_is_refused_before_it_is_built(tmp_path, cap
     """Every command bounds the trivial module's e x e maps: 224**2 > 50000 exits 3 without building them.
 
     ``cohomology`` bounds them by --cap; the commands without --cap by the
-    default cap.  ``semidirect`` and ``twist`` also refuse, before building
-    it, a product whose LY scan of n**5 tuples is over 50000 x 7**3, that is
-    n = d + e > 27.
+    default cap.  ``rep-check``, ``semidirect`` and ``twist`` also refuse,
+    before any product or check, a module whose product's LY scan of n**5
+    tuples is over 50000 x 7**3, that is n = d + e > 27.
     """
 
     def refuse(what):
@@ -264,12 +264,40 @@ def test_trivial_module_past_the_cap_is_refused_before_it_is_built(tmp_path, cap
         assert code == 3
     monkeypatch.setattr("lieyamaguti.representation._product_algebra", refuse("_product_algebra"))
     monkeypatch.setattr("lieyamaguti.cohomology.h23", refuse("h23"))
-    for command in ("semidirect", "twist"):
+    monkeypatch.setattr("lieyamaguti.representation.check_representation", refuse("check_representation"))
+    for command in ("rep-check", "semidirect", "twist"):
         code, report = run_cli(capsys, command, path, "--rep", "trivial", "--rep-dim", "26", *commands[command])
         assert code == 3, command
         assert report["diagnostics"] == [
-            "a product of dimension 28 scans 28**5 = 17210368 tuples, over cap x 7**3 = 17150000"
+            "a product g ⋉ V of dimension over 27 scans n**5 tuples, over cap x 7**3 = 17150000"
         ]
+
+
+@pytest.mark.parametrize("e, code", [(24, 0), (25, 3)])
+def test_rep_check_module_file_is_bounded_as_its_product(tmp_path, capsys, monkeypatch, e, code):
+    """RLYB1..RLYB6 hold exactly when g ⋉ V is an LY algebra, so rep-check is refused where semidirect is.
+
+    Over ``3dim`` a module file with e = 25 gives d + e = 28 > 27: exit 3
+    before ``check_representation`` runs; e = 24 still runs.
+    """
+    from lieyamaguti import representation
+
+    checked = []
+    check = representation.check_representation
+    monkeypatch.setattr(representation, "check_representation", lambda a, r: checked.append(r.e) or check(a, r))
+    zero = [["0"] * e for _ in range(e)]
+    module = {"e": e, "rho": [zero] * 3, "D": [[zero] * 3] * 3, "theta": [[zero] * 3] * 3}
+    rep_path = tmp_path / "module.json"
+    rep_path.write_text(json.dumps(module), encoding="utf-8")
+    got, report = run_cli(capsys, "rep-check", write_fixture(tmp_path, "3dim"), "--rep", str(rep_path))
+    assert got == code
+    if code == 3:
+        assert (report["status"], report["payload"], checked) == ("error", {}, [])
+        assert report["diagnostics"] == [
+            "a product g ⋉ V of dimension over 27 scans n**5 tuples, over cap x 7**3 = 17150000"
+        ]
+    else:
+        assert (report["status"], checked) == ("pass", [e])
 
 
 @pytest.mark.parametrize("command", ["check", "cohomology", "bundle-check"])
@@ -296,7 +324,7 @@ def test_huge_dim_is_refused_before_any_slot(tmp_path, capsys, monkeypatch, comm
     assert code == 3
     assert (report["status"], report["payload"]) == ("error", {})
     assert report["diagnostics"] == [
-        "an algebra of dimension 1000000000 scans d**5 tuples, over cap x 7**3 = 17150000"
+        "an algebra of dimension over 27 scans n**5 tuples, over cap x 7**3 = 17150000"
     ]
 
 
@@ -823,3 +851,4 @@ def test_cached_parser_leaves_no_state_between_runs(tmp_path, capsys):
             assert (code, text) == (fresh.returncode, fresh.stdout), argv
         else:
             assert (code, text) == (0, path.read_text(encoding="utf-8")), argv
+

@@ -47,7 +47,7 @@ def test_algebra_dim_is_bounded_by_the_scan_budget():
     a = algebra_from_json({"dim": 27, "ternary": [[1, 2, 27, ["1"] + ["0"] * 26]]})
     assert a.dim == 27 and a.ternary[0][1][26][0] == 1 and a.ternary[1][0][26][0] == -1
     for d in (28, 10**9, 10**4000):
-        with pytest.raises(SizeCapExceeded, match="scans d\\*\\*5 tuples, over cap x 7\\*\\*3 = 17150000"):
+        with pytest.raises(SizeCapExceeded, match="over 27 scans n\\*\\*5 tuples, over cap x 7\\*\\*3 = 17150000"):
             algebra_from_json({"dim": d})
 
 
@@ -125,3 +125,4 @@ def test_cochain_pair_json_rejects_duplicates():
     assert c.f.eval_basis((0, 1)) == (Fraction(0), Fraction(2))
     assert c.g.eval_basis((0, 2, 1)) == (Fraction(0), Fraction(-1, 3))
     assert sum(1 for x in c.flat() if x) == 2
+
