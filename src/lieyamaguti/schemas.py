@@ -15,7 +15,8 @@ refuses a decimal exponent E whose 10**|E| would be longer than
 ``exprs.MAX_POWER_BITS`` bits, before computing it.  Lists are read with
 ``_list``/``_as_list``, which name the field they refuse.  Every algebra,
 bundle fibres included, has its dimension bounded before it is built
-(``cohomology._require_scan``).
+(``cohomology._require_scan``), and every bundle its evaluation work, the
+characters of expression its checks evaluate, before any evaluation.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from fractions import Fraction
 
 from .algebra import LYAlgebra, from_sparse
 from .bundle import BundleSpec, Chart, TransitionFamily, TripleOverlap
-from .cohomology import CochainPair, _pair_space, _require_scan, _shape
-from .errors import ExprSyntaxError, ShapeMismatch
+from .cohomology import _SCAN_WORK, CochainPair, _pair_space, _require_scan, _shape
+from .errors import ExprSyntaxError, ShapeMismatch, SizeCapExceeded
 from .exprs import MAX_POWER_BITS, parse_expr
 from .linalg import Matrix, as_fraction, vec_is_zero
 from .representation import Representation
@@ -275,7 +276,27 @@ def _entry(x, what: str, row: int, col: int):
         raise ShapeMismatch(f"{what}: 'matrix' row {row}, column {col}: {exc}") from None
 
 
+def _evaluation_work(sizes: dict, transitions: list, triples: list) -> int:
+    """Characters of expression read by evaluating every transition value a bundle's checks need.
+
+    ``sizes`` maps (from, to) to the characters in that transition's matrix;
+    each is evaluated at its own samples and, as a leg, at each sample of a
+    triple overlap.
+    """
+    work = sum(sizes[tf.frm, tf.to] * len(tf.samples) for tf in transitions)
+    for tr in triples:
+        legs = ((tr.i, tr.j), (tr.j, tr.k), (tr.i, tr.k))
+        work += len(tr.samples) * sum(sizes.get(leg, 0) for leg in legs)
+    return work
+
+
 def bundle_from_json(obj) -> BundleSpec:
+    """The bundle of a JSON object, refused before any evaluation if ``_evaluation_work`` is over ``_SCAN_WORK``.
+
+    Evaluating a transition at a point walks its expressions, so the time of
+    the checks grows as expression size times samples: quadratic in the
+    file size, which ``exprs.MAX_DEPTH`` alone does not bound.
+    """
     if not isinstance(obj, dict) or "fiber" not in obj or "charts" not in obj:
         raise ShapeMismatch("bundle JSON must carry 'fiber' and 'charts'")
     fiber = algebra_from_json(obj["fiber"])
@@ -285,7 +306,7 @@ def bundle_from_json(obj) -> BundleSpec:
         what = f"chart {name!r}"
         coords = tuple(str(x) for x in _list(c, "coords", what))
         charts.append(Chart(name, coords, tuple(_point(p, what) for p in _list(c, "samples", what))))
-    transitions = []
+    transitions, sizes = [], {}
     for n, t in enumerate(_objects(obj.get("transitions", []), "'transitions'")):
         frm, to = (str(_required(t, key, f"transition {n}")) for key in ("from", "to"))
         what = f"transition {frm}->{to}"
@@ -296,6 +317,7 @@ def bundle_from_json(obj) -> BundleSpec:
             tuple(_entry(x, what, m, n) for n, x in enumerate(row, 1)) for m, row in enumerate(rows, 1)
         )
         samples = tuple(_point(p, what) for p in _list(t, "samples", what))
+        sizes[frm, to] = sum(len(str(x)) for row in rows for x in row)
         transitions.append(TransitionFamily(frm, to, matrix, samples))
     triples = []
     for n, t in enumerate(_objects(obj.get("triples", []), "'triples'")):
@@ -309,4 +331,9 @@ def bundle_from_json(obj) -> BundleSpec:
                 )
             samples.append(tuple(_point(q, what) for q in s))
         triples.append(TripleOverlap(i, j, k, tuple(samples)))
+    work = _evaluation_work(sizes, transitions, triples)
+    if work > _SCAN_WORK:
+        raise SizeCapExceeded(
+            f"evaluating the transitions reads {work} expression characters, over cap x 7**3 = {_SCAN_WORK}"
+        )
     return BundleSpec(fiber, tuple(charts), tuple(transitions), tuple(triples))

@@ -852,3 +852,33 @@ def test_cached_parser_leaves_no_state_between_runs(tmp_path, capsys):
         else:
             assert (code, text) == (0, path.read_text(encoding="utf-8")), argv
 
+
+def _balanced_sum(n: int) -> str:
+    """t + t + ... (n terms) as a balanced tree of parenthesised pairs, so it stays under MAX_DEPTH."""
+    return "t" if n == 1 else f"({_balanced_sum(n // 2)} + {_balanced_sum(n - n // 2)})"
+
+
+def test_bundle_over_the_evaluation_budget_is_refused_before_any_evaluation(tmp_path, capsys, monkeypatch):
+    """A 4096-term sum at 5000 samples reads about 8 * 10**7 expression characters: exit 3 at load."""
+    import time
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a transition was evaluated")
+
+    monkeypatch.setattr("lieyamaguti.bundle._eval_rows", refused)
+    samples = [[f"{k}/5000"] for k in range(5000)]
+    doc = {
+        "fiber": {"dim": 1, "name": "line"},
+        "charts": [{"name": n, "coords": [x], "samples": [["0"]]} for n, x in (("U", "t"), ("V", "s"))],
+        "transitions": [{"from": "U", "to": "V", "matrix": [[_balanced_sum(4096)]], "samples": samples}],
+    }
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "bundle-check", str(path))
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert (report["status"], report["payload"]) == ("error", {})
+    assert report["diagnostics"][0].startswith("evaluating the transitions reads ")
+    assert report["diagnostics"][0].endswith(" expression characters, over cap x 7**3 = 17150000")
+    assert elapsed < 2.0

@@ -126,3 +126,19 @@ def test_cochain_pair_json_rejects_duplicates():
     assert c.g.eval_basis((0, 2, 1)) == (Fraction(0), Fraction(-1, 3))
     assert sum(1 for x in c.flat() if x) == 2
 
+
+def test_bundle_evaluation_work_counts_samples_and_triple_legs(monkeypatch):
+    """circle-bundle reads 250 characters: 21 x 3 and 29 x 3 at the transition samples, 50 x 2 at the triple's.
+
+    The triple (U1, U2, U1) has legs U1->U2 (21 characters), U2->U1 (29)
+    and the identity U1->U1 (none declared).  At a budget of 250 the bundle
+    loads; at 249 it is refused.
+    """
+    from lieyamaguti import schemas
+    from lieyamaguti.fixtures import fixture_circle_bundle
+
+    monkeypatch.setattr(schemas, "_SCAN_WORK", 250)
+    assert schemas.bundle_from_json(fixture_circle_bundle()).fiber.dim == 3
+    monkeypatch.setattr(schemas, "_SCAN_WORK", 249)
+    with pytest.raises(SizeCapExceeded, match="reads 250 expression characters, over cap x 7\\*\\*3 = 249"):
+        schemas.bundle_from_json(fixture_circle_bundle())
