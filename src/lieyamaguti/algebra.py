@@ -154,13 +154,18 @@ class LYAlgebra:
         A pair (binary, ternary): each lists ((i, j), entries) or
         ((i, j, k), entries) in index order, with the nonzero coordinates of
         that slot's vector as (m, c) pairs; slots whose vector is zero are
-        left out.
+        left out, and one laid over the shared ``zero_vector`` is skipped
+        without testing its coordinates.
         """
-        rng = range(self.dim)
+        rng, zero = range(self.dim), zero_vector(self.dim)
         pairs = (((i, j), self.binary[i][j]) for i in rng for j in rng)
         triples = (((i, j, k), self.ternary[i][j][k]) for i in rng for j in rng for k in rng)
         return tuple(
-            [(idx, entries) for idx, v in slots if (entries := [(m, c) for m, c in enumerate(v) if c])]
+            [
+                (idx, entries)
+                for idx, v in slots
+                if v is not zero and (entries := [(m, c) for m, c in enumerate(v) if c])
+            ]
             for slots in (pairs, triples)
         )
 
@@ -404,12 +409,12 @@ def from_sparse(
         if not 0 <= i < j < d:
             raise ShapeMismatch(f"binary entry needs 0 <= i < j < d, got ({i}, {j})")
         b[i, j] = qvec(v)
-        b[j, i] = vec_scale(-1, b[i, j])
+        b[j, i] = tuple(-x for x in b[i, j])
     for (i, j, k), v in (ternary_entries or {}).items():
         if not (0 <= i < j < d and 0 <= k < d):
             raise ShapeMismatch(f"ternary entry needs 0 <= i < j < d, got ({i}, {j}, {k})")
         t[i, j, k] = qvec(v)
-        t[j, i, k] = vec_scale(-1, t[i, j, k])
+        t[j, i, k] = tuple(-x for x in t[i, j, k])
     return _from_entries(d, b, t, name)
 
 
@@ -471,7 +476,7 @@ def meson(n: int, name: str = "") -> LYAlgebra:
     t = {}
     for i, j in itertools.permutations(range(n), 2):
         t[i, j, i] = basis[j]
-        t[i, j, j] = vec_scale(-1, basis[i])
+        t[i, j, j] = tuple(-x for x in basis[i])
     return _from_entries(n, {}, t, name or f"meson{n}")
 
 

@@ -30,6 +30,7 @@ bundle gate runs them on integers, Fractions and floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -48,7 +49,13 @@ def qvec(values: Iterable) -> Vector:
     return tuple(map(as_fraction, values))
 
 
+@functools.lru_cache(maxsize=64)
 def zero_vector(n: int) -> Vector:
+    """The zero vector of length n, one shared tuple per length while it is cached.
+
+    ``LYAlgebra._slots`` skips a slot laid over it by identity; any other
+    zero vector is still tested coordinate by coordinate.
+    """
     return (Fraction(0),) * n
 
 

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .algebra import LYAlgebra, _from_entries, _require_valid, integer_tables
 from .errors import ShapeMismatch
-from .linalg import Matrix, scaled_sparse, vec_scale, zero_vector
+from .linalg import Matrix, scaled_sparse, zero_vector
 
 RLYB_CONDITIONS = ("RLYB1", "RLYB2", "RLYB3", "RLYB4", "RLYB5", "RLYB6")
 
@@ -309,27 +309,37 @@ def twisted_semidirect(a: LYAlgebra, r: Representation, tau, name: str = "") -> 
 
 
 def _product_algebra(a: LYAlgebra, r: Representation, tau, name: str) -> LYAlgebra:
+    """The brackets of g (+) V, handing ``_from_entries`` only the slots that can be nonzero.
+
+    A slot of g is kept when it is nonzero in ``a`` or gets a twist
+    component; a module column only when it is nonzero, so every other slot
+    stays on the shared zero vector, which ``LYAlgebra._slots`` skips.
+    """
     _check_shapes(a, r)
     d, e = a.dim, r.e
     zd, ze = zero_vector(d), zero_vector(e)
+    nonzero = {idx for slots in a._slots for idx, _ in slots}
     b, t = {}, {}
     for i, j in itertools.product(range(d), repeat=2):
         f = tau.f.eval_basis((i, j)) if tau is not None else ze
-        b[i, j] = a.binary[i][j] + f
+        if (i, j) in nonzero or any(f):
+            b[i, j] = a.binary[i][j] + f
         for k in range(d):
             g = tau.g.eval_basis((i, j, k)) if tau is not None else ze
-            t[i, j, k] = a.ternary[i][j][k] + g
+            if (i, j, k) in nonzero or any(g):
+                t[i, j, k] = a.ternary[i][j][k] + g
         for c in range(e):
             # {e_i, e_j, u} = D(e_i, e_j) u ; {u, e_i, e_j} = theta(e_i, e_j) u ;
             # {e_i, u, e_j} = -theta(e_i, e_j) u, for every (i, j) so an invalid r shows
-            u = r.theta[i][j].col(c)
-            t[i, j, d + c] = zd + r.dmap[i][j].col(c)
-            t[d + c, i, j] = zd + u
-            t[i, d + c, j] = zd + vec_scale(-1, u)
+            if any(v := r.dmap[i][j].col(c)):
+                t[i, j, d + c] = zd + v
+            if any(u := r.theta[i][j].col(c)):
+                t[d + c, i, j] = zd + u
+                t[i, d + c, j] = zd + tuple(-x for x in u)
     for i in range(d):
         for c in range(e):
             # [e_i, u] = rho(e_i) u = -[u, e_i]
-            u = r.rho[i].col(c)
-            b[i, d + c] = zd + u
-            b[d + c, i] = zd + vec_scale(-1, u)
+            if any(u := r.rho[i].col(c)):
+                b[i, d + c] = zd + u
+                b[d + c, i] = zd + tuple(-x for x in u)
     return _from_entries(d + e, b, t, name)
