@@ -260,9 +260,6 @@ class _Operator(NamedTuple):
             out.append(Fraction(acc, den))
         return out
 
-    def kernel(self) -> SubspaceBasis:
-        return sparse_kernel(self.cols, self.lines)
-
     def image(self) -> SubspaceBasis:
         """The column span."""
         columns = [[] for _ in range(self.cols)]
