@@ -12,7 +12,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
 from random_cochains import random_cochain_pair, random_fraction
 
 from lieyamaguti import example_3dim, meson, semidirect, twisted_semidirect
@@ -98,8 +97,3 @@ def test_slots_skip_the_shared_zero_without_testing_its_coordinates(monkeypatch)
     assert sum(len(entries) for group in slots for _, entries in group) == sum(
         1 for v in _slot_vectors(a) for x in v if x
     )
-
-
-@pytest.mark.parametrize("n", [1, 3])
-def test_zero_vector_is_shared_per_length(n):
-    assert zero_vector(n) is zero_vector(n) and zero_vector(n) == (Fraction(0),) * n
