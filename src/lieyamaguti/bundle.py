@@ -350,7 +350,7 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
                     report.add(
                         "structural",
                         tr.label(),
-                        pt,
+                        (pi, pj, pk),
                         None,
                         f"no declared transition {frm}->{to} for this triple overlap",
                     )

@@ -21,7 +21,8 @@ before building it; ``rep-check``, ``semidirect`` and ``twist`` then refuse,
 in ``_product_rep``, a module whose product g ⋉ V has an LY scan over
 ``cohomology._SCAN_WORK``, through the one guard ``cohomology._require_scan``
 that ``schemas`` holds every loaded algebra to.  ``schemas.bundle_from_json``
-refuses a bundle whose transition evaluations are over the same budget.
+refuses a bundle whose transition evaluations are over their own budget,
+``schemas._EVAL_WORK``.
 
 ``build_parser`` builds the argparse tree once per process, and ``run``
 parses each argv into a fresh namespace, so calls in one process share the

@@ -52,10 +52,6 @@ class Representation:
     dmap: tuple  # dmap[i][j]: e x e Matrix for D(e_i, e_j)
     theta: tuple  # theta[i][j]: e x e Matrix for theta(e_i, e_j)
 
-    @property
-    def d(self) -> int:
-        return len(self.rho)
-
     def replace_theta(self, i: int, j: int, m: Matrix) -> "Representation":
         theta = [list(row) for row in self.theta]
         theta[i][j] = m

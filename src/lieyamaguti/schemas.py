@@ -16,7 +16,8 @@ refuses a decimal exponent E whose 10**|E| would be longer than
 ``_list``/``_as_list``, which name the field they refuse.  Every algebra,
 bundle fibres included, has its dimension bounded before it is built
 (``cohomology._require_scan``), and every bundle its evaluation work, the
-characters of expression its checks evaluate, before any evaluation.
+characters of expression its checks evaluate, by its own budget
+``_EVAL_WORK``, before any evaluation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 from .algebra import LYAlgebra, from_sparse
 from .bundle import BundleSpec, Chart, TransitionFamily, TripleOverlap
-from .cohomology import _SCAN_WORK, CochainPair, _pair_space, _require_scan, _shape
+from .cohomology import CochainPair, _pair_space, _require_scan, _shape
 from .errors import ExprSyntaxError, ShapeMismatch, SizeCapExceeded
 from .exprs import MAX_POWER_BITS, parse_expr
 from .linalg import Matrix, as_fraction, vec_is_zero
@@ -276,6 +277,14 @@ def _entry(x, what: str, row: int, col: int):
         raise ShapeMismatch(f"{what}: 'matrix' row {row}, column {col}: {exc}") from None
 
 
+# Characters of expression a bundle's checks may evaluate.  Exact evaluation
+# costs about 0.4 us per character (a 2 048-term sum at 122 samples, 1.5 * 10**6
+# characters, takes 0.6 s in exact bundle-check on a 2-core x86-64 machine),
+# so the budget bounds that to well under a second; the benchmark's largest
+# atlas reads 97 344.
+_EVAL_WORK = 10**6
+
+
 def _evaluation_work(sizes: dict, transitions: list, triples: list) -> int:
     """Characters of expression read by evaluating every transition value a bundle's checks need.
 
@@ -291,7 +300,7 @@ def _evaluation_work(sizes: dict, transitions: list, triples: list) -> int:
 
 
 def bundle_from_json(obj) -> BundleSpec:
-    """The bundle of a JSON object, refused before any evaluation if ``_evaluation_work`` is over ``_SCAN_WORK``.
+    """The bundle of a JSON object, refused before any evaluation if ``_evaluation_work`` is over ``_EVAL_WORK``.
 
     Evaluating a transition at a point walks its expressions, so the time of
     the checks grows as expression size times samples: quadratic in the
@@ -332,8 +341,8 @@ def bundle_from_json(obj) -> BundleSpec:
             samples.append(tuple(_point(q, what) for q in s))
         triples.append(TripleOverlap(i, j, k, tuple(samples)))
     work = _evaluation_work(sizes, transitions, triples)
-    if work > _SCAN_WORK:
+    if work > _EVAL_WORK:
         raise SizeCapExceeded(
-            f"evaluating the transitions reads {work} expression characters, over cap x 7**3 = {_SCAN_WORK}"
+            f"evaluating the transitions reads {work} expression characters, over the evaluation budget {_EVAL_WORK}"
         )
     return BundleSpec(fiber, tuple(charts), tuple(transitions), tuple(triples))

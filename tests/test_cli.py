@@ -190,6 +190,20 @@ def test_cohomology_p1(tmp_path, capsys):
     assert "reading" in p
 
 
+def test_cohomology_p2(tmp_path, capsys):
+    path = write_fixture(tmp_path, "3dim")
+    code, report = run_cli(capsys, "cohomology", path, "--p", "2")
+    assert code == 0
+    assert report["payload"] == {"p": 2, "dimZ": 42, "dimB": 20, "dimH": 22, "delta_squared_zero": True}
+
+
+def test_cohomology_p0_is_refused(tmp_path, capsys):
+    path = write_fixture(tmp_path, "3dim")
+    code, report = run_cli(capsys, "cohomology", path, "--p", "0")
+    assert code == 2
+    assert (report["status"], report["payload"], report["diagnostics"]) == ("error", {}, ["--p must be >= 1"])
+
+
 @pytest.mark.parametrize("command", ["cohomology", "rep-check", "semidirect", "twist"])
 def test_negative_rep_dim_is_refused(tmp_path, capsys, command):
     path = write_fixture(tmp_path, "3dim")
@@ -415,6 +429,14 @@ def test_twist_by_computed_cocycle(tmp_path, capsys):
     assert report["payload"]["axioms_ok"] is True
 
 
+def test_twist_cocycle_index_out_of_range(tmp_path, capsys):
+    path = write_fixture(tmp_path, "3dim")
+    code, report = run_cli(capsys, "twist", path, "--tau-cocycle", "99")
+    assert code == 2
+    assert (report["status"], report["payload"]) == ("error", {})
+    assert report["diagnostics"] == ["--tau-cocycle index 99 out of range (dim Z = 14)"]
+
+
 def test_twist_requires_exactly_one_source(tmp_path, capsys):
     path = write_fixture(tmp_path, "3dim")
     code, report = run_cli(capsys, "twist", path)
@@ -433,6 +455,27 @@ def test_bundle_check_pass_and_fail(tmp_path, capsys):
     assert code == 1
     kinds = {f["kind"] for f in report["payload"]["failures"]}
     assert "automorphism" in kinds
+
+
+def test_bundle_check_undeclared_triple_leg_is_structural(tmp_path, capsys):
+    """A (U1, U2, U3) overlap with no U2->U3 transition fails at the overlap's sample, in all three charts."""
+    obj = fixture("circle-bundle")
+    obj["charts"].append({"name": "U3", "coords": ["u"], "samples": [["0"]]})
+    obj["triples"] = [{"i": "U1", "j": "U2", "k": "U3", "samples": [[["1"], ["2"], ["3"]]]}]
+    path = tmp_path / "open-triple.json"
+    path.write_text(render(obj), encoding="utf-8")
+    code, report = run_cli(capsys, "bundle-check", str(path))
+    assert code == 1
+    structural = [f for f in report["payload"]["failures"] if f["kind"] == "structural"]
+    assert structural == [
+        {
+            "kind": "structural",
+            "where": "(U1,U2,U3)",
+            "point": [["1"], ["2"], ["3"]],
+            "defect_norm": None,
+            "detail": "no declared transition U2->U3 for this triple overlap",
+        }
+    ]
 
 
 def test_bundle_check_float_mode(tmp_path, capsys):
@@ -574,6 +617,14 @@ def test_bundle_cohomology_command(tmp_path, capsys):
     assert report["payload"]["constant"] is True
     dims = {p["dimH1"] for p in report["payload"]["per_point"]}
     assert dims == {4}
+
+
+def test_bundle_cohomology_upper_needs_p2(tmp_path, capsys):
+    path = write_fixture(tmp_path, "circle-bundle")
+    code, report = run_cli(capsys, "bundle-cohomology", path, "--which", "upper", "--p", "1")
+    assert code == 2
+    assert (report["status"], report["payload"]) == ("error", {})
+    assert report["diagnostics"] == ["--which upper needs --p >= 2; h23 is p = 1"]
 
 
 def test_bundle_cohomology_gate_failure(tmp_path, capsys):
@@ -880,5 +931,48 @@ def test_bundle_over_the_evaluation_budget_is_refused_before_any_evaluation(tmp_
     assert code == 3
     assert (report["status"], report["payload"]) == ("error", {})
     assert report["diagnostics"][0].startswith("evaluating the transitions reads ")
-    assert report["diagnostics"][0].endswith(" expression characters, over cap x 7**3 = 17150000")
+    assert report["diagnostics"][0].endswith(" expression characters, over the evaluation budget 1000000")
     assert elapsed < 2.0
+
+
+def _sum_bundle(samples: int) -> dict:
+    """A line bundle whose one transition is a 2 048-term sum (12 283 characters) at t = 1 .. samples."""
+    return {
+        "fiber": {"dim": 1, "name": "line"},
+        "charts": [{"name": n, "coords": [x], "samples": [["1"]]} for n, x in (("U", "t"), ("V", "s"))],
+        "transitions": [
+            {
+                "from": "U",
+                "to": "V",
+                "matrix": [[_balanced_sum(2048)]],
+                "samples": [[str(k)] for k in range(1, samples + 1)],
+            }
+        ],
+    }
+
+
+@pytest.mark.parametrize("samples, code", [(122, 3), (81, 0)])
+def test_bundle_evaluation_has_its_own_budget(tmp_path, capsys, monkeypatch, samples, code):
+    """At 122 samples (1 498 526 characters) the sum is refused before any evaluation; 81 (994 923) load and run."""
+    from lieyamaguti import bundle
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    evaluate = bundle.eval_transition
+    monkeypatch.setattr(bundle, "eval_transition", counted)
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(_sum_bundle(samples)), encoding="utf-8")
+    got, report = run_cli(capsys, "bundle-check", str(path))
+    assert got == code
+    if code == 3:
+        assert (report["status"], report["payload"], calls) == ("error", {}, [])
+        assert report["diagnostics"] == [
+            "evaluating the transitions reads 1498526 expression characters, over the evaluation budget 1000000"
+        ]
+    else:
+        assert report["status"] == "pass"
+        assert len(calls) == samples

@@ -1,26 +1,30 @@
-"""``derivations`` read off ker delta_zero against the row system it replaced.
+"""``derivations`` and ``is_derivation`` read off delta_zero against the identities they replaced.
 
 With adjoint coefficients the cocycles of delta_zero are exactly the
 derivations of the algebra, so ``derivations`` takes the kernel of that one
-operator.  ``derivation_system`` is the joint linear system of the binary and
-ternary derivation identities that ``derivations`` solved before, kept here
-unchanged as an oracle.  The reduced echelon basis of a subspace is unique,
-so the two bases must be equal vector for vector.  The ``derivations`` CLI
-reports on the bundled algebra fixtures are pinned by SHA-256.
+operator and ``is_derivation`` asks whether it kills a matrix.
+``derivation_system`` is the joint linear system of the binary and ternary
+derivation identities that ``derivations`` solved before, and
+``loop_is_derivation`` the basis-tuple loop ``is_derivation`` ran before;
+both are kept here unchanged as oracles.  The reduced echelon basis of a
+subspace is unique, so the two bases must be equal vector for vector.  The
+``derivations`` CLI reports on the bundled algebra fixtures are pinned by
+SHA-256.
 """
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from test_denominators import SCALES, rebased
 
-from lieyamaguti import adjoint, derivations, example_3dim, from_lie, meson, semidirect, zero_algebra
+from lieyamaguti import adjoint, derivations, example_3dim, from_lie, is_derivation, meson, semidirect, zero_algebra
 from lieyamaguti.algebra import structure_lcm
 from lieyamaguti.cli import run
 from lieyamaguti.fixtures import cross_product_lie, fixture, render
-from lieyamaguti.linalg import Matrix, SubspaceBasis
+from lieyamaguti.linalg import Matrix, SubspaceBasis, vec_add
 
 
 def derivation_system(a) -> SubspaceBasis:
@@ -63,6 +67,25 @@ def derivation_system(a) -> SubspaceBasis:
     return Matrix.from_rows(rows).kernel_basis()
 
 
+def loop_is_derivation(m: Matrix, a) -> bool:
+    """The basis-tuple loop ``is_derivation`` ran before it read delta_zero, kept unchanged."""
+    cols = [m.col(j) for j in range(a.dim)]
+    for i in range(a.dim):
+        for j in range(a.dim):
+            lhs = m.matvec(a.binary[i][j])
+            rhs = vec_add(a.bracket(cols[i], a.basis_vector(j)), a.bracket(a.basis_vector(i), cols[j]))
+            if lhs != rhs:
+                return False
+    for i, j, k in itertools.product(range(a.dim), repeat=3):
+        lhs = m.matvec(a.ternary[i][j][k])
+        rhs = a.triple(cols[i], a.basis_vector(j), a.basis_vector(k))
+        rhs = vec_add(rhs, a.triple(a.basis_vector(i), cols[j], a.basis_vector(k)))
+        rhs = vec_add(rhs, a.triple(a.basis_vector(i), a.basis_vector(j), cols[k]))
+        if lhs != rhs:
+            return False
+    return True
+
+
 def _lie(d, brackets, name):
     """from_lie of [e_i, e_j] = v for (i, j): v, i < j (0-based)."""
     b = [[[0] * d for _ in range(d)] for _ in range(d)]
@@ -100,6 +123,55 @@ def test_derivations_equal_the_derivation_system(name):
     basis, expected = derivations(a), derivation_system(a)
     assert basis.vectors == expected.vectors
     assert basis.dim > 0
+
+
+def test_derivations_do_no_matrix_products(monkeypatch):
+    """The kernel is the answer: closure under commutator is a theorem, not re-proved per call."""
+    expected = {name: derivation_system(a).vectors for name, a in ALGEBRAS.items()}
+
+    def refused(self, other):
+        raise AssertionError("derivations multiplied two matrices")
+
+    monkeypatch.setattr(Matrix, "__matmul__", refused)
+    for name, a in ALGEBRAS.items():
+        assert derivations(a).vectors == expected[name], name
+
+
+def _candidates(a, rng):
+    """Seeded d x d matrices: three random ones, and each derivation basis vector with one entry moved."""
+    d = a.dim
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    out = [Matrix(d, d, [entry() for _ in range(d * d)]) for _ in range(3)]
+    for v in derivations(a).vectors:
+        moved = list(v)
+        moved[rng.randrange(d * d)] += rng.choice((Fraction(1), Fraction(-1, 2), Fraction(2, 3)))
+        out.append(Matrix(d, d, moved))
+    return out
+
+
+def test_is_derivation_agrees_with_the_basis_loop():
+    """True on every derivation basis vector; on random and perturbed matrices, whatever the loop says.
+
+    The mesons have no binary bracket, so a matrix the loop refuses there
+    fails a ternary identity; from_lie-heis refuses some matrices on a
+    binary one.  Both loop exits are taken.
+    """
+    rng = random.Random(20261019)
+    refused = set()
+    for name, a in sorted(ALGEBRAS.items()):
+        for v in derivations(a).vectors:
+            m = Matrix(a.dim, a.dim, v)
+            assert is_derivation(m, a) and loop_is_derivation(m, a), name
+        for m in _candidates(a, rng):
+            got = is_derivation(m, a)
+            assert got == loop_is_derivation(m, a), name
+            if not got:
+                refused.add(name)
+    assert "abelian2" not in refused
+    assert {"meson3", "from_lie-heis", "3dim-rebased", "from_lie-sl2-rebased"} <= refused
 
 
 def test_rebased_algebras_have_denominators():

@@ -137,8 +137,8 @@ def test_bundle_evaluation_work_counts_samples_and_triple_legs(monkeypatch):
     from lieyamaguti import schemas
     from lieyamaguti.fixtures import fixture_circle_bundle
 
-    monkeypatch.setattr(schemas, "_SCAN_WORK", 250)
+    monkeypatch.setattr(schemas, "_EVAL_WORK", 250)
     assert schemas.bundle_from_json(fixture_circle_bundle()).fiber.dim == 3
-    monkeypatch.setattr(schemas, "_SCAN_WORK", 249)
-    with pytest.raises(SizeCapExceeded, match="reads 250 expression characters, over cap x 7\\*\\*3 = 249"):
+    monkeypatch.setattr(schemas, "_EVAL_WORK", 249)
+    with pytest.raises(SizeCapExceeded, match="reads 250 expression characters, over the evaluation budget 249"):
         schemas.bundle_from_json(fixture_circle_bundle())

@@ -25,6 +25,7 @@ from lieyamaguti import (
     h23,
     h_upper,
     inner_derivation,
+    is_derivation,
     is_valid,
     semidirect,
     trivial_rep,
@@ -54,6 +55,7 @@ IDENTITY = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
 GUARDED = {
     "derivations": lambda: derivations(BAD),
     "inner_derivation": lambda: inner_derivation(BAD, (1, 0, 0), (0, 1, 0)),
+    "is_derivation": lambda: is_derivation(Matrix.zero(3, 3), BAD),
     "adjoint": lambda: adjoint(BAD),
     "check_representation": lambda: check_representation(BAD, TRIVIAL),
     "check_rlyb7": lambda: check_rlyb7(BAD, TRIVIAL),
