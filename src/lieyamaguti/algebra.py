@@ -539,6 +539,20 @@ def from_reductive_pair(lie: LYAlgebra, h_idx: Sequence[int], m_idx: Sequence[in
 # maps
 
 
+def _columns(k, s: list, d: int) -> list:
+    """The d columns of k s, as tuples."""
+    return list(zip(*_times(k, s))) or [()] * d
+
+
+def _image(cols: list, entries: list) -> list:
+    """The sum of c * cols[m] over the (m, c) of ``entries``, added in their order, one list comprehension per term."""
+    (m, c), *rest = entries
+    image = [x * c for x in cols[m]]
+    for m, c in rest:
+        image = [y + x * c for y, x in zip(image, cols[m])]
+    return image
+
+
 def _map_defect(k, s: list, a: LYAlgebra, b: LYAlgebra) -> tuple:
     """Largest entries of k s[x, y]_a - [sx, sy]_b and k**2 s{x, y, z}_a - {sx, sy, sz}_b.
 
@@ -548,19 +562,21 @@ def _map_defect(k, s: list, a: LYAlgebra, b: LYAlgebra) -> tuple:
 
     Both sides are expanded from the nonzero slots of a and b (``_slots``)
     and the nonzero entries of s only, into flat lists indexed by
-    (x, y[, z], coordinate).  Each entry sums its terms in the order that
-    ``bracket``/``triple`` and a row-by-column product would, so a float
-    defect is exactly the one those compute.
+    (x, y[, z], coordinate).  The k s[x, y] side of a slot is one image of
+    whole columns of k s (``_image``).  Each entry sums its terms in the
+    order that ``bracket``/``triple`` and a row-by-column product would,
+    starting from its first term rather than from 0; that can change only
+    the sign of a zero, which ``abs`` removes, so a float defect is exactly
+    the one those compute.
     """
     d, n = a.dim, b.dim
     (a_binary, a_ternary), (b_binary, b_ternary) = a._slots, b._slots
     nonzero = [[(i, x) for i, x in enumerate(row) if x] for row in s]
 
-    lhs, rhs, ks = [0] * (d * d * n), [0] * (d * d * n), _times(k, s)
+    lhs, rhs, cols = [0] * (d * d * n), [0] * (d * d * n), _columns(k, s, d)
     for (i, j), entries in a_binary:
         base = (i * d + j) * n
-        for r, row in enumerate(ks):
-            lhs[base + r] = sum(row[m] * c for m, c in entries)
+        lhs[base : base + n] = _image(cols, entries)
     for (p, q), entries in b_binary:
         for i, x in nonzero[p]:
             for j, y in nonzero[q]:
@@ -569,11 +585,10 @@ def _map_defect(k, s: list, a: LYAlgebra, b: LYAlgebra) -> tuple:
                     rhs[base + m] += xy * c
     binary = max(map(abs, map(operator.sub, lhs, rhs)), default=0)
 
-    lhs, rhs, ks = [0] * (d * d * d * n), [0] * (d * d * d * n), _times(k * k, s)
+    lhs, rhs, cols = [0] * (d * d * d * n), [0] * (d * d * d * n), _columns(k * k, s, d)
     for (i, j, l), entries in a_ternary:
         base = ((i * d + j) * d + l) * n
-        for r, row in enumerate(ks):
-            lhs[base + r] = sum(row[m] * c for m, c in entries)
+        lhs[base : base + n] = _image(cols, entries)
     for (p, q, r), entries in b_ternary:
         for i, x in nonzero[p]:
             for j, y in nonzero[q]:

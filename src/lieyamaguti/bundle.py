@@ -33,8 +33,11 @@ which expands only the fibre's nonzero structure constants and the nonzero
 entries of S; every matrix product, distance and inverse is ``linalg``'s row
 toolkit, and this module defines no matrix arithmetic of its own.
 Transition values and morphism matrices are evaluated by one row evaluator,
-``_eval_rows``.  A bundle holds its transition values as pairs (D, S), each
-evaluated once per kind by ``_value``, and every check reads them there.
+``_eval_rows``, which runs a matrix's compiled ``exprs.Program``.  A
+transition family holds its program, compiled on first use, and a morphism
+check compiles each chart's matrix once.  A bundle holds its transition
+values as pairs (D, S), each evaluated once per kind by ``_value``, and
+every check reads them there.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .errors import (
     ShapeMismatch,
     UnknownIdentifier,
 )
-from .exprs import Expr, eval_exact, eval_float, variables
+from .exprs import Expr, Program, compile_matrix, variables
 from .linalg import (
     Matrix,
     SubspaceBasis,
@@ -115,6 +118,15 @@ class TransitionFamily:
 
     def label(self) -> str:
         return f"{self.frm}->{self.to}"
+
+    @functools.cached_property
+    def _program(self) -> Program:
+        """The matrix compiled once, run at every sample by ``eval_transition``."""
+        return compile_matrix(self.matrix)
+
+    def __getstate__(self) -> dict:
+        """The fields only: a copied or unpickled family compiles its matrix again."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -196,18 +208,16 @@ class BundleSpec:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _eval_rows(matrix: tuple, coords: tuple, pt: Point, mode: EvalMode) -> list:
-    """An expression matrix over ``coords``, evaluated at ``pt`` as rows of Fractions or floats."""
+def _eval_rows(program: Program, coords: tuple, pt: Point, mode: EvalMode) -> list:
+    """A compiled expression matrix over ``coords``, evaluated at ``pt`` as rows of Fractions or floats."""
     if len(pt) != len(coords):
         raise ShapeMismatch(f"point arity {len(pt)} != chart arity {len(coords)}")
-    env = dict(zip(coords, pt))
-    evaluate = eval_exact if mode.kind == "exact" else eval_float
-    return [[evaluate(x, env) for x in row] for row in matrix]
+    return program.rows(dict(zip(coords, pt)), mode.kind)
 
 
 def eval_transition(tf: TransitionFamily, pt: Point, mode: EvalMode = EXACT) -> list:
     """Entrywise evaluation at a point of the from-chart, as rows of Fractions or floats."""
-    return _eval_rows(tf.matrix, tf.coords, pt, mode)
+    return _eval_rows(tf._program, tf.coords, pt, mode)
 
 
 def _scaled(v, k: int, mode: EvalMode) -> list:
@@ -482,8 +492,9 @@ def check_bundle_morphism(
             raise ShapeMismatch(
                 f"morphism matrix on chart {chart.name!r} must be {bb.fiber.dim}x{ba.fiber.dim}"
             )
+        program = compile_matrix(rowsx)
         for pt in chart.samples:
-            val = Matrix.from_rows(_eval_rows(rowsx, chart.coords, pt, EXACT))
+            val = Matrix.from_rows(_eval_rows(program, chart.coords, pt, EXACT))
             hom = is_homomorphism(val, ba.fiber, bb.fiber)
             inv = val.rows == val.cols and val.is_invertible()
             report.points.append(MorphismPoint(chart.name, pt, hom, inv))

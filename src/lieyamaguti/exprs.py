@@ -14,15 +14,25 @@ Note two consequences of the grammar: a rational literal binds tighter than
 division, so "6/2^2" reads ((6/2))^2 = 9 while "6/x^2" divides by x^2; and
 unary minus binds looser than ^, so "-2^2" is -(2^2).
 
+There is one evaluator.  ``compile_matrix`` turns a matrix of expressions
+into a straight-line ``Program``: one instruction per distinct subtree,
+hash-consed in first-use postorder, so a subtree shared by several entries
+(the 1 + t^2 of a Cayley rotation) is computed once per point.  A program
+runs at a point in one flat loop over its instructions, on Fractions or on
+floats; ``eval_exact`` and ``eval_float`` run the program of one entry.  The
+first error a point raises is the one a walk of the entries in row-major
+order, depth first, would raise.
+
 Exact evaluation uses Fractions, rejects sin/cos/exp away from argument 0
 (where they take the exact values 0, 1, 1) and refuses a power longer than
 MAX_POWER_BITS bits before computing it; float evaluation uses the math
-module and raises EvalError on overflow or a non-finite result.  Identifiers
+module and raises EvalError on overflow or a non-finite entry.  Identifiers
 resolve at evaluation time against a chart environment.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,8 +115,8 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 
 # Deepest expression the parser accepts.  Depth counts every operator node
-# and every parenthesised group, so it bounds the tree the evaluators recurse
-# over as well as the parser's own recursion.
+# and every parenthesised group, so it bounds the tree ``compile_matrix``
+# recurses over as well as the parser's own recursion.
 MAX_DEPTH = 100
 
 # Largest exact power evaluation computes, in bits of its numerator or
@@ -248,44 +258,83 @@ def variables(node: Expr) -> set[str]:
     return set()
 
 
-def _evaluate(node: Expr, env: dict, scalar, call):
-    """Value of ``node`` over the scalar type ``scalar`` (Fraction or float).
+# Opcodes of a compiled program.  An instruction is (op, a, b): _LIT pushes
+# the value a, _VAR the coordinate named a, _NEG minus register a, _POW
+# register a to the power b, _CALL the function b of register a, the binary
+# opcodes registers a and b combined; _FINITE pushes nothing and refuses a
+# non-finite register a (float mode only).
+_LIT, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL, _FINITE = range(10)
+_BINARY = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
 
-    ``call(func, a)`` evaluates sin/cos/exp at a scalar argument.
+
+@dataclass(frozen=True)
+class Program:
+    """Straight-line code for a matrix of expressions, one instruction per distinct subtree.
+
+    ``code`` lists the instructions in first-use postorder, hash-consed on
+    (opcode, operands), so a subtree that occurs twice, in one entry or in
+    two, is computed once per point.  ``roots`` holds each row's registers.
+    ``float_code`` is ``code`` with the float functions in place of the
+    exact ones and a finiteness check of each entry's root placed after the
+    instructions that entry is the first to need, in entry order.  A point
+    raises the first error that evaluating the entries one by one, row-major
+    and depth first, would raise: every instruction before the failing one
+    succeeded for an earlier entry.
     """
-    if isinstance(node, Lit):
-        return scalar(node.value)
-    if isinstance(node, Var):
-        if node.name not in env:
-            raise UnknownIdentifier(f"identifier {node.name!r} is not a chart coordinate")
-        return scalar(env[node.name])
-    if isinstance(node, Neg):
-        return -_evaluate(node.arg, env, scalar, call)
-    if isinstance(node, BinOp):
-        a = _evaluate(node.left, env, scalar, call)
-        b = _evaluate(node.right, env, scalar, call)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0:
-            raise EvalError("division by zero")
-        return a / b
-    if isinstance(node, Pow):
-        b = _evaluate(node.base, env, scalar, call)
-        if node.exponent < 0 and b == 0:
-            raise EvalError("zero raised to a negative power")
-        if isinstance(b, Fraction):
-            # |x|**n has at least n * (bit_length(x) - 1) + 1 bits
-            size = max(b.numerator.bit_length(), b.denominator.bit_length()) - 1
-            if abs(node.exponent) * size >= MAX_POWER_BITS:
-                raise EvalError(f"exact power with exponent {node.exponent} exceeds {MAX_POWER_BITS} bits")
-        return b**node.exponent
-    if isinstance(node, Call):
-        return call(node.func, _evaluate(node.arg, env, scalar, call))
-    raise EvalError(f"cannot evaluate node {node!r}")
+
+    code: tuple
+    float_code: tuple
+    roots: tuple
+
+    def rows(self, env: dict, kind: str) -> list:
+        """The value of every entry at ``env``, as rows of Fractions (``kind`` "exact") or floats ("float")."""
+        if kind == "exact":
+            r = _run(self.code, env, as_fraction, _exact_power)
+        else:
+            try:
+                r = _run(self.float_code, env, float, pow)
+            except OverflowError as exc:
+                raise EvalError(f"float overflow: {exc}") from None
+        return [[r[i] for i in row] for row in self.roots]
+
+
+def compile_matrix(matrix) -> Program:
+    """The program of a matrix (rows of expressions)."""
+    code, float_code, registers, checked = [], [], {}, set()
+
+    def emit(op, a, b=None) -> int:
+        key = (op, a, b)
+        if key not in registers:
+            registers[key] = len(code)
+            code.append((op, a, functools.partial(_exact_call, b)) if op == _CALL else key)
+            float_code.append((op, a, getattr(math, b)) if op == _CALL else key)
+        return registers[key]
+
+    def visit(node) -> int:
+        if isinstance(node, Lit):
+            return emit(_LIT, node.value)
+        if isinstance(node, Var):
+            return emit(_VAR, node.name)
+        if isinstance(node, Neg):
+            return emit(_NEG, visit(node.arg))
+        if isinstance(node, BinOp):
+            left = visit(node.left)
+            return emit(_BINARY[node.op], left, visit(node.right))
+        if isinstance(node, Pow):
+            return emit(_POW, visit(node.base), node.exponent)
+        if isinstance(node, Call):
+            return emit(_CALL, visit(node.arg), node.func)
+        raise EvalError(f"cannot evaluate node {node!r}")
+
+    def entry(node) -> int:
+        root = visit(node)
+        if root not in checked:
+            checked.add(root)
+            float_code.append((_FINITE, root, None))
+        return root
+
+    roots = tuple(tuple(map(entry, row)) for row in matrix)
+    return Program(tuple(code), tuple(float_code), roots)
 
 
 def _exact_call(func: str, a: Fraction) -> Fraction:
@@ -294,16 +343,52 @@ def _exact_call(func: str, a: Fraction) -> Fraction:
     return Fraction(int(func != "sin"))
 
 
+def _exact_power(x: Fraction, n: int) -> Fraction:
+    # |x|**n has at least n * (bit_length(x) - 1) + 1 bits
+    size = max(x.numerator.bit_length(), x.denominator.bit_length()) - 1
+    if abs(n) * size >= MAX_POWER_BITS:
+        raise EvalError(f"exact power with exponent {n} exceeds {MAX_POWER_BITS} bits")
+    return x**n
+
+
+def _run(code: tuple, env: dict, scalar, power) -> list:
+    """The registers of ``code`` at ``env``, over ``scalar`` (``as_fraction`` or ``float``) and its ``power``."""
+    r = []
+    push = r.append
+    for op, a, b in code:
+        if op == _MUL:
+            push(r[a] * r[b])
+        elif op == _ADD:
+            push(r[a] + r[b])
+        elif op == _SUB:
+            push(r[a] - r[b])
+        elif op == _DIV:
+            if r[b] == 0:
+                raise EvalError("division by zero")
+            push(r[a] / r[b])
+        elif op == _POW:
+            if b < 0 and r[a] == 0:
+                raise EvalError("zero raised to a negative power")
+            push(power(r[a], b))
+        elif op == _NEG:
+            push(-r[a])
+        elif op == _LIT:
+            push(scalar(a))
+        elif op == _VAR:
+            if a not in env:
+                raise UnknownIdentifier(f"identifier {a!r} is not a chart coordinate")
+            push(scalar(env[a]))
+        elif op == _CALL:
+            push(b(r[a]))
+        elif not math.isfinite(r[a]):
+            raise EvalError(f"float evaluation is not finite ({r[a]})")
+    return r
+
+
 def eval_exact(node: Expr, env: dict) -> Fraction:
-    return _evaluate(node, env, as_fraction, _exact_call)
+    return compile_matrix(((node,),)).rows(env, "exact")[0][0]
 
 
 def eval_float(node: Expr, env: dict) -> float:
     """Float value of ``node``; an overflow or a non-finite result raises EvalError."""
-    try:
-        value = _evaluate(node, env, float, lambda func, a: getattr(math, func)(a))
-    except OverflowError as exc:
-        raise EvalError(f"float overflow: {exc}") from None
-    if not math.isfinite(value):
-        raise EvalError(f"float evaluation is not finite ({value})")
-    return value
+    return compile_matrix(((node,),)).rows(env, "float")[0][0]

@@ -278,10 +278,13 @@ def _entry(x, what: str, row: int, col: int):
 
 
 # Characters of expression a bundle's checks may evaluate.  Exact evaluation
-# costs about 0.4 us per character (a 2 048-term sum at 122 samples, 1.5 * 10**6
-# characters, takes 0.6 s in exact bundle-check on a 2-core x86-64 machine),
-# so the budget bounds that to well under a second; the benchmark's largest
-# atlas reads 97 344.
+# costs about 0.45 us per character when no subtree repeats (a balanced sum of
+# the 2 048 distinct terms k*t at 46 samples, 985 136 characters, takes 0.45 s
+# in exact bundle-check on a 2-core x86-64 machine), so the budget bounds that
+# to well under a second.  That is an upper bound: a subtree that occurs more
+# than once is evaluated once per point, and the sum t + t + ... of 2 048
+# terms at 81 samples (994 923 characters) takes 0.015 s.  The benchmark's
+# largest atlas reads 97 344.
 _EVAL_WORK = 10**6
 
 
@@ -302,9 +305,10 @@ def _evaluation_work(sizes: dict, transitions: list, triples: list) -> int:
 def bundle_from_json(obj) -> BundleSpec:
     """The bundle of a JSON object, refused before any evaluation if ``_evaluation_work`` is over ``_EVAL_WORK``.
 
-    Evaluating a transition at a point walks its expressions, so the time of
-    the checks grows as expression size times samples: quadratic in the
-    file size, which ``exprs.MAX_DEPTH`` alone does not bound.
+    Evaluating a transition at a point runs one instruction per distinct
+    subtree of its expressions, so the time of the checks grows as
+    expression size times samples: quadratic in the file size, which
+    ``exprs.MAX_DEPTH`` alone does not bound.
     """
     if not isinstance(obj, dict) or "fiber" not in obj or "charts" not in obj:
         raise ShapeMismatch("bundle JSON must carry 'fiber' and 'charts'")

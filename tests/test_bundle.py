@@ -523,3 +523,33 @@ def test_a_copied_or_unpickled_bundle_evaluates_its_values_again(monkeypatch):
     assert len(calls) == 24
     assert check_cocycle(b).ok
     assert len(calls) == 24
+
+
+def test_a_transition_family_compiles_its_matrix_once(monkeypatch):
+    """Every check at every sample runs the one program its family holds.
+
+    ``circle-bundle`` declares 2 transition families, each at 3 samples.
+    """
+    import copy
+    import pickle
+
+    from lieyamaguti import bundle
+
+    compiled = []
+    compile_matrix = bundle.compile_matrix
+
+    def counting(matrix):
+        compiled.append(matrix)
+        return compile_matrix(matrix)
+
+    monkeypatch.setattr(bundle, "compile_matrix", counting)
+    b = bundle_from_json(fixture_circle_bundle())
+    assert check_cocycle(b).ok
+    assert check_cocycle(b, EvalMode("float")).ok
+    assert bundle_cohomology(b, "h1").constant
+    assert compiled == [tf.matrix for tf in b.transitions]
+    for other in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
+        assert other == b
+        assert all("_program" not in vars(tf) for tf in other.transitions)
+        assert check_cocycle(other).ok
+    assert len(compiled) == 3 * len(b.transitions)

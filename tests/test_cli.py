@@ -2,8 +2,11 @@ import json
 import pathlib
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieyamaguti.cli import run
 from lieyamaguti.fixtures import FIXTURES, fixture, render
@@ -583,6 +586,57 @@ def test_bundle_check_huge_exact_power_exit_2(tmp_path, capsys):
     assert code == 2
     assert (report["command"], report["status"], report["payload"]) == ("bundle-check", "error", {})
     assert "exceeds" in report["diagnostics"][0]
+
+
+@pytest.mark.parametrize(
+    "matrix, mode, diagnostic",
+    [
+        ([["exp(t)*exp(t)", "exp(3*t)"], ["0", "1"]], "float", "float evaluation is not finite (inf)"),
+        ([["1/(t - t)"]], "exact", "division by zero"),
+    ],
+    ids=["not-finite-before-overflow", "division-by-zero"],
+)
+def test_bundle_evaluation_error_exit_2(tmp_path, capsys, matrix, mode, diagnostic):
+    """The first error in entry order is the one reported; the float case is the CI smoke's."""
+    charts = [{"name": n, "coords": [c], "samples": [["400"]]} for n, c in (("U", "t"), ("V", "s"))]
+    transitions = [{"from": "U", "to": "V", "matrix": matrix, "samples": [["400"]]}]
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({"fiber": {"dim": len(matrix)}, "charts": charts, "transitions": transitions}))
+    code, report = run_cli(capsys, "bundle-check", str(path), "--mode", mode)
+    assert (code, report["status"], report["diagnostics"]) == (2, "error", [diagnostic])
+
+
+# Well-formed entries, so that evaluation and the gate run and not only the parser.
+_WELL_FORMED = st.recursive(
+    st.sampled_from(["t", "0", "1", "2", "1/2", "400"]),
+    lambda e: st.one_of(
+        st.tuples(e, st.sampled_from("+-*/"), e).map(lambda x: f"({x[0]}) {x[1]} ({x[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "-"]), e).map(lambda x: f"{x[0]}({x[1]})"),
+        st.tuples(e, st.integers(-9, 99999)).map(lambda x: f"({x[0]})^{x[1]}"),
+    ),
+    max_leaves=8,
+)
+
+
+@given(st.one_of(st.text(alphabet="0123456789 +-*/^()t_sincoxp", max_size=40), _WELL_FORMED))
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+def test_any_entry_over_the_grammar_alphabet_ends_in_an_envelope(entry):
+    """A 1x1 bundle whose one entry is any such string: exit 0-3 and a JSON report, exact and float."""
+    import tempfile
+
+    line = {"dim": 1, "name": "line", "binary": [], "ternary": []}
+    charts = [{"name": n, "coords": [c], "samples": [["1"]]} for n, c in (("U", "t"), ("V", "s"))]
+    samples = [["0"], ["1/2"], ["-3"], ["400"]]
+    transitions = [{"from": "U", "to": "V", "matrix": [[entry]], "samples": samples}]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = pathlib.Path(tmp, "entry.json"), pathlib.Path(tmp, "report.json")
+        path.write_text(json.dumps({"fiber": line, "charts": charts, "transitions": transitions}), encoding="utf-8")
+        for mode in ("exact", "float"):
+            code = run(["bundle-check", str(path), "--mode", mode, "--out", str(out)])
+            report = json.loads(out.read_text(encoding="utf-8"))
+            assert 0 <= code <= 3
+            assert report["command"] == "bundle-check"
+            assert report["status"] == {0: "pass", 1: "fail"}.get(code, "error")
 
 
 def test_bundle_cohomology_der_float_on_trig_atlas(tmp_path, capsys):

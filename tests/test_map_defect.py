@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from test_denominators import SCALES, rebased
 
 from lieyamaguti import adjoint, example_3dim, meson, semidirect, twisted_semidirect, zero_algebra
-from lieyamaguti.algebra import LYAlgebra, _map_defect
+from lieyamaguti.algebra import LYAlgebra, _columns, _image, _map_defect
 from lieyamaguti.bundle import EXACT, EvalMode, _cleared, _fibre
 from lieyamaguti.cohomology import delta_zero
 from lieyamaguti.fixtures import cross_product_lie
@@ -111,6 +111,26 @@ def test_float_defect_is_bit_identical_to_dense(case):
     (_, fa), (_, fb) = _fibre(a, FLOAT), _fibre(b, FLOAT)
     # repr tells every float apart, and int 0 from 0.0
     assert list(map(repr, _map_defect(1, rows, fa, fb))) == list(map(repr, dense_map_defect(1, rows, fa, fb)))
+
+
+_FLOATS = st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), _FLOATS), min_size=1, max_size=6),
+    st.lists(st.lists(_FLOATS, min_size=4, max_size=4), max_size=5),
+    st.sampled_from([1, 3]),
+)
+def test_image_adds_terms_in_the_row_by_column_order(entries, rows, k):
+    """Each coordinate of ``_image`` is the row-by-column sum it replaced, bit for bit up to the sign of a zero."""
+    got = _image(_columns(k, rows, 4), entries)
+    want = [sum(k * row[m] * c for m, c in entries) for row in rows]
+    # x + 0.0 is x, except that -0.0 becomes 0.0
+    assert [repr(x + 0.0) for x in got] == [repr(x + 0.0) for x in want]
+    ints = [[int(x) for x in row] for row in rows]
+    got = _image(_columns(k, ints, 4), [(m, int(c)) for m, c in entries])
+    assert got == [sum(k * row[m] * int(c) for m, c in entries) for row in ints]
 
 
 def test_identity_preserves_every_algebra():
