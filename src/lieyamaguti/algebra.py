@@ -545,12 +545,16 @@ def _columns(k, s: list, d: int) -> list:
 
 
 def _image(cols: list, entries: list) -> list:
-    """The sum of c * cols[m] over the (m, c) of ``entries``, added in their order, one list comprehension per term."""
-    (m, c), *rest = entries
-    image = [x * c for x in cols[m]]
-    for m, c in rest:
-        image = [y + x * c for y, x in zip(image, cols[m])]
-    return image
+    """The sum of c * cols[m] over the (m, c) of ``entries``, one list comprehension per term.
+
+    Each coordinate is the ``sum`` of its terms in the order of ``entries``;
+    a one-term slot skips the transpose and gives 0 + term, which is what
+    ``sum`` returns.
+    """
+    if len(entries) == 1:
+        ((m, c),) = entries
+        return [0 + x * c for x in cols[m]]
+    return list(map(sum, zip(*([x * c for x in cols[m]] for m, c in entries))))
 
 
 def _map_defect(k, s: list, a: LYAlgebra, b: LYAlgebra) -> tuple:
@@ -563,11 +567,10 @@ def _map_defect(k, s: list, a: LYAlgebra, b: LYAlgebra) -> tuple:
     Both sides are expanded from the nonzero slots of a and b (``_slots``)
     and the nonzero entries of s only, into flat lists indexed by
     (x, y[, z], coordinate).  The k s[x, y] side of a slot is one image of
-    whole columns of k s (``_image``).  Each entry sums its terms in the
-    order that ``bracket``/``triple`` and a row-by-column product would,
-    starting from its first term rather than from 0; that can change only
-    the sign of a zero, which ``abs`` removes, so a float defect is exactly
-    the one those compute.
+    whole columns of k s (``_image``).  Each entry adds its terms with one
+    ``sum``, in the order that ``bracket``/``triple`` and a row-by-column
+    product would, so a float defect is exactly the one those compute on
+    every Python version (``sum`` of floats is compensated from 3.12 on).
     """
     d, n = a.dim, b.dim
     (a_binary, a_ternary), (b_binary, b_ternary) = a._slots, b._slots
