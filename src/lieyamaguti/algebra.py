@@ -1,23 +1,24 @@
 """Finite-dimensional Lie-Yamaguti algebras given by structure constants.
 
-An algebra of dimension d stores the full binary tensor ``c[i][j]`` (the
-d-vector of coordinates of [e_i, e_j]) and the full ternary tensor
-``t[i][j][k]`` ({e_i, e_j, e_k}).  Stored tensors are allowed to violate the
-defining identities: validity is a predicate (``check_axioms``), not a type
-invariant, so negative fixtures and perturbation tests are expressible.  An
-algebra is immutable, so its validity is computed at most once per instance
-(the cached first-violation report behind ``is_valid``), and every entry
-point that needs a valid algebra calls one guard, ``_require_valid``.  The
-instance likewise holds its adjoint module, per module object the
-coboundary operators assembled for it (``cohomology._held``), and the list of
-its nonzero structure constants (``_slots``), the one walk over the dense
-tensors: ``bracket``, ``triple``, ``structure_lcm``, ``integer_tables``,
-``_map_defect`` and the bundle gate's fibre read it and skip every zero slot.
+An algebra of dimension d stores its nonzero structure constants only
+(``_slots``): per slot (i, j) of the binary bracket and (i, j, k) of the
+ternary one, the nonzero coordinates of [e_i, e_j] and {e_i, e_j, e_k}.
+``bracket``, ``triple``, ``structure_lcm``, ``integer_tables``,
+``_map_defect`` and the bundle gate read them and never visit a zero slot.
+The dense tensors ``binary`` and ``ternary`` are read-only views, built on
+first read, for JSON, the adjoint module, products and constructors.
+Stored constants may violate the defining identities: validity is a
+predicate (``check_axioms``), not a type invariant.  An algebra is
+immutable, so its validity is computed at most once per instance (the
+cached first-violation report behind ``is_valid``), and every entry point
+that needs a valid algebra calls one guard, ``_require_valid``.  The
+instance likewise holds its views, its adjoint module and, per module
+object, the coboundary operators assembled for it (``cohomology._held``).
 
 Every constructor, and the semidirect and twisted products in
 ``representation``, builds through ``_from_entries``: exact vectors keyed by
-(i, j) and (i, j, k), laid over one shared zero vector, with nothing wrapped
-twice.  ``from_tensors`` is the entry for raw full tensors and coerces every
+(i, j) and (i, j, k), of which it keeps the nonzero coordinates.
+``from_tensors`` is the entry for raw full tensors and coerces every
 coordinate to a Fraction; ``from_sparse`` (and so every JSON load) takes i<j
 entries and derives the antisymmetric mirrors, which makes LY1/LY2
 violations impossible along that path.  ``from_lie`` decides whether its
@@ -86,11 +87,10 @@ AXIOMS = ("LY1", "LY2", "LY3", "LY4", "LY5", "LY6")
 
 @dataclass(frozen=True)
 class LYAlgebra:
-    """Structure constants of a (candidate) Lie-Yamaguti algebra."""
+    """Nonzero structure constants of a (candidate) Lie-Yamaguti algebra."""
 
     dim: int
-    binary: tuple  # binary[i][j] is the d-vector of [e_i, e_j]
-    ternary: tuple  # ternary[i][j][k] is the d-vector of {e_i, e_j, e_k}
+    _slots: tuple  # (binary, ternary): ((i, j) or (i, j, k), its nonzero coordinates (m, c)), in index order
     name: str = ""
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
@@ -153,29 +153,27 @@ class LYAlgebra:
         return {}
 
     @functools.cached_property
-    def _slots(self) -> tuple:
-        """The nonzero structure constants, listed at most once per instance.
+    def binary(self) -> tuple:
+        """binary[i][j] is the d-vector of [e_i, e_j]: a read-only dense view, built on first read."""
+        return self._view(0, 2)
 
-        A pair (binary, ternary): each lists ((i, j), entries) or
-        ((i, j, k), entries) in index order, with the nonzero coordinates of
-        that slot's vector as (m, c) pairs; slots whose vector is zero are
-        left out, and one laid over the shared ``zero_vector`` is skipped
-        without testing its coordinates.
-        """
-        rng, zero = range(self.dim), zero_vector(self.dim)
-        pairs = (((i, j), self.binary[i][j]) for i in rng for j in rng)
-        triples = (((i, j, k), self.ternary[i][j][k]) for i in rng for j in rng for k in rng)
-        return tuple(
-            [
-                (idx, entries)
-                for idx, v in slots
-                if v is not zero and (entries := [(m, c) for m, c in enumerate(v) if c])
-            ]
-            for slots in (pairs, triples)
-        )
+    @functools.cached_property
+    def ternary(self) -> tuple:
+        """ternary[i][j][k] is the d-vector of {e_i, e_j, e_k}, likewise."""
+        return self._view(1, 3)
+
+    def _view(self, group: int, rank: int) -> tuple:
+        """``_slots[group]`` as a dense tensor of the given rank; a zero slot is the shared ``zero_vector``."""
+        d, zero = self.dim, zero_vector(self.dim)
+        flat = [zero] * d**rank
+        for idx, entries in self._slots[group]:
+            flat[functools.reduce(lambda p, i: p * d + i, idx)] = tuple(map(dict(entries).get, range(d), zero))
+        for _ in range(rank - 1):
+            flat = list(zip(*[iter(flat)] * d))  # consecutive runs of d
+        return tuple(flat)
 
     def __getstate__(self) -> dict:
-        """The fields only: a copied or unpickled algebra computes its held values again."""
+        """The fields only: a copied or unpickled algebra computes its views and held values again."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -365,14 +363,15 @@ def _require_valid(a: LYAlgebra) -> None:
 def _from_entries(d: int, binary: dict, ternary: dict, name: str = "") -> LYAlgebra:
     """The algebra with [e_i, e_j] = binary[i, j] and {e_i, e_j, e_k} = ternary[i, j, k].
 
-    Entries are exact vectors (tuples of d Fractions) and are stored as given;
-    every slot without an entry shares one zero vector.
+    Entries are vectors of d coordinates of any scalar type; the algebra keeps
+    their nonzero coordinates, in index order, and no slot that has none.
     """
-    z = zero_vector(d)
-    rng = range(d)
-    b = tuple(tuple(binary.get((i, j), z) for j in rng) for i in rng)
-    t = tuple(tuple(tuple(ternary.get((i, j, k), z) for k in rng) for j in rng) for i in rng)
-    return LYAlgebra(d, b, t, name)
+
+    def nonzero(group: dict) -> tuple:
+        slots = ((idx, tuple((m, c) for m, c in enumerate(v) if c)) for idx, v in sorted(group.items()))
+        return tuple(slot for slot in slots if slot[1])
+
+    return LYAlgebra(d, (nonzero(binary), nonzero(ternary)), name)
 
 
 def _exact_slots(tensor, rank: int) -> dict:
@@ -435,7 +434,7 @@ def from_lie(binary, name: str = "") -> LYAlgebra:
     b = _exact_slots(binary, 2)
     lie = _from_entries(d, b, {}, name)
     t = {
-        (i, j, k): qvec(lie.bracket(lie.binary[i][j], lie.basis_vector(k)))
+        (i, j, k): qvec(lie.bracket(b[i, j], lie.basis_vector(k)))
         for i, j, k in itertools.product(range(d), repeat=3)
     }
     a = _from_entries(d, b, t, name)
@@ -450,19 +449,20 @@ def from_lie(binary, name: str = "") -> LYAlgebra:
 def from_leibniz(product, name: str = "") -> LYAlgebra:
     """Leibniz algebra -> LY algebra: [a,b] = a.b - b.a, {a,b,c} = -(a.b).c."""
     d = len(product)
-    p = _from_entries(d, _exact_slots(product, 2), {}, name)  # reuse bracket() for x.y
+    prod = _exact_slots(product, 2)
+    p = _from_entries(d, prod, {}, name)  # reuse bracket() for x.y
     for i, j, k in itertools.product(range(d), repeat=3):
-        lhs = p.bracket(p.basis_vector(i), p.binary[j][k])
+        lhs = p.bracket(p.basis_vector(i), prod[j, k])
         rhs = vec_add(
-            p.bracket(p.binary[i][j], p.basis_vector(k)),
-            p.bracket(p.basis_vector(j), p.binary[i][k]),
+            p.bracket(prod[i, j], p.basis_vector(k)),
+            p.bracket(p.basis_vector(j), prod[i, k]),
         )
         if not vec_is_zero(vec_sub(lhs, rhs)):
             raise NotALeibnizAlgebra("Leibniz identity fails", triple=(i, j, k))
     pairs = list(itertools.product(range(d), repeat=2))
-    b = {(i, j): vec_sub(p.binary[i][j], p.binary[j][i]) for i, j in pairs}
+    b = {(i, j): vec_sub(prod[i, j], prod[j, i]) for i, j in pairs}
     t = {
-        (i, j, k): vec_scale(Fraction(-1), p.bracket(p.binary[i][j], p.basis_vector(k)))
+        (i, j, k): vec_scale(Fraction(-1), p.bracket(prod[i, j], p.basis_vector(k)))
         for (i, j), k in itertools.product(pairs, range(d))
     }
     return _from_entries(d, b, t, name)

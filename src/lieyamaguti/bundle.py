@@ -445,7 +445,7 @@ def check_subbundle(b: BundleSpec, h: SubspaceBasis) -> SubbundleReport:
     for tf in b.transitions:
         for pt in tf.samples:
             s = _value(b, tf, pt, EXACT)[1]
-            images = [[sum(x * y for x, y in zip(row, v)) for row in s] for v in basis]
+            images = _matmul(basis, list(zip(*s)))
             outside = any(not h.contains(img) for img in images)
             if outside or SubspaceBasis(h.ambient_dim, images).dim != h.dim:
                 report.failures.append(

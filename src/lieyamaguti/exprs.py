@@ -339,7 +339,9 @@ def compile_matrix(matrix) -> Program:
 
 def _exact_call(func: str, a: Fraction) -> Fraction:
     if a != 0:
-        raise EvalError(f"{func} is only exact at argument 0 (got {a})")
+        bits = max(a.numerator.bit_length(), a.denominator.bit_length())
+        shown = a if bits <= 64 else f"a rational of {bits} bits"
+        raise EvalError(f"{func} is only exact at argument 0 (got {shown})")
     return Fraction(int(func != "sin"))
 
 

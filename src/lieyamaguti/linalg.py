@@ -51,11 +51,7 @@ def qvec(values: Iterable) -> Vector:
 
 @functools.lru_cache(maxsize=64)
 def zero_vector(n: int) -> Vector:
-    """The zero vector of length n, one shared tuple per length while it is cached.
-
-    ``LYAlgebra._slots`` skips a slot laid over it by identity; any other
-    zero vector is still tested coordinate by coordinate.
-    """
+    """The zero vector of length n, one shared tuple per length while it is cached (every zero slot of a view)."""
     return (Fraction(0),) * n
 
 

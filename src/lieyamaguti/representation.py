@@ -45,12 +45,22 @@ RLYB_CONDITIONS = ("RLYB1", "RLYB2", "RLYB3", "RLYB4", "RLYB5", "RLYB6")
 
 @dataclass(frozen=True)
 class Representation:
-    """Basis-indexed data of a representation on an e-dimensional module."""
+    """Basis-indexed data of a representation on an e-dimensional module, shape-checked once, when built."""
 
     e: int
     rho: tuple  # rho[i]: e x e Matrix
     dmap: tuple  # dmap[i][j]: e x e Matrix for D(e_i, e_j)
     theta: tuple  # theta[i][j]: e x e Matrix for theta(e_i, e_j)
+
+    def __post_init__(self):
+        """rho has d maps, D and theta are d x d families, and every map is e x e."""
+        d, e = len(self.rho), self.e
+        if any(m.rows != e or m.cols != e for m in self.rho):
+            raise ShapeMismatch("rho matrices must be e x e")
+        if any(len(fam) != d or any(len(row) != d for row in fam) for fam in (self.dmap, self.theta)):
+            raise ShapeMismatch("D/theta must be d x d families")
+        if any(m.rows != e or m.cols != e for fam in (self.dmap, self.theta) for row in fam for m in row):
+            raise ShapeMismatch("D/theta matrices must be e x e")
 
     def replace_theta(self, i: int, j: int, m: Matrix) -> "Representation":
         theta = [list(row) for row in self.theta]
@@ -77,19 +87,9 @@ class RepReport:
 
 
 def _check_shapes(a: LYAlgebra, r: Representation) -> None:
-    d = a.dim
-    if len(r.rho) != d or len(r.dmap) != d or len(r.theta) != d:
+    """The module's basis is the algebra's; the rest of its shape was checked when it was built."""
+    if len(r.rho) != a.dim:
         raise ShapeMismatch("representation is indexed by a different basis size")
-    for m in r.rho:
-        if m.rows != r.e or m.cols != r.e:
-            raise ShapeMismatch("rho matrices must be e x e")
-    for fam in (r.dmap, r.theta):
-        if any(len(row) != d for row in fam):
-            raise ShapeMismatch("D/theta must be d x d families")
-        for row in fam:
-            for m in row:
-                if m.rows != r.e or m.cols != r.e:
-                    raise ShapeMismatch("D/theta matrices must be e x e")
 
 
 def _require_rep(a: LYAlgebra, r: Representation) -> None:
@@ -308,8 +308,8 @@ def _product_algebra(a: LYAlgebra, r: Representation, tau, name: str) -> LYAlgeb
     """The brackets of g (+) V, handing ``_from_entries`` only the slots that can be nonzero.
 
     A slot of g is kept when it is nonzero in ``a`` or gets a twist
-    component; a module column only when it is nonzero, so every other slot
-    stays on the shared zero vector, which ``LYAlgebra._slots`` skips.
+    component, and a module column only when it is nonzero; the slots of g
+    are read from the views of ``a``.
     """
     _check_shapes(a, r)
     d, e = a.dim, r.e

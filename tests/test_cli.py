@@ -374,6 +374,22 @@ def test_rep_loader_names_the_field(tmp_path, capsys, key, value, where):
     assert report["diagnostics"][0].startswith(where), report["diagnostics"]
 
 
+def test_rep_file_with_a_ragged_family_is_refused_when_built(tmp_path, capsys):
+    """A theta family with a short row is refused by ``Representation(...)``: exit 2, its diagnostic."""
+    from lieyamaguti import adjoint, example_3dim
+    from lieyamaguti.schemas import representation_to_json
+
+    alg_path = write_fixture(tmp_path, "3dim")
+    obj = representation_to_json(adjoint(example_3dim()))
+    obj["theta"][2] = obj["theta"][2][:2]
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(obj), encoding="utf-8")
+    for command in ("rep-check", "cohomology", "semidirect"):
+        code, report = run_cli(capsys, command, alg_path, "--rep", str(rep_path))
+        assert (code, report["status"], report["payload"]) == (2, "error", {}), command
+        assert report["diagnostics"] == ["D/theta must be d x d families"], command
+
+
 def test_twist_refuses_repeated_tau_entry(tmp_path, capsys):
     path = write_fixture(tmp_path, "3dim")
     tau_path = tmp_path / "tau.json"
@@ -604,6 +620,74 @@ def test_bundle_evaluation_error_exit_2(tmp_path, capsys, matrix, mode, diagnost
     path.write_text(json.dumps({"fiber": {"dim": len(matrix)}, "charts": charts, "transitions": transitions}))
     code, report = run_cli(capsys, "bundle-check", str(path), "--mode", mode)
     assert (code, report["status"], report["diagnostics"]) == (2, "error", [diagnostic])
+
+
+def test_bundle_check_huge_exact_trig_argument_exit_2(tmp_path, capsys):
+    """sin at (1/2)**14291, whose denominator has over 4300 digits, is refused with its size, not its digits."""
+    charts = [{"name": n, "coords": [c], "samples": [["1/2"]]} for n, c in (("U", "t"), ("V", "s"))]
+    transitions = [{"from": "U", "to": "V", "matrix": [["sin(((t)^31)^461)"]], "samples": [["1/2"]]}]
+    path = tmp_path / "huge-sin.json"
+    path.write_text(json.dumps({"fiber": {"dim": 1}, "charts": charts, "transitions": transitions}), encoding="utf-8")
+    code, report = run_cli(capsys, "bundle-check", str(path))
+    assert (code, report["status"], report["payload"]) == (2, "error", {})
+    (diagnostic,) = report["diagnostics"]
+    assert diagnostic == "sin is only exact at argument 0 (got a rational of 14292 bits)", diagnostic
+
+
+@pytest.mark.parametrize(
+    "mutate, argv, diagnostic",
+    [
+        (lambda obj: obj["charts"][1].update(name="U1"), (), "duplicate chart names"),
+        (lambda obj: obj["transitions"].append(obj["transitions"][0]), (), "duplicate transition U1->U2"),
+        (
+            lambda obj: obj["transitions"][1].update({"from": "U9"}),
+            (),
+            "transition U9->U1 references unknown chart 'U9'",
+        ),
+        (lambda obj: obj["triples"][0].update(k="U9"), (), "triple overlap (U1,U2,U9) references unknown chart 'U9'"),
+        (
+            lambda obj: obj["transitions"][0].update(matrix=[["1", "0"], ["0", "1"]]),
+            (),
+            "transition U1->U2 matrix must be 3x3",
+        ),
+        (lambda obj: obj["transitions"][0].update(samples=[["1", "2"]]), (), "transition U1->U2 sample arity mismatch"),
+        (
+            lambda obj: obj["triples"][0].update(samples=[[["1"], ["1", "2"], ["1"]]]),
+            (),
+            "triple overlap (U1,U2,U1) sample arity mismatch in chart 'U2'",
+        ),
+        (lambda obj: obj["charts"][1].update(samples=[]), (), "chart 'U2' needs at least one sample point"),
+        (
+            lambda obj: obj["charts"][0].update(samples=[["0", "1"]]),
+            (),
+            "chart 'U1': sample arity 2 != coordinate count 1",
+        ),
+        (lambda obj: None, ("--mode", "bogus"), "invalid choice: 'bogus'"),
+    ],
+    ids=[
+        "duplicate-chart", "duplicate-transition", "transition-unknown-chart", "triple-unknown-chart",
+        "matrix-not-dxd", "transition-sample-arity", "triple-sample-arity", "chart-no-samples",
+        "chart-sample-arity", "unknown-mode",
+    ],
+)
+def test_bundle_refusals_end_in_an_envelope(tmp_path, capsys, mutate, argv, diagnostic):
+    """Each structural refusal of ``BundleSpec`` and ``Chart`` exits 2 with an error envelope and its diagnostic."""
+    obj = fixture("circle-bundle")
+    mutate(obj)
+    path = tmp_path / "refused.json"
+    path.write_text(render(obj), encoding="utf-8")
+    code, report = run_cli(capsys, "bundle-check", str(path), *argv)
+    assert (code, report["command"], report["status"], report["payload"]) == (2, "bundle-check", "error", {})
+    assert diagnostic in report["diagnostics"][0], report["diagnostics"]
+
+
+def test_unknown_evaluation_mode_is_refused_by_the_library():
+    """The CLI's --mode choices refuse it first; ``EvalMode`` refuses it for library callers."""
+    from lieyamaguti.bundle import EvalMode
+    from lieyamaguti.errors import ShapeMismatch
+
+    with pytest.raises(ShapeMismatch, match="unknown evaluation mode 'bogus'"):
+        EvalMode("bogus")
 
 
 # Well-formed entries, so that evaluation and the gate run and not only the parser.

@@ -59,9 +59,9 @@ def oracle_defect(s: list, a: LYAlgebra):
 
 
 def as_float(a: LYAlgebra) -> LYAlgebra:
-    binary = tuple(tuple(tuple(map(float, v)) for v in row) for row in a.binary)
-    ternary = tuple(tuple(tuple(tuple(map(float, v)) for v in vs) for vs in row) for row in a.ternary)
-    return LYAlgebra(a.dim, binary, ternary, a.name)
+    """``a`` with every structure constant a float, built from its slots."""
+    floats = (tuple((idx, tuple((m, float(c)) for m, c in entries)) for idx, entries in group) for group in a._slots)
+    return LYAlgebra(a.dim, tuple(floats), a.name)
 
 
 def cayley(t: Fraction) -> list:

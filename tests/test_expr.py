@@ -222,7 +222,9 @@ def tree_evaluate(node, env: dict, scalar, call):
 def tree_exact(node, env: dict) -> Fraction:
     def call(func, a):
         if a != 0:
-            raise EvalError(f"{func} is only exact at argument 0 (got {a})")
+            bits = max(a.numerator.bit_length(), a.denominator.bit_length())
+            shown = a if bits <= 64 else f"a rational of {bits} bits"
+            raise EvalError(f"{func} is only exact at argument 0 (got {shown})")
         return Fraction(int(func != "sin"))
 
     return tree_evaluate(node, env, as_fraction, call)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_denominators import SCALES, rebased
 
-from lieyamaguti import adjoint, example_3dim, meson, semidirect, twisted_semidirect, zero_algebra
+from lieyamaguti import adjoint, check_axioms, example_3dim, meson, semidirect, twisted_semidirect, zero_algebra
 from lieyamaguti.algebra import LYAlgebra, _columns, _image, _map_defect
 from lieyamaguti.bundle import EXACT, EvalMode, _cleared, _fibre
 from lieyamaguti.cohomology import delta_zero
@@ -138,21 +138,21 @@ def test_identity_preserves_every_algebra():
         assert _map_defect(1, ident, a, a) == (0, 0), name
 
 
-def test_slot_table_is_built_once_and_not_pickled():
+def test_views_are_built_on_first_read_only_once_and_not_pickled():
     a = meson(4)
-    assert "_slots" not in vars(a)
-    table = a._slots
-    assert a._slots is table
-    assert "_slots" not in a.__getstate__()
-    _map_defect(1, [[Fraction(int(i == j)) for j in range(4)] for i in range(4)], a, a)
-    assert a._slots is table
+    assert "binary" not in vars(a) and "ternary" not in vars(a)
+    binary, ternary = a.binary, a.ternary
+    assert a.binary is binary and a.ternary is ternary
+    assert set(a.__getstate__()) == {"dim", "_slots", "name"}
     copy = pickle.loads(pickle.dumps(a))
-    assert "_slots" not in vars(copy)
-    assert copy._slots == table
-    binary, ternary = table
-    assert binary == []
-    assert ternary == [
-        (idx, [(m, c) for m, c in enumerate(a.ternary[idx[0]][idx[1]][idx[2]]) if c])
-        for idx in itertools.product(range(4), repeat=3)
-        if any(a.ternary[idx[0]][idx[1]][idx[2]])
-    ]
+    assert "binary" not in vars(copy) and "ternary" not in vars(copy)
+    assert copy == a and (copy.binary, copy.ternary) == (binary, ternary)
+
+
+def test_axioms_and_map_defect_build_no_view_of_a_product():
+    """Both read the slots only: on fresh products, neither builds the dense views."""
+    for p in (semidirect(cross_product_lie(), adjoint(cross_product_lie())), _twisted()):
+        ident = [[Fraction(int(i == j)) for j in range(p.dim)] for i in range(p.dim)]
+        assert check_axioms(p).ok
+        assert _map_defect(1, ident, p, p) == (0, 0)
+        assert "binary" not in vars(p) and "ternary" not in vars(p)

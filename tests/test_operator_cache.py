@@ -172,7 +172,7 @@ def test_dropped_algebras_never_serve_stale_operators():
     fresh = [operators(c, _fresh) for c in copies]
     for n in range(240):
         c = copies[n % 8]
-        a = LYAlgebra(c.dim, c.binary, c.ternary)
+        a = LYAlgebra(c.dim, c._slots, c.name)
         assert operators(a, _entries) == fresh[n % 8], n
         del a
 

@@ -148,6 +148,27 @@ def test_semidirect_shape_mismatch():
         semidirect(a, trivial_rep(meson(2), 2))
 
 
+_Z2, _Z3 = Matrix.zero(2, 2), Matrix.zero(3, 3)
+_FAMILY = ((_Z2, _Z2), (_Z2, _Z2))
+
+
+@pytest.mark.parametrize(
+    "rho, dmap, theta, message",
+    [
+        ((_Z2, _Z3), _FAMILY, _FAMILY, "rho matrices must be e x e"),
+        ((_Z2, _Z2), ((_Z2, _Z2), (_Z2,)), _FAMILY, "D/theta must be d x d families"),
+        ((_Z2, _Z2), _FAMILY, ((_Z2, _Z2),), "D/theta must be d x d families"),
+        ((_Z2, _Z2), _FAMILY, ((_Z2, _Z2), (_Z3, _Z2)), "D/theta matrices must be e x e"),
+    ],
+    ids=["rho-map", "ragged-D", "short-theta", "theta-map"],
+)
+def test_malformed_module_is_refused_when_built(rho, dmap, theta, message):
+    """Each shape error is raised by ``Representation(...)`` itself, before any algebra sees the module."""
+    with pytest.raises(ShapeMismatch, match=message):
+        Representation(2, rho, dmap, theta)
+    assert Representation(2, (_Z2, _Z2), _FAMILY, _FAMILY).e == 2
+
+
 def test_semidirect_iff_random_pairs(corpus, rng):
     """Validity of r and validity of the semidirect product agree, both
     directions, over constructor algebras and perturbed adjoints."""
