@@ -390,12 +390,21 @@ def zero_algebra(d: int, name: str = "") -> LYAlgebra:
     return _from_entries(d, {}, {}, name or f"abelian{d}")
 
 
+def _is_cube(tensor, levels: int, d: int) -> bool:
+    """True iff ``tensor`` nests ``levels`` levels of sequences of length d."""
+    return len(tensor) == d and (levels == 1 or all(_is_cube(t, levels - 1, d) for t in tensor))
+
+
 def from_tensors(binary, ternary, name: str = "") -> LYAlgebra:
     """Wrap raw full tensors (no validation; check_axioms is the arbiter).
 
     The entry for raw full tensors: every coordinate is coerced to a Fraction.
+    With d = len(binary), binary must be d x d x d and ternary d x d x d x d.
     """
-    return _from_entries(len(binary), _exact_slots(binary, 2), _exact_slots(ternary, 3), name)
+    d = len(binary)
+    if not (_is_cube(binary, 3, d) and _is_cube(ternary, 4, d)):
+        raise ShapeMismatch(f"from_tensors needs a {d}x{d}x{d} binary and a {d}x{d}x{d}x{d} ternary tensor")
+    return _from_entries(d, _exact_slots(binary, 2), _exact_slots(ternary, 3), name)
 
 
 def from_sparse(

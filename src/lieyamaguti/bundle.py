@@ -30,8 +30,10 @@ float mode the pair is (1, s) and den is 1, the same code runs on floats,
 and a difference up to the tolerance counts as zero.  Transport runs on rows
 of Fractions or floats.  The automorphism check is ``algebra._map_defect``,
 which expands only the fibre's nonzero structure constants and the nonzero
-entries of S; every matrix product, distance and inverse is ``linalg``'s row
-toolkit, and this module defines no matrix arithmetic of its own.
+entries of S, and in exact mode it is skipped where the inverse check has
+already implied it (``check_cocycle``); every matrix product, distance,
+determinant and inverse is ``linalg``'s row toolkit, and this module defines
+no matrix arithmetic of its own.
 Transition values and morphism matrices are evaluated by one row evaluator,
 ``_eval_rows``, which runs a matrix's compiled ``exprs.Program``.  A
 transition family holds its program, compiled on first use, and a morphism
@@ -59,6 +61,7 @@ from .exprs import Expr, Program, compile_matrix, variables
 from .linalg import (
     Matrix,
     SubspaceBasis,
+    _det,
     _distance,
     _eliminate,
     _identity,
@@ -245,13 +248,16 @@ def _fibre(a: LYAlgebra, mode: EvalMode) -> tuple:
 
     In exact mode den is the LCM of the structure constants' denominators and
     the algebra holds the integers den * binary and den**2 * ternary; in float
-    mode den is 1 and the algebra holds the constants as floats.  Only the
-    nonzero slots of ``a`` are built.
+    mode den is 1 and the algebra holds the constants as floats.  Each is
+    scaled from a nonzero slot of ``a``; its dense views are not read.
     """
     den = structure_lcm(a) if mode.kind == "exact" else 1
-    binary = {(i, j): _scaled(a.binary[i][j], den, mode) for (i, j), _ in a._slots[0]}
-    ternary = {(i, j, k): _scaled(a.ternary[i][j][k], den * den, mode) for (i, j, k), _ in a._slots[1]}
-    return den, _from_entries(a.dim, binary, ternary, a.name)
+    zero = [0] * a.dim
+
+    def scaled(group: tuple, k: int) -> dict:
+        return {idx: _scaled(map(dict(entries).get, range(a.dim), zero), k, mode) for idx, entries in group}
+
+    return den, _from_entries(a.dim, scaled(a._slots[0], den), scaled(a._slots[1], den * den), a.name)
 
 
 def _norm(worst, scale: int, mode: EvalMode):
@@ -269,7 +275,7 @@ def _singular(s: list, mode: EvalMode) -> bool:
     """Rank test of the integer S in exact mode (fraction-free); |det| <= tol in float mode."""
     if mode.kind == "exact":
         return len(_eliminate({k: x for k, x in enumerate(row) if x} for row in s)) < len(s)
-    return abs(_invert(s)[0]) <= mode.tol
+    return abs(_det(s)) <= mode.tol
 
 
 def _automorphism_defect(value: tuple, fibre: tuple, mode: EvalMode):
@@ -329,6 +335,17 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
     entrywise defect.  Every identity is homogeneous, so each is compared
     with both sides multiplied out of the denominators, and its integer
     defect is divided by that one scale for the report.
+
+    In exact mode the automorphism check reads what the inverse check has
+    proved.  When g_ij(m) g_ji(m) = 1 exactly at the k-th sample of a pair,
+    neither value is singular, so neither runs the rank test; and once one
+    of the two has passed the bracket-preservation check, the other is the
+    inverse of an automorphism, hence an automorphism, and is not expanded
+    again.  Every other value (a failing or unpaired one, or the first of its
+    pair) is checked in full, so the failures are those of checking every
+    value.  Float mode implies nothing, since a pass within the tolerance
+    does not carry over to the inverse.  ``checks`` counts every condition,
+    implied or computed.
     """
     report = CocycleReport(mode)
     bound = mode.bound
@@ -372,6 +389,10 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
                 worst = _distance(_times(d3, _matmul(s1, s2)), _times(d1 * d2, s3))
                 check("triple", tr.label(), (pi, pj, pk), worst, d1 * d2 * d3, "g_ij g_jk != g_ik")
 
+    # exact mode: (from, to, sample position) of each value whose pair passed
+    # the inverse check -> its inverse's key, and the keys of paired values
+    # that passed the automorphism check
+    inverse, automorphic = {}, set()
     seen = set()
     for tf in b.transitions:
         if tf.frm == tf.to or (tf.to, tf.frm) in seen:
@@ -389,23 +410,32 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
                 "paired transitions declare different sample counts",
             )
             continue
-        for pt_f, pt_r in zip(tf.samples, rev.samples):
+        for k, (pt_f, pt_r) in enumerate(zip(tf.samples, rev.samples)):
             report.checks += 1
             (df, sf), (dr, sr) = _value(b, tf, pt_f, mode), _value(b, rev, pt_r, mode)
             worst = _distance(_matmul(sf, sr), _times(df * dr, ident))
             where = f"{tf.label()} / {rev.label()}"
             check("inverse", where, (pt_f, pt_r), worst, df * dr, "g_ji != g_ij^-1")
+            if mode.kind == "exact" and not worst:
+                inverse[tf.frm, tf.to, k] = (tf.to, tf.frm, k)
+                inverse[tf.to, tf.frm, k] = (tf.frm, tf.to, k)
 
     for tf in b.transitions:
-        for pt in tf.samples:
+        for k, pt in enumerate(tf.samples):
             report.checks += 1
+            key = (tf.frm, tf.to, k)
+            partner = inverse.get(key)
+            if partner in automorphic:
+                continue  # the inverse of an automorphism is one
             pair = _value(b, tf, pt, mode)
-            if _singular(pair[1], mode):
+            if partner is None and _singular(pair[1], mode):
                 report.add("automorphism", tf.label(), pt, None, _SINGULAR[mode.kind])
                 continue
             norm = _automorphism_defect(pair, fibre, mode)
             if norm > bound:
                 report.add("automorphism", tf.label(), pt, norm, "bracket preservation fails")
+            elif partner is not None:
+                automorphic.add(key)
     return report
 
 

@@ -22,10 +22,12 @@ unique reduced row echelon form, so the results equal those of dense
 
 Dense products, distances, determinants and inverses have one
 implementation, on row matrices (lists of rows) over any scalar type with
-field operations: ``_matmul``, ``_distance`` and ``_invert`` (Gauss-Jordan
-with partial pivoting), with ``_identity`` and ``_times``.  ``Matrix``'s
-``@``, ``matvec``, ``det`` and ``inverse`` run them on ``Fraction`` rows; the
-bundle gate runs them on integers, Fractions and floats.
+field operations: ``_matmul``, ``_distance``, ``_invert`` (Gauss-Jordan
+with partial pivoting) and ``_det`` (the same elimination below the pivots
+only, with the same determinant to the bit), with ``_identity`` and
+``_times``.  ``Matrix``'s ``@``, ``matvec``, ``det`` and ``inverse`` run
+them on ``Fraction`` rows; the bundle gate runs them on integers, Fractions
+and floats.
 """
 
 from __future__ import annotations
@@ -215,6 +217,33 @@ def _invert(rows: list):
     return det, [row[n:] for row in m]
 
 
+def _det(rows: list):
+    """The determinant ``_invert(rows)[0]``, to the bit, without the inverse.
+
+    The same partial-pivot elimination as ``_invert``, run on the rows below
+    each pivot and on the columns right of it only: those are the entries the
+    later pivots and the determinant are read from, and each is computed as
+    ``_invert`` computes it.  0 when a pivot is zero.
+    """
+    n = len(rows)
+    m = [list(row) for row in rows]
+    det = 1
+    for c in range(n):
+        piv = max(range(c, n), key=lambda r: abs(m[r][c]))
+        if not m[piv][c]:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        p = m[c][c]
+        det *= p
+        pivot_row = [x / p for x in m[c][c + 1 :]]
+        for r in range(c + 1, n):
+            if f := m[r][c]:
+                m[r][c + 1 :] = [x - f * y for x, y in zip(m[r][c + 1 :], pivot_row)]
+    return det
+
+
 class Matrix:
     """Immutable dense matrix of Fractions."""
 
@@ -324,7 +353,7 @@ class Matrix:
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ShapeMismatch("determinant of a non-square matrix")
-        return Fraction(_invert(self.row_list())[0])
+        return Fraction(_det(self.row_list()))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

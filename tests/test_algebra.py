@@ -104,6 +104,18 @@ def test_ly1_violation_on_raw_tensor():
     assert "LY1" in report.violated_axioms()
 
 
+def test_from_tensors_refuses_tensors_of_other_sizes():
+    """A 2x2x2 binary with a 3-dimensional ternary, or a ragged tensor, is refused when it is built."""
+    binary = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    with pytest.raises(ShapeMismatch):
+        from_tensors(binary, meson(3).ternary)
+    with pytest.raises(ShapeMismatch):
+        from_tensors([[[0, 0], [0]], [[0, 0], [0, 0]]], [[[[0] * 2] * 2] * 2] * 2)
+    with pytest.raises(ShapeMismatch):
+        from_tensors(binary, [[[[0] * 2] * 2] * 2, [[[0] * 2] * 2] * 3])
+    assert from_tensors(binary, [[[[0] * 2] * 2] * 2] * 2).dim == 2
+
+
 def test_first_only_matches_full_scan():
     a = from_sparse(3, {(0, 1): (1, 0, 1)}, {(0, 1, 0): (0, 0, 1)})
     full = check_axioms(a)

@@ -26,7 +26,7 @@ from lieyamaguti.errors import (
 from lieyamaguti.cli import run
 from lieyamaguti.exprs import parse_expr
 from lieyamaguti.fixtures import fixture, fixture_circle_bundle, render
-from lieyamaguti.linalg import Matrix, SubspaceBasis, _invert
+from lieyamaguti.linalg import Matrix, SubspaceBasis, _det, _invert
 from lieyamaguti.schemas import bundle_from_json
 
 
@@ -364,21 +364,27 @@ def test_transport_reports_a_singular_value_in_the_gates_words(kind, detail):
 
 
 def test_transport_inverts_each_value_once(monkeypatch, tmp_path, capsys):
-    """circle-bundle has 6 transition values: 6 inversions in the float gate, 6 in the transport check."""
+    """circle-bundle has 6 transition values: 6 determinants in the float gate, 6 inversions in the transport check."""
     from lieyamaguti import bundle
 
-    calls = []
+    calls, dets = [], []
 
     def counting(rows):
         calls.append(rows)
         return _invert(rows)
 
+    def counting_det(rows):
+        dets.append(rows)
+        return _det(rows)
+
     monkeypatch.setattr(bundle, "_invert", counting)
+    monkeypatch.setattr(bundle, "_det", counting_det)
     path = tmp_path / "circle.json"
     path.write_text(render(fixture("circle-bundle")), encoding="utf-8")
     assert run(["bundle-cohomology", str(path), "--which", "h1", "--mode", "float"]) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["constant"] is True
-    assert len(calls) == 12
+    assert len(calls) == 6
+    assert len(dets) == 6
 
 
 def test_transport_passes_on_rotations():

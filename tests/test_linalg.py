@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieyamaguti.errors import NotASubspace, ShapeMismatch
-from lieyamaguti.linalg import Matrix, SubspaceBasis, as_fraction, qvec, quotient_dim, sparse_kernel
+from lieyamaguti.linalg import Matrix, SubspaceBasis, _det, _invert, as_fraction, qvec, quotient_dim, sparse_kernel
 
 
 def test_as_fraction_keeps_a_fraction_and_coerces_the_rest():
@@ -361,3 +361,37 @@ def test_non_square_det_and_inverse_raise():
     for op in (m.det, m.inverse):
         with pytest.raises(ShapeMismatch):
             op()
+
+
+_FLOATS = st.one_of(
+    st.just(0.0),
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _float_square(draw):
+    """An n x n float matrix, n in 0..6: free, with a zero first pivot entry, a zero first column or singular."""
+    n = draw(st.integers(0, 6))
+    rows = [[draw(_FLOATS) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["free", "zero pivot", "zero column", "repeated row", "zero row"])) if n > 1 else "free"
+    if kind == "zero pivot":
+        rows[0][0] = 0.0
+    elif kind == "zero column":
+        for row in rows:
+            row[0] = 0.0
+    elif kind == "repeated row":
+        rows[draw(st.integers(1, n - 1))] = list(rows[0])
+    elif kind == "zero row":
+        rows[draw(st.integers(0, n - 1))] = [0.0] * n
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_float_square(), _square().map(Matrix.row_list)))
+def test_det_is_the_inverse_determinant_to_the_bit(rows):
+    """``_det`` runs ``_invert``'s elimination below the pivots only; floats agree to the bit, signed zeros included."""
+    got, expected = _det(rows), _invert(rows)[0]
+    assert type(got) is type(expected)
+    assert repr(got) == repr(expected)
