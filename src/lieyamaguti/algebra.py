@@ -42,13 +42,17 @@ type: ``is_homomorphism`` and the bundle gate's automorphism check both run
 it.  It expands both sides from the nonzero structure constants of the two
 algebras and the nonzero entries of the map only, adding each term in the
 order ``bracket``/``triple`` would, so float defects are the same to the
-bit.  The derivations are the cocycles of delta_zero with adjoint
-coefficients, so ``derivations`` reads them off that operator's kernel and
-``is_derivation`` asks whether that operator kills a matrix; both need a
-valid algebra, where delta_I and delta_II of a matrix are exactly its binary
-and ternary derivation identities.  That the kernel is closed under
-commutator is a theorem, asserted by the test suite and not proved again at
-run time.
+bit.  The expansion is compiled once per nonzero pattern of the map
+(``_defect_plan``) into lists of the distinct products and the coordinates
+that have a term.  A caller that checks many maps between the same two
+algebras holds the plans while it runs (the bundle gate does, per call);
+nothing else keeps them.  The derivations are the cocycles of delta_zero
+with adjoint coefficients, so ``derivations`` reads them off that
+operator's kernel and ``is_derivation`` asks whether that operator kills a
+matrix; both need a valid algebra, where delta_I and delta_II of a matrix
+are exactly its binary and ternary derivation identities.  That the kernel
+is closed under commutator is a theorem, asserted by the test suite and not
+proved again at run time.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from .linalg import (
     Matrix,
     SubspaceBasis,
     Vector,
-    _times,
+    _largest,
     denominator_lcm,
     qvec,
     sparse_kernel,
@@ -548,69 +552,132 @@ def from_reductive_pair(lie: LYAlgebra, h_idx: Sequence[int], m_idx: Sequence[in
 # maps
 
 
-def _columns(k, s: list, d: int) -> list:
-    """The d columns of k s, as tuples."""
-    return list(zip(*_times(k, s))) or [()] * d
+def _defect_plan(a: LYAlgebra, b: LYAlgebra, nonzero: tuple) -> tuple:
+    """``_map_defect`` compiled for the maps a -> b whose nonzero entries sit at ``nonzero``.
 
-
-def _image(cols: list, entries: list) -> list:
-    """The sum of c * cols[m] over the (m, c) of ``entries``, one list comprehension per term.
-
-    Each coordinate is the ``sum`` of its terms in the order of ``entries``;
-    a one-term slot skips the transpose and gives 0 + term, which is what
-    ``sum`` returns.
+    A map s is read flat, s[p][i] at p * d + i.  The plan is ``(pairs,
+    triples, binary, ternary)``: ``pairs`` lists each distinct product x y
+    of two entries of s as their positions, and ``triples`` each distinct
+    (x y) z as (its pair's index, z's position), so each is computed once
+    however many coordinates, of either bracket, use it.  ``binary`` and
+    ``ternary`` are the two parts of the defect (``_part``).
     """
-    if len(entries) == 1:
-        ((m, c),) = entries
-        return [0 + x * c for x in cols[m]]
-    return list(map(sum, zip(*([x * c for x in cols[m]] for m, c in entries))))
+    d, n = a.dim, b.dim
+    rows = [[] for _ in range(n)]
+    for f in nonzero:
+        rows[f // d].append((f, f % d))
+    pairs, triples, binary, ternary = {}, {}, [], []
+    for (p, q), entries in b._slots[0]:
+        for f, i in rows[p]:
+            for g, j in rows[q]:
+                t, base = pairs.setdefault((f, g), len(pairs)), (i * d + j) * n
+                binary += [(base + m, t, c) for m, c in entries]
+    for (p, q, r), entries in b._slots[1]:
+        for f, i in rows[p]:
+            for g, j in rows[q]:
+                u = pairs.setdefault((f, g), len(pairs))
+                for h, l in rows[r]:
+                    t, base = triples.setdefault((u, h), len(triples)), ((i * d + j) * d + l) * n
+                    ternary += [(base + m, t, c) for m, c in entries]
+    live = set(nonzero)
+    binary = _part(a._slots[0], binary, live, d, n, len(pairs))
+    ternary = _part(a._slots[1], ternary, live, d, n, len(triples))
+    return tuple(pairs), tuple(triples), binary, ternary
 
 
-def _map_defect(k, s: list, a: LYAlgebra, b: LYAlgebra) -> tuple:
+def _part(a_group: tuple, rhs: list, live: set, d: int, n: int, none: int) -> tuple:
+    """One part of a defect plan: the coordinates (x, y[, z], m) that have a term, in dense scan order.
+
+    The lhs terms are the (position in s, c) of a's slot (x, y[, z]) at row
+    m whose entry of s is nonzero (``live``); ``rhs`` lists the rhs terms as
+    (dense coordinate, product index, c), in b's slot order.  The part is
+    ``(leads, lhs, firsts, rest, several)``: per coordinate, its lhs term
+    and its first rhs term, each with the trailing 0 of s or of the
+    products, times 0, where there is none; then every later rhs term as
+    (coordinate, product, c) and every several-term lhs as (coordinate,
+    terms).  ``leads`` is whether the first coordinate of the dense scan is
+    listed.  A term on a zero of s adds a zero, so it is dropped, except at
+    that first coordinate, whose type (0 or 0.0) a dense scan can return.
+    """
+    lhs, firsts, rest = {}, {}, []
+    for idx, entries in a_group:
+        base = functools.reduce(lambda p, i: p * d + i, idx) * n
+        for r in range(n):
+            terms = tuple((r * d + m, c) for m, c in entries)
+            kept = tuple(t for t in terms if t[0] in live)
+            if kept or base + r == 0:
+                lhs[base + r] = kept or terms
+    for key, t, c in rhs:
+        if key in firsts:
+            rest.append((key, t, c))
+        else:
+            firsts[key] = t, c
+    coords = sorted(lhs.keys() | firsts.keys())
+    at = {key: j for j, key in enumerate(coords)}
+    terms = [lhs.get(key, ()) for key in coords]
+    return (
+        coords[:1] == [0],
+        tuple(x[0] if len(x) == 1 else (d * n, 0) for x in terms),
+        tuple(firsts.get(key, (none, 0)) for key in coords),
+        tuple((at[key], t, c) for key, t, c in rest),
+        tuple((j, x) for j, x in enumerate(terms) if len(x) > 1),
+    )
+
+
+def _fold(part: tuple, ks: list, products: list):
+    """The largest |lhs - rhs| over a plan part's coordinates, as ``max`` over every dense coordinate.
+
+    ``ks`` is s times k (k**2 for the ternary part) and ``products`` the
+    plan's products, each with a trailing 0.  An lhs adds its terms (k x) c
+    with ``sum`` (0 + term for one), an rhs its terms (x y) c or ((x y) z) c
+    with ``+=`` from 0, as ``bracket``/``triple`` and a row-by-column
+    product add them.  A coordinate that is not listed is the int 0 of a
+    dense scan, which only the first one can return.
+    """
+    leads, lhs, firsts, rest, several = part
+    lv = [0 + ks[f] * c for f, c in lhs]
+    rv = [0 + products[p] * c for p, c in firsts]
+    for j, p, c in rest:
+        rv[j] += products[p] * c
+    for j, terms in several:
+        lv[j] = sum([ks[f] * c for f, c in terms])
+    values = map(abs, map(operator.sub, lv, rv))
+    return _largest(values if leads else itertools.chain((0,), values))
+
+
+def _map_defect(k, s: list, a: LYAlgebra, b: LYAlgebra, plans: dict | None = None) -> tuple:
     """Largest entries of k s[x, y]_a - [sx, sy]_b and k**2 s{x, y, z}_a - {sx, sy, sz}_b.
 
     ``s`` is the rows of a map a -> b over any scalar type, and x, y, z run
     over the basis of a; (0, 0) means s carries both brackets of a to those
-    of b, times k**-1 and k**-2.
+    of b, times k**-1 and k**-2.  A NaN anywhere is the result.
 
     Both sides are expanded from the nonzero slots of a and b (``_slots``)
-    and the nonzero entries of s only, into flat lists indexed by
-    (x, y[, z], coordinate).  The k s[x, y] side of a slot is one image of
-    whole columns of k s (``_image``).  Each entry adds its terms with one
-    ``sum``, in the order that ``bracket``/``triple`` and a row-by-column
-    product would, so a float defect is exactly the one those compute on
-    every Python version (``sum`` of floats is compensated from 3.12 on).
+    and the nonzero entries of s only, by the plan ``_defect_plan`` compiles
+    for s's nonzero pattern.  ``plans`` holds the plans of earlier calls for
+    the same a and b, keyed by pattern; the caller owns it.  Each entry adds
+    its terms in the order that ``bracket``/``triple`` and a row-by-column
+    product would, with one ``sum`` for the lhs, so a float defect is
+    exactly the one those compute on every Python version (``sum`` of floats
+    is compensated from 3.12 on).
     """
-    d, n = a.dim, b.dim
-    (a_binary, a_ternary), (b_binary, b_ternary) = a._slots, b._slots
-    nonzero = [[(i, x) for i, x in enumerate(row) if x] for row in s]
-
-    lhs, rhs, cols = [0] * (d * d * n), [0] * (d * d * n), _columns(k, s, d)
-    for (i, j), entries in a_binary:
-        base = (i * d + j) * n
-        lhs[base : base + n] = _image(cols, entries)
-    for (p, q), entries in b_binary:
-        for i, x in nonzero[p]:
-            for j, y in nonzero[q]:
-                xy, base = x * y, (i * d + j) * n
-                for m, c in entries:
-                    rhs[base + m] += xy * c
-    binary = max(map(abs, map(operator.sub, lhs, rhs)), default=0)
-
-    lhs, rhs, cols = [0] * (d * d * d * n), [0] * (d * d * d * n), _columns(k * k, s, d)
-    for (i, j, l), entries in a_ternary:
-        base = ((i * d + j) * d + l) * n
-        lhs[base : base + n] = _image(cols, entries)
-    for (p, q, r), entries in b_ternary:
-        for i, x in nonzero[p]:
-            for j, y in nonzero[q]:
-                xy = x * y
-                for l, z in nonzero[r]:
-                    xyz, base = xy * z, ((i * d + j) * d + l) * n
-                    for m, c in entries:
-                        rhs[base + m] += xyz * c
-    ternary = max(map(abs, map(operator.sub, lhs, rhs)), default=0)
-    return binary, ternary
+    flat = list(itertools.chain.from_iterable(s))
+    nonzero = tuple(itertools.compress(range(len(flat)), flat))
+    flat.append(0)
+    plans = {} if plans is None else plans
+    plan = plans.get(nonzero)
+    if plan is None:
+        plan = plans[nonzero] = _defect_plan(a, b, nonzero)
+    pairs, triples, binary, ternary = plan
+    xy = [flat[f] * flat[g] for f, g in pairs]
+    xyz = [xy[p] * flat[g] for p, g in triples]
+    xy.append(0)
+    xyz.append(0)
+    kk = k * k
+    return (
+        _fold(binary, flat if k == 1 else [k * x for x in flat], xy),
+        _fold(ternary, flat if kk == 1 else [kk * x for x in flat], xyz),
+    )
 
 
 def is_homomorphism(phi: Matrix, a: LYAlgebra, b: LYAlgebra) -> bool:

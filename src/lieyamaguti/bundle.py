@@ -30,10 +30,12 @@ float mode the pair is (1, s) and den is 1, the same code runs on floats,
 and a difference up to the tolerance counts as zero.  Transport runs on rows
 of Fractions or floats.  The automorphism check is ``algebra._map_defect``,
 which expands only the fibre's nonzero structure constants and the nonzero
-entries of S, and in exact mode it is skipped where the inverse check has
-already implied it (``check_cocycle``); every matrix product, distance,
-determinant and inverse is ``linalg``'s row toolkit, and this module defines
-no matrix arithmetic of its own.
+entries of S, compiled once per nonzero pattern of S for one gate run, and
+in exact mode it is skipped where the inverse check has already implied it
+(``check_cocycle``).  A float defect that is not finite (an overflow, or a
+NaN, which ``max`` would drop) is refused with EvalError.  Every matrix
+product, distance, determinant and inverse is ``linalg``'s row toolkit, and
+this module defines no matrix arithmetic of its own.
 Transition values and morphism matrices are evaluated by one row evaluator,
 ``_eval_rows``, which runs a matrix's compiled ``exprs.Program``.  A
 transition family holds its program, compiled on first use, and a morphism
@@ -53,6 +55,7 @@ from .algebra import LYAlgebra, _from_entries, _map_defect, _require_valid, is_h
 from .cohomology import DEFAULT_SIZE_CAP, h1, h23, h_upper, transport_defects
 from .errors import (
     CocycleCheckFailed,
+    EvalError,
     NotASubalgebra,
     ShapeMismatch,
     UnknownIdentifier,
@@ -226,11 +229,16 @@ def eval_transition(tf: TransitionFamily, pt: Point, mode: EvalMode = EXACT) -> 
 def _scaled(v, k: int, mode: EvalMode) -> list:
     """k * v as integers in exact mode; v as floats in float mode.
 
-    In exact mode k must be a multiple of every denominator in v.
+    In exact mode k must be a multiple of every denominator in v.  A
+    rational too large for a float raises EvalError, as an evaluation
+    overflow does.
     """
     if mode.kind == "exact":
         return [x.numerator * (k // x.denominator) for x in v]
-    return [float(x) for x in v]
+    try:
+        return [float(x) for x in v]
+    except OverflowError as exc:
+        raise EvalError(f"float overflow: {exc}") from None
 
 
 def _cleared(rows: list, mode: EvalMode) -> tuple:
@@ -263,9 +271,15 @@ def _fibre(a: LYAlgebra, mode: EvalMode) -> tuple:
 def _norm(worst, scale: int, mode: EvalMode):
     """The defect of an identity whose sides were computed ``scale`` times too large.
 
-    Exact in exact mode; float mode never scales (every D and den is 1).
+    Exact in exact mode; float mode never scales (every D and den is 1), and
+    refuses a defect that is not finite: an overflow in the gate's float
+    arithmetic proves nothing either way.
     """
-    return Fraction(worst, scale) if mode.kind == "exact" else worst
+    if mode.kind == "exact":
+        return Fraction(worst, scale)
+    if not math.isfinite(worst):
+        raise EvalError("float overflow: a defect of the cocycle gate is not finite; exact mode can decide")
+    return worst
 
 
 _SINGULAR = {"exact": "matrix is singular", "float": "matrix is numerically singular"}
@@ -278,18 +292,19 @@ def _singular(s: list, mode: EvalMode) -> bool:
     return abs(_det(s)) <= mode.tol
 
 
-def _automorphism_defect(value: tuple, fibre: tuple, mode: EvalMode):
+def _automorphism_defect(value: tuple, fibre: tuple, mode: EvalMode, plans: dict | None = None):
     """Largest entry of s[x, y] - [sx, sy] and s{x, y, z} - {sx, sy, sz} over basis tuples.
 
     With (D, S) = ``value`` and (den, F) = ``fibre``, ``algebra._map_defect``
     compares D S F(e_i, e_j) against F(S e_i, S e_j), which is D**2 den times
     the exact binary defect, and D**2 S F(e_i, e_j, e_k) against
     F(S e_i, S e_j, S e_k), which is D**3 den**2 times the ternary one.  Both
-    sides are expanded from the nonzero structure constants of F, listed
-    once per fibre model, and the nonzero entries of S.
+    sides are expanded from the nonzero structure constants of F and the
+    nonzero entries of S, by the plan compiled for S's nonzero pattern and
+    held in ``plans``, which the caller owns for this one fibre model.
     """
     (big_d, s), (den, f) = value, fibre
-    binary, ternary = _map_defect(big_d, s, f, f)
+    binary, ternary = _map_defect(big_d, s, f, f, plans)
     return max(_norm(binary, big_d**2 * den, mode), _norm(ternary, big_d**3 * den**2, mode))
 
 
@@ -319,9 +334,10 @@ class CocycleReport:
 def _value(b: BundleSpec, tf: TransitionFamily, pt: Point, mode: EvalMode) -> tuple:
     """The pair (D, S) of ``_cleared`` for b's transition tf at pt, evaluated on first use and held on b."""
     key = (tf.frm, tf.to, pt, mode.kind)
-    if key not in b._values:
-        b._values[key] = _cleared(eval_transition(tf, pt, mode), mode)
-    return b._values[key]
+    pair = b._values.get(key)
+    if pair is None:
+        pair = b._values[key] = _cleared(eval_transition(tf, pt, mode), mode)
+    return pair
 
 
 def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
@@ -346,10 +362,15 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
     value.  Float mode implies nothing, since a pass within the tolerance
     does not carry over to the inverse.  ``checks`` counts every condition,
     implied or computed.
+
+    The bracket-preservation defect is compiled once per nonzero pattern of
+    the values (``algebra._defect_plan``), into plans this call holds and
+    drops.  In float mode a defect that is not finite raises EvalError, as
+    an overflow in evaluation does: it neither passes nor fails.
     """
     report = CocycleReport(mode)
     bound = mode.bound
-    fibre = _fibre(b.fiber, mode)
+    fibre, plans = _fibre(b.fiber, mode), {}
     ident = _identity(b.fiber.dim)
 
     def check(kind: str, where: str, point, worst, scale: int, detail: str) -> None:
@@ -431,7 +452,7 @@ def check_cocycle(b: BundleSpec, mode: EvalMode = EXACT) -> CocycleReport:
             if partner is None and _singular(pair[1], mode):
                 report.add("automorphism", tf.label(), pt, None, _SINGULAR[mode.kind])
                 continue
-            norm = _automorphism_defect(pair, fibre, mode)
+            norm = _automorphism_defect(pair, fibre, mode, plans)
             if norm > bound:
                 report.add("automorphism", tf.label(), pt, norm, "bracket preservation fails")
             elif partner is not None:

@@ -27,7 +27,8 @@ with partial pivoting) and ``_det`` (the same elimination below the pivots
 only, with the same determinant to the bit), with ``_identity`` and
 ``_times``.  ``Matrix``'s ``@``, ``matvec``, ``det`` and ``inverse`` run
 them on ``Fraction`` rows; the bundle gate runs them on integers, Fractions
-and floats.
+and floats.  ``_largest`` is ``max`` that keeps a NaN wherever it stands,
+so a float distance or defect that went NaN is never read as finite.
 """
 
 from __future__ import annotations
@@ -186,9 +187,26 @@ def _matmul(a: list, b: list) -> list:
     return [[sum(x * y for x, y in zip(row, col) if y) for col in cols] for row in a]
 
 
+def _largest(values: Iterable):
+    """``max(values, default=0)``, except that a NaN anywhere is the result.
+
+    ``max`` keeps a NaN only when it comes first, so a float defect that is
+    NaN somewhere would read as a finite one.
+    """
+    it = iter(values)
+    worst = next(it, 0)
+    if worst == worst:
+        for v in it:
+            if not v <= worst:
+                worst = v
+                if v != v:
+                    break
+    return worst
+
+
 def _distance(a: list, b: list):
-    """Largest entrywise |a - b| of two equally shaped row lists."""
-    return max((abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)), default=0)
+    """Largest entrywise |a - b| of two equally shaped row lists; NaN if any entry is NaN."""
+    return _largest(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def _invert(rows: list):

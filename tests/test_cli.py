@@ -591,6 +591,71 @@ def test_bundle_float_overflow_exit_2(tmp_path, capsys, entry, point):
         assert "NaN" not in out and "Infinity" not in out
 
 
+def scaled_pair(big: str, constant: str) -> dict:
+    """g_UV = big * I and g_VU = I / big on a 3-dim fibre with [e1, e2] = constant * e3, at one sample."""
+    fiber = {"dim": 3, "binary": [[1, 2, ["0", "0", constant]]], "ternary": []}
+    charts = [{"name": n, "coords": [c], "samples": [["0"]]} for n, c in (("U", "t"), ("V", "s"))]
+
+    def diagonal(x):
+        return [[x if i == j else "0" for j in range(3)] for i in range(3)]
+
+    transitions = [
+        {"from": "U", "to": "V", "matrix": diagonal(big), "samples": [["0"]]},
+        {"from": "V", "to": "U", "matrix": diagonal("1/" + big), "samples": [["0"]]},
+    ]
+    return {"fiber": fiber, "charts": charts, "transitions": transitions}
+
+
+def overflowing_triple() -> dict:
+    """g_UV = g_VW = 10^200 and g_UW = 1 on the line: g_UV g_VW overflows a float."""
+    charts = [{"name": n, "coords": ["t"], "samples": [["0"]]} for n in "UVW"]
+    transitions = [
+        {"from": f, "to": t, "matrix": [[x]], "samples": [["0"]]}
+        for f, t, x in (("U", "V", "10^200"), ("V", "W", "10^200"), ("U", "W", "1"))
+    ]
+    triples = [{"i": "U", "j": "V", "k": "W", "samples": [[["0"], ["0"], ["0"]]]}]
+    return {"fiber": {"dim": 1}, "charts": charts, "transitions": transitions, "triples": triples}
+
+
+@pytest.mark.parametrize(
+    "bundle, exact_failures",
+    [
+        # U->V's float defect is inf - inf = NaN, which max would drop: it passed as an automorphism
+        (scaled_pair("10^300", "10000000000"), [("automorphism", "U->V"), ("automorphism", "V->U")]),
+        # U->V's float defect is inf, which the report printed as Infinity
+        (scaled_pair("10^200", "1"), [("automorphism", "U->V"), ("automorphism", "V->U")]),
+        (overflowing_triple(), [("triple", "(U,V,W)")]),
+    ],
+    ids=["nan-defect", "infinite-defect", "triple-product"],
+)
+def test_bundle_non_finite_float_defect_exit_2(tmp_path, capsys, bundle, exact_failures):
+    """A float gate defect that is not finite is refused with exit 2; exact mode decides the same bundle."""
+    path = tmp_path / "non-finite.json"
+    path.write_text(json.dumps(bundle), encoding="utf-8")
+    code = run(["bundle-check", str(path), "--mode", "float"])
+    out = capsys.readouterr().out
+    assert "NaN" not in out and "Infinity" not in out
+    report = json.loads(out)
+    assert (code, report["status"], report["payload"]) == (2, "error", {})
+    assert report["diagnostics"][0].startswith("float overflow: ")
+    code, report = run_cli(capsys, "bundle-check", str(path))
+    assert (code, report["status"]) == (1, "fail")
+    assert [(f["kind"], f["where"]) for f in report["payload"]["failures"]] == exact_failures
+
+
+def test_bundle_float_fibre_constant_overflow_exit_2(tmp_path, capsys):
+    """A structure constant too large for a float is refused in float mode; exact mode checks the bundle."""
+    bundle = scaled_pair("1", "1e400")
+    path = tmp_path / "big-constant.json"
+    path.write_text(json.dumps(bundle), encoding="utf-8")
+    for command in ("bundle-check", "bundle-cohomology"):
+        code, report = run_cli(capsys, command, str(path), "--mode", "float")
+        assert (code, report["status"], report["payload"]) == (2, "error", {})
+        assert report["diagnostics"][0].startswith("float overflow: ")
+    code, report = run_cli(capsys, "bundle-check", str(path))
+    assert (code, report["status"]) == (0, "pass")
+
+
 def test_bundle_check_huge_exact_power_exit_2(tmp_path, capsys):
     """An exact power past exprs.MAX_POWER_BITS is refused before it is computed."""
     line = {"dim": 1, "name": "line", "binary": [], "ternary": []}

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieyamaguti.errors import NotASubspace, ShapeMismatch
-from lieyamaguti.linalg import Matrix, SubspaceBasis, _det, _invert, as_fraction, qvec, quotient_dim, sparse_kernel
+from lieyamaguti.linalg import (
+    Matrix,
+    SubspaceBasis,
+    _det,
+    _distance,
+    _invert,
+    as_fraction,
+    qvec,
+    quotient_dim,
+    sparse_kernel,
+)
 
 
 def test_as_fraction_keeps_a_fraction_and_coerces_the_rest():
@@ -395,3 +406,17 @@ def test_det_is_the_inverse_determinant_to_the_bit(rows):
     got, expected = _det(rows), _invert(rows)[0]
     assert type(got) is type(expected)
     assert repr(got) == repr(expected)
+
+
+
+def test_distance_keeps_a_nan_wherever_it_stands():
+    """``max`` keeps a NaN only when it comes first; ``_distance`` keeps it anywhere, and is ``max`` otherwise."""
+    inf = float("inf")
+    for a in ([[1.0, inf]], [[inf, 1.0]], [[0.5, 2.0], [inf, 0.0]]):
+        got = _distance(a, a)  # inf - inf is NaN
+        assert got != got, a
+    assert _distance([[1.0, 2.0]], [[1.0, 5.0]]) == 3.0
+    assert repr(_distance([[1.0]], [[1.0]])) == "0.0"
+    assert _distance([], []) == 0 and type(_distance([], [])) is int
+    assert _distance([[Fraction(1, 2), 3]], [[0, 1]]) == 2
+    assert math.isinf(_distance([[inf, 1.0]], [[0.0, 1.0]]))

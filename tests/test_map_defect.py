@@ -8,20 +8,35 @@ b on the columns of s, and a row-by-column product with the structure
 constants of a.  The two must agree exactly, on Fractions, on the
 integer-scaled values of the bundle gate and, bit for bit (no tolerance), on
 floats, for square and rectangular maps between algebras of dimension 0 to 6.
+They must also agree when one dict of compiled plans serves a run of values
+whose nonzero pattern changes, as it does in the bundle gate.
 """
 
+import functools
 import itertools
 import pickle
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_denominators import SCALES, rebased
 
 from lieyamaguti import adjoint, check_axioms, example_3dim, meson, semidirect, twisted_semidirect, zero_algebra
-from lieyamaguti.algebra import LYAlgebra, _columns, _image, _map_defect
-from lieyamaguti.bundle import EXACT, EvalMode, _cleared, _fibre
+from lieyamaguti.algebra import LYAlgebra, _from_entries, _map_defect
+from lieyamaguti.bundle import (
+    EXACT,
+    BundleSpec,
+    Chart,
+    EvalMode,
+    TransitionFamily,
+    _cleared,
+    _fibre,
+    _value,
+    check_cocycle,
+)
 from lieyamaguti.cohomology import delta_zero
+from lieyamaguti.exprs import parse_expr
 from lieyamaguti.fixtures import cross_product_lie
 from lieyamaguti.linalg import Matrix, _distance, _matmul, _times
 
@@ -115,21 +130,56 @@ def test_float_defect_is_bit_identical_to_dense(case):
 
 _FLOATS = st.floats(-1e6, 1e6)
 
+# (algebra, group, index, entries) of every slot with several terms
+SEVERAL = [
+    (name, group, idx, entries)
+    for name in NAMES
+    for group, slots in enumerate(ALGEBRAS[name]._slots)
+    for idx, entries in slots
+    if len(entries) > 1
+]
+
+
+@st.composite
+def slots(draw):
+    """(d, group, index, vector): a several-term slot of ``ALGEBRAS``, or a drawn slot of a 4-dim algebra."""
+    if draw(st.booleans()):
+        name, group, idx, entries = draw(st.sampled_from(SEVERAL))
+        d = ALGEBRAS[name].dim
+        return d, group, idx, [dict(entries).get(m, 0) for m in range(d)]
+    group = draw(st.integers(0, 1))
+    idx = tuple(draw(st.lists(st.integers(0, 3), min_size=group + 2, max_size=group + 2)))
+    return 4, group, idx, draw(st.lists(st.one_of(st.just(0), _FLOATS), min_size=4, max_size=4))
+
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(0, 3), _FLOATS), min_size=1, max_size=6),
-    st.lists(st.lists(_FLOATS, min_size=4, max_size=4), max_size=5),
-    st.sampled_from([1, 3]),
-)
-def test_image_adds_terms_in_the_row_by_column_order(entries, rows, k):
-    """Each coordinate of ``_image`` is the row-by-column ``sum`` it replaced, bit for bit."""
-    got = _image(_columns(k, rows, 4), entries)
-    want = [sum(k * row[m] * c for m, c in entries) for row in rows]
-    assert list(map(repr, got)) == list(map(repr, want))
-    ints = [[int(x) for x in row] for row in rows]
-    got = _image(_columns(k, ints, 4), [(m, int(c)) for m, c in entries])
-    assert got == [sum(k * row[m] * int(c) for m, c in entries) for row in ints]
+@given(slots(), st.data(), st.sampled_from([1, 3]))
+def test_image_adds_terms_in_the_row_by_column_order(slot, data, k):
+    """The lhs k s[x, y] of one coordinate is the row-by-column ``sum`` it replaced, bit for bit.
+
+    The algebra keeps the one slot and the map is one row onto the abelian
+    line, so the defect is that coordinate's lhs alone, after the int 0s of
+    the dense coordinates before it.
+    """
+    d, group, idx, vector = slot
+    row = data.draw(st.lists(_FLOATS, min_size=d, max_size=d))
+    before = functools.reduce(lambda p, i: p * d + i, idx)
+    scale = k ** (group + 1)
+    for coerce in (float, int):
+        v = [coerce(c) for c in vector]
+        a = _from_entries(d, *(({}, {idx: v}) if group else ({idx: v}, {})))
+        s = [[coerce(x) for x in row]]
+        lhs = sum(scale * s[0][m] * c for m, c in enumerate(v) if c)
+        want = max([0] * before + [abs(lhs)])
+        assert repr(_map_defect(k, s, a, zero_algebra(1))[group]) == repr(want)
+
+
+def test_the_first_coordinate_keeps_its_zero_type():
+    """A dense scan of zeros returns its first coordinate: 0.0 where a's slot (0, 0[, 0]) meets a zero of s."""
+    a = _from_entries(2, {(0, 0): [1.0, 0.0]}, {(0, 0, 0): [1.0, 0.0]})
+    s = [[0.0, 1.0], [0.0, 1.0]]
+    want = list(map(repr, dense_map_defect(1, s, a, zero_algebra(2))))
+    assert list(map(repr, _map_defect(1, s, a, zero_algebra(2)))) == want == ["0.0", "0.0"]
 
 
 def test_identity_preserves_every_algebra():
@@ -156,3 +206,46 @@ def test_axioms_and_map_defect_build_no_view_of_a_product():
         assert check_axioms(p).ok
         assert _map_defect(1, ident, p, p) == (0, 0)
         assert "binary" not in vars(p) and "ternary" not in vars(p)
+
+
+_CAYLEY = (
+    ("(1 - t^2)/(1 + t^2)", "-2*t/(1 + t^2)", "0"),
+    ("2*t/(1 + t^2)", "(1 - t^2)/(1 + t^2)", "0"),
+    ("0", "0", "1"),
+)
+
+
+def cayley_atlas(a: LYAlgebra) -> BundleSpec:
+    """g_UV = R(t) and g_VU = R(-t), rotations about e3, at t = 0, 1, -1, 1/2 and 3.
+
+    R(0) is the identity, R(1) and R(-1) have a vanishing diagonal and R(1/2)
+    and R(3) no zero in their 2 x 2 block: three nonzero patterns, in that
+    order of first use.
+    """
+    samples = tuple((Fraction(t),) for t in (0, 1, -1, Fraction(1, 2), 3))
+
+    def matrix(var: str) -> tuple:
+        return tuple(tuple(parse_expr(x.replace("t", var)) for x in row) for row in _CAYLEY)
+
+    charts = (Chart("U", ("t",), samples), Chart("V", ("t",), samples))
+    forward = TransitionFamily("U", "V", matrix("t"), samples)
+    reverse = TransitionFamily("V", "U", matrix("(-t)"), samples)
+    return BundleSpec(a, charts, (forward, reverse))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+def test_plans_follow_the_nonzero_pattern_and_are_not_kept(mode):
+    """One plan per pattern serves every value, each defect is the dense one, and the gate keeps none."""
+    b = cayley_atlas(cross_product_lie())
+    held = set(vars(b.fiber))
+    report = check_cocycle(b, mode)
+    assert (report.ok, report.checks) == (True, 15)
+    assert set(vars(b.fiber)) == held
+    assert set(vars(pickle.loads(pickle.dumps(b.fiber)))) == {"dim", "_slots", "name"}
+    (_, f), plans = _fibre(b.fiber, mode), {}
+    for tf in b.transitions:
+        for pt in tf.samples:
+            big_d, s = _value(b, tf, pt, mode)
+            got = _map_defect(big_d, s, f, f, plans)
+            assert list(map(repr, got)) == list(map(repr, dense_map_defect(big_d, s, f, f)))
+    assert len(plans) == 3
