@@ -19,8 +19,10 @@ each sampled transition value s, (s.f)(x1, ..., xn) = s f(s^-1 x1, ...,
 s^-1 xn), must preserve the fibre's cocycles and coboundaries.
 
 Both evaluation modes run one code path.  The cocycle gate works on pairs
-(D, S) (``_cleared``): in exact mode D is the LCM of the denominators of a
-transition value s and S = D s is an integer matrix, and the fibre's nonzero
+(D, S), which ``eval_transition`` returns: in exact mode D is the LCM of the
+denominators of a transition value s and S = D s is an integer matrix, both
+computed by the program's exact run on reduced integer pairs with no
+Fraction in between (``exprs.Program.cleared``), and the fibre's nonzero
 structure constants are cleared likewise, den * binary and den**2 * ternary
 (``_fibre``).  Each gate identity is homogeneous, so it is compared with both
 sides multiplied out of the denominators; the integer defect is then one
@@ -36,12 +38,13 @@ in exact mode it is skipped where the inverse check has already implied it
 NaN, which ``max`` would drop) is refused with EvalError.  Every matrix
 product, distance, determinant and inverse is ``linalg``'s row toolkit, and
 this module defines no matrix arithmetic of its own.
-Transition values and morphism matrices are evaluated by one row evaluator,
-``_eval_rows``, which runs a matrix's compiled ``exprs.Program``.  A
-transition family holds its program, compiled on first use, and a morphism
-check compiles each chart's matrix once.  A bundle holds its transition
-values as pairs (D, S), each evaluated once per kind by ``_value``, and
-every check reads them there.
+Transition values and morphism matrices are evaluated by one evaluator,
+``_eval_pair``, which runs a matrix's compiled ``exprs.Program`` into its
+pair (D, S).  A transition family holds its program, compiled on first use,
+and a morphism check compiles each chart's matrix once and runs the
+bracket-preservation defect on the integer pairs as the gate does.  A bundle
+holds its transition values as pairs (D, S), each evaluated once per kind by
+``_value``, and every check reads them there.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .algebra import LYAlgebra, _from_entries, _map_defect, _require_valid, is_homomorphism, structure_lcm
+from .algebra import LYAlgebra, _from_entries, _map_defect, _require_valid, structure_lcm
 from .cohomology import DEFAULT_SIZE_CAP, h1, h23, h_upper, transport_defects
 from .errors import (
     CocycleCheckFailed,
@@ -62,7 +65,6 @@ from .errors import (
 )
 from .exprs import Expr, Program, compile_matrix, variables
 from .linalg import (
-    Matrix,
     SubspaceBasis,
     _det,
     _distance,
@@ -71,7 +73,6 @@ from .linalg import (
     _invert,
     _matmul,
     _times,
-    denominator_lcm,
 )
 from .representation import adjoint
 
@@ -214,16 +215,20 @@ class BundleSpec:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _eval_rows(program: Program, coords: tuple, pt: Point, mode: EvalMode) -> list:
-    """A compiled expression matrix over ``coords``, evaluated at ``pt`` as rows of Fractions or floats."""
+def _eval_pair(program: Program, coords: tuple, pt: Point, mode: EvalMode) -> tuple:
+    """A compiled expression matrix over ``coords``, evaluated at ``pt`` as its pair (D, S)."""
     if len(pt) != len(coords):
         raise ShapeMismatch(f"point arity {len(pt)} != chart arity {len(coords)}")
-    return program.rows(dict(zip(coords, pt)), mode.kind)
+    return program.cleared(dict(zip(coords, pt)), mode.kind)
 
 
-def eval_transition(tf: TransitionFamily, pt: Point, mode: EvalMode = EXACT) -> list:
-    """Entrywise evaluation at a point of the from-chart, as rows of Fractions or floats."""
-    return _eval_rows(tf._program, tf.coords, pt, mode)
+def eval_transition(tf: TransitionFamily, pt: Point, mode: EvalMode = EXACT) -> tuple:
+    """Entrywise evaluation at a point of the from-chart, as the pair (D, S) with S = D s.
+
+    In exact mode D is the LCM of the denominators of the value s and S is a
+    matrix of ints; in float mode the pair is (1, rows of floats).
+    """
+    return _eval_pair(tf._program, tf.coords, pt, mode)
 
 
 def _scaled(v, k: int, mode: EvalMode) -> list:
@@ -239,16 +244,6 @@ def _scaled(v, k: int, mode: EvalMode) -> list:
         return [float(x) for x in v]
     except OverflowError as exc:
         raise EvalError(f"float overflow: {exc}") from None
-
-
-def _cleared(rows: list, mode: EvalMode) -> tuple:
-    """The pair (D, S) of a transition value s, with S = D * s.
-
-    In exact mode D is the LCM of the denominators of s, so S is an integer
-    matrix; in float mode the pair is (1, s).
-    """
-    den = denominator_lcm(x for row in rows for x in row) if mode.kind == "exact" else 1
-    return den, [_scaled(row, den, mode) for row in rows]
 
 
 def _fibre(a: LYAlgebra, mode: EvalMode) -> tuple:
@@ -332,11 +327,11 @@ class CocycleReport:
 
 
 def _value(b: BundleSpec, tf: TransitionFamily, pt: Point, mode: EvalMode) -> tuple:
-    """The pair (D, S) of ``_cleared`` for b's transition tf at pt, evaluated on first use and held on b."""
+    """The pair (D, S) of b's transition tf at pt, evaluated on first use and held on b."""
     key = (tf.frm, tf.to, pt, mode.kind)
     pair = b._values.get(key)
     if pair is None:
-        pair = b._values[key] = _cleared(eval_transition(tf, pt, mode), mode)
+        pair = b._values[key] = eval_transition(tf, pt, mode)
     return pair
 
 
@@ -528,13 +523,17 @@ def check_bundle_morphism(
     """Fibrewise homomorphism check of a same-atlas bundle morphism.
 
     ``chart_matrices`` maps chart names to expression matrices over that
-    chart's coordinates; every sample point of every chart is checked.
+    chart's coordinates; every sample point of every chart is checked.  Each
+    value s is evaluated as its pair (D, S): s is a homomorphism exactly when
+    D S[x, y] = [Sx, Sy] and D**2 S{x, y, z} = {Sx, Sy, Sz}, which
+    ``algebra._map_defect`` decides with k = D by the plans this call holds,
+    one per nonzero pattern; s is invertible exactly when S is.
     """
     names_a = {c.name for c in ba.charts}
     names_b = {c.name for c in bb.charts}
     if names_a != names_b:
         raise ShapeMismatch("bundle morphisms are supported over a common atlas only")
-    report = MorphismReport()
+    report, plans = MorphismReport(), {}
     for chart in ba.charts:
         if chart.name not in chart_matrices:
             raise ShapeMismatch(f"no morphism matrix for chart {chart.name!r}")
@@ -544,11 +543,11 @@ def check_bundle_morphism(
                 f"morphism matrix on chart {chart.name!r} must be {bb.fiber.dim}x{ba.fiber.dim}"
             )
         program = compile_matrix(rowsx)
+        square = len(rowsx) == ba.fiber.dim
         for pt in chart.samples:
-            val = Matrix.from_rows(_eval_rows(program, chart.coords, pt, EXACT))
-            hom = is_homomorphism(val, ba.fiber, bb.fiber)
-            inv = val.rows == val.cols and val.is_invertible()
-            report.points.append(MorphismPoint(chart.name, pt, hom, inv))
+            big_d, s = _eval_pair(program, chart.coords, pt, EXACT)
+            hom = _map_defect(big_d, s, ba.fiber, bb.fiber, plans) == (0, 0)
+            report.points.append(MorphismPoint(chart.name, pt, hom, square and not _singular(s, EXACT)))
     return report
 
 

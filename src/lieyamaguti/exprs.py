@@ -18,24 +18,29 @@ There is one evaluator.  ``compile_matrix`` turns a matrix of expressions
 into a straight-line ``Program``: one instruction per distinct subtree,
 hash-consed in first-use postorder, so a subtree shared by several entries
 (the 1 + t^2 of a Cayley rotation) is computed once per point.  A program
-runs at a point in one flat loop over its instructions, on Fractions or on
-floats; ``eval_exact`` and ``eval_float`` run the program of one entry.  The
-first error a point raises is the one a walk of the entries in row-major
-order, depth first, would raise.
+runs at a point in one flat loop over its instructions: the exact loop on
+reduced integer pairs (n, d), the float loop on floats.  ``Program.cleared``
+gives a matrix's value as the pair (D, S) the bundle gate holds, and
+``Program.rows`` as rows of Fractions or floats; ``eval_exact`` and
+``eval_float`` run the program of one entry.  The first error a point raises
+is the one a walk of the entries in row-major order, depth first, would
+raise.
 
-Exact evaluation uses Fractions, rejects sin/cos/exp away from argument 0
-(where they take the exact values 0, 1, 1) and refuses a power longer than
-MAX_POWER_BITS bits before computing it; float evaluation uses the math
-module and raises EvalError on overflow or a non-finite entry.  Identifiers
-resolve at evaluation time against a chart environment.
+Exact evaluation keeps each register as a pair (n, d) with d > 0 and
+gcd(n, d) = 1, so its sizes are those of the Fraction n/d; it rejects
+sin/cos/exp away from argument 0 (where they take the exact values 0, 1, 1)
+and refuses a power longer than MAX_POWER_BITS bits before computing it.
+Float evaluation uses the math module and raises EvalError on overflow or a
+non-finite entry.  Identifiers resolve at evaluation time against a chart
+environment.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import EvalError, ExprSyntaxError, UnknownIdentifier
 from .linalg import as_fraction
@@ -259,10 +264,11 @@ def variables(node: Expr) -> set[str]:
 
 
 # Opcodes of a compiled program.  An instruction is (op, a, b): _LIT pushes
-# the value a, _VAR the coordinate named a, _NEG minus register a, _POW
-# register a to the power b, _CALL the function b of register a, the binary
-# opcodes registers a and b combined; _FINITE pushes nothing and refuses a
-# non-finite register a (float mode only).
+# the value a (in exact code b holds it as the pair (n, d)), _VAR the
+# coordinate named a, _NEG minus register a, _POW register a to the power b,
+# _CALL the function b of register a, the binary opcodes registers a and b
+# combined; _FINITE pushes nothing and refuses a non-finite register a (float
+# mode only).
 _LIT, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL, _FINITE = range(10)
 _BINARY = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
 
@@ -286,15 +292,41 @@ class Program:
     float_code: tuple
     roots: tuple
 
+    def cleared(self, env: dict, kind: str) -> tuple:
+        """The value s at ``env`` as the pair (D, S) with S = D s.
+
+        In exact mode D is the LCM of the entries' denominators and S a
+        matrix of ints; in float mode the pair is (1, rows of floats).
+        """
+        if kind != "exact":
+            return 1, self.rows(env, kind)
+        r = _run_exact(self.code, env)
+        roots = self.roots
+        big_d = math.lcm(*[r[i][1] for row in roots for i in row])
+        return big_d, [[n * (big_d // d) for n, d in map(r.__getitem__, row)] for row in roots]
+
     def rows(self, env: dict, kind: str) -> list:
-        """The value of every entry at ``env``, as rows of Fractions (``kind`` "exact") or floats ("float")."""
+        """The value of every entry at ``env``, as rows of Fractions (``kind`` "exact") or floats ("float").
+
+        An exact entry whose root is a literal or a coordinate is that value
+        (through ``as_fraction``); any other is the Fraction of its pair.
+        """
         if kind == "exact":
-            r = _run(self.code, env, as_fraction, _exact_power)
-        else:
-            try:
-                r = _run(self.float_code, env, float, pow)
-            except OverflowError as exc:
-                raise EvalError(f"float overflow: {exc}") from None
+            r, code = _run_exact(self.code, env), self.code
+
+            def value(i: int) -> Fraction:
+                op, a, _ = code[i]
+                if op == _LIT:
+                    return as_fraction(a)
+                if op == _VAR:
+                    return as_fraction(env[a])
+                return Fraction(*r[i])
+
+            return [[value(i) for i in row] for row in self.roots]
+        try:
+            r = _run_float(self.float_code, env)
+        except OverflowError as exc:
+            raise EvalError(f"float overflow: {exc}") from None
         return [[r[i] for i in row] for row in self.roots]
 
 
@@ -306,7 +338,7 @@ def compile_matrix(matrix) -> Program:
         key = (op, a, b)
         if key not in registers:
             registers[key] = len(code)
-            code.append((op, a, functools.partial(_exact_call, b)) if op == _CALL else key)
+            code.append((op, a, (a.numerator, a.denominator)) if op == _LIT else key)
             float_code.append((op, a, getattr(math, b)) if op == _CALL else key)
         return registers[key]
 
@@ -337,24 +369,77 @@ def compile_matrix(matrix) -> Program:
     return Program(tuple(code), tuple(float_code), roots)
 
 
-def _exact_call(func: str, a: Fraction) -> Fraction:
-    if a != 0:
-        bits = max(a.numerator.bit_length(), a.denominator.bit_length())
-        shown = a if bits <= 64 else f"a rational of {bits} bits"
+def _exact_call(func: str, n: int, d: int) -> tuple:
+    """sin, cos or exp of n/d as a pair; only argument 0 has an exact value."""
+    if n:
+        bits = max(n.bit_length(), d.bit_length())
+        shown = Fraction(n, d) if bits <= 64 else f"a rational of {bits} bits"
         raise EvalError(f"{func} is only exact at argument 0 (got {shown})")
-    return Fraction(int(func != "sin"))
+    return int(func != "sin"), 1
 
 
-def _exact_power(x: Fraction, n: int) -> Fraction:
-    # |x|**n has at least n * (bit_length(x) - 1) + 1 bits
-    size = max(x.numerator.bit_length(), x.denominator.bit_length()) - 1
-    if abs(n) * size >= MAX_POWER_BITS:
-        raise EvalError(f"exact power with exponent {n} exceeds {MAX_POWER_BITS} bits")
-    return x**n
+def _exact_power(n: int, d: int, k: int) -> tuple:
+    """(n/d)**k as a reduced pair, for a reduced pair (n, d) that is not 0 when k < 0."""
+    # |n/d|**k has at least |k| * (bit_length - 1) + 1 bits
+    size = max(n.bit_length(), d.bit_length()) - 1
+    if abs(k) * size >= MAX_POWER_BITS:
+        raise EvalError(f"exact power with exponent {k} exceeds {MAX_POWER_BITS} bits")
+    if k >= 0:
+        return n**k, d**k
+    n, d = d ** -k, n ** -k
+    return (-n, -d) if d < 0 else (n, d)
 
 
-def _run(code: tuple, env: dict, scalar, power) -> list:
-    """The registers of ``code`` at ``env``, over ``scalar`` (``as_fraction`` or ``float``) and its ``power``."""
+def _run_exact(code: tuple, env: dict) -> list:
+    """The registers of ``code`` at ``env``, each the reduced pair (n, d) of a rational n/d with d > 0.
+
+    A sum, difference, product or quotient is divided by one gcd; powers,
+    negation and the pairs pushed as they are stay in lowest terms.  So each
+    register has the size of its Fraction.
+    """
+    r = []
+    push = r.append
+    for op, a, b in code:
+        if op == _MUL:
+            (p, q), (u, v) = r[a], r[b]
+            n, d = p * u, q * v
+        elif op == _ADD:
+            (p, q), (u, v) = r[a], r[b]
+            n, d = p * v + u * q, q * v
+        elif op == _SUB:
+            (p, q), (u, v) = r[a], r[b]
+            n, d = p * v - u * q, q * v
+        elif op == _DIV:
+            (p, q), (u, v) = r[a], r[b]
+            if not u:
+                raise EvalError("division by zero")
+            n, d = (p * v, q * u) if u > 0 else (-p * v, -q * u)
+        else:
+            if op == _POW:
+                n, d = r[a]
+                if b < 0 and not n:
+                    raise EvalError("zero raised to a negative power")
+                push(_exact_power(n, d, b))
+            elif op == _NEG:
+                n, d = r[a]
+                push((-n, d))
+            elif op == _LIT:
+                push(b)
+            elif op == _VAR:
+                if a not in env:
+                    raise UnknownIdentifier(f"identifier {a!r} is not a chart coordinate")
+                x = as_fraction(env[a])
+                push((x.numerator, x.denominator))
+            else:
+                push(_exact_call(b, *r[a]))
+            continue
+        g = gcd(n, d)
+        push((n // g, d // g))
+    return r
+
+
+def _run_float(code: tuple, env: dict) -> list:
+    """The registers of ``code`` at ``env``, as floats."""
     r = []
     push = r.append
     for op, a, b in code:
@@ -371,15 +456,15 @@ def _run(code: tuple, env: dict, scalar, power) -> list:
         elif op == _POW:
             if b < 0 and r[a] == 0:
                 raise EvalError("zero raised to a negative power")
-            push(power(r[a], b))
+            push(pow(r[a], b))
         elif op == _NEG:
             push(-r[a])
         elif op == _LIT:
-            push(scalar(a))
+            push(float(a))
         elif op == _VAR:
             if a not in env:
                 raise UnknownIdentifier(f"identifier {a!r} is not a chart coordinate")
-            push(scalar(env[a]))
+            push(float(env[a]))
         elif op == _CALL:
             push(b(r[a]))
         elif not math.isfinite(r[a]):

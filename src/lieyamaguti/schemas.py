@@ -259,14 +259,28 @@ def _required(obj: dict, key: str, what: str):
     return obj[key]
 
 
-def _point(v, what: str) -> tuple[Fraction, ...]:
-    """A sample point of the object ``what``; a bad one is refused naming the object and the field."""
+def _point(v, what: str, parsed: dict) -> tuple[Fraction, ...]:
+    """A sample point of the object ``what``; a bad one is refused naming the object and the field.
+
+    ``parsed`` maps (JSON type, literal) to the rational already read from it
+    in this load, so each distinct literal is parsed once; the type keeps
+    ``true`` and ``1.0``, which are refused, off the entry of ``1``.
+    """
     if not isinstance(v, list):
         raise ShapeMismatch(f"{what}: a point in 'samples' must be a list of rationals, got {v!r}")
-    try:
-        return vec_from_json(v)
-    except ShapeMismatch as exc:
-        raise ShapeMismatch(f"{what}: a point in 'samples': {exc}") from None
+    out = []
+    for x in v:
+        key = (type(x), x) if type(x) in (int, str) else None
+        value = parsed.get(key)
+        if value is None:
+            try:
+                value = frac_from_json(x)
+            except ShapeMismatch as exc:
+                raise ShapeMismatch(f"{what}: a point in 'samples': {exc}") from None
+            if key is not None:
+                parsed[key] = value
+        out.append(value)
+    return tuple(out)
 
 
 def _entry(x, what: str, row: int, col: int):
@@ -278,13 +292,13 @@ def _entry(x, what: str, row: int, col: int):
 
 
 # Characters of expression a bundle's checks may evaluate.  Exact evaluation
-# costs about 0.45 us per character when no subtree repeats (a balanced sum of
-# the 2 048 distinct terms k*t at 46 samples, 985 136 characters, takes 0.45 s
-# in exact bundle-check on a 2-core x86-64 machine), so the budget bounds that
-# to well under a second.  That is an upper bound: a subtree that occurs more
-# than once is evaluated once per point, and the sum t + t + ... of 2 048
-# terms at 81 samples (994 923 characters) takes 0.015 s.  The benchmark's
-# largest atlas reads 97 344.
+# costs about 0.15 us per character when no subtree repeats (a balanced sum of
+# the 2 048 distinct terms k*t at 46 samples, 985 136 characters, takes
+# 0.14-0.16 s in exact bundle-check on a 2-core x86-64 machine with Python
+# 3.11, median of 5), so the budget bounds that to well under a second.  That
+# is an upper bound: a subtree that occurs more than once is evaluated once
+# per point, and the sum t + t + ... of 2 048 terms at 81 samples (994 923
+# characters) takes about 0.02 s.  The benchmark's largest atlas reads 97 344.
 _EVAL_WORK = 10**6
 
 
@@ -308,17 +322,18 @@ def bundle_from_json(obj) -> BundleSpec:
     Evaluating a transition at a point runs one instruction per distinct
     subtree of its expressions, so the time of the checks grows as
     expression size times samples: quadratic in the file size, which
-    ``exprs.MAX_DEPTH`` alone does not bound.
+    ``exprs.MAX_DEPTH`` alone does not bound.  Each distinct sample literal
+    is parsed once per call, in a dict this call holds and drops.
     """
     if not isinstance(obj, dict) or "fiber" not in obj or "charts" not in obj:
         raise ShapeMismatch("bundle JSON must carry 'fiber' and 'charts'")
     fiber = algebra_from_json(obj["fiber"])
-    charts = []
+    charts, parsed = [], {}
     for n, c in enumerate(_objects(obj["charts"], "'charts'")):
         name = str(_required(c, "name", f"chart {n}"))
         what = f"chart {name!r}"
         coords = tuple(str(x) for x in _list(c, "coords", what))
-        charts.append(Chart(name, coords, tuple(_point(p, what) for p in _list(c, "samples", what))))
+        charts.append(Chart(name, coords, tuple(_point(p, what, parsed) for p in _list(c, "samples", what))))
     transitions, sizes = [], {}
     for n, t in enumerate(_objects(obj.get("transitions", []), "'transitions'")):
         frm, to = (str(_required(t, key, f"transition {n}")) for key in ("from", "to"))
@@ -329,7 +344,7 @@ def bundle_from_json(obj) -> BundleSpec:
         matrix = tuple(
             tuple(_entry(x, what, m, n) for n, x in enumerate(row, 1)) for m, row in enumerate(rows, 1)
         )
-        samples = tuple(_point(p, what) for p in _list(t, "samples", what))
+        samples = tuple(_point(p, what, parsed) for p in _list(t, "samples", what))
         sizes[frm, to] = sum(len(str(x)) for row in rows for x in row)
         transitions.append(TransitionFamily(frm, to, matrix, samples))
     triples = []
@@ -342,7 +357,7 @@ def bundle_from_json(obj) -> BundleSpec:
                 raise ShapeMismatch(
                     f"{what}: samples are [point_in_chart_i, point_in_chart_j, point_in_chart_k]"
                 )
-            samples.append(tuple(_point(q, what) for q in s))
+            samples.append(tuple(_point(q, what, parsed) for q in s))
         triples.append(TripleOverlap(i, j, k, tuple(samples)))
     work = _evaluation_work(sizes, transitions, triples)
     if work > _EVAL_WORK:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lieyamaguti import derivations, example_3dim, h1, h23, adjoint
+from lieyamaguti.algebra import is_homomorphism
 from lieyamaguti.bundle import (
     BundleSpec,
     Chart,
@@ -38,6 +39,12 @@ def exprs(rows):
     return tuple(tuple(parse_expr(x) for x in row) for row in rows)
 
 
+def value(pair) -> Matrix:
+    """The matrix s of a pair (D, S) with S = D * s, entries Fraction(x, D)."""
+    big_d, scaled = pair
+    return Matrix.from_rows([[Fraction(x, big_d) for x in row] for row in scaled])
+
+
 @pytest.fixture()
 def circle():
     return bundle_from_json(fixture_circle_bundle())
@@ -57,7 +64,9 @@ def test_eval_transition_identity_matrix():
     tf = TransitionFamily(
         "U", "V", exprs([["1", "0"], ["0", "1"]]), ((q(5),),), ("t",)
     )
-    assert Matrix.from_rows(eval_transition(tf, (q(5),))) == Matrix.identity(2)
+    pair = eval_transition(tf, (q(5),))
+    assert pair == (1, [[1, 0], [0, 1]])
+    assert value(pair) == Matrix.identity(2)
 
 
 def test_eval_transition_polynomial_entries():
@@ -65,11 +74,16 @@ def test_eval_transition_polynomial_entries():
         "U",
         "V",
         exprs([["1", "0", "0"], ["0", "1+t^2", "0"], ["0", "0", "1+t^2"]]),
-        ((q(1),),),
+        ((q(1),), (Fraction(1, 2),)),
         ("t",),
     )
-    m = Matrix.from_rows(eval_transition(tf, (q(1),)))
-    assert m == Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+    pair = eval_transition(tf, (q(1),))
+    assert pair == (1, [[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+    assert value(pair) == Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+    # 1 + t^2 = 5/4 at t = 1/2: D is the LCM of the denominators and S = D * s
+    pair = eval_transition(tf, (Fraction(1, 2),))
+    assert pair == (4, [[4, 0, 0], [0, 5, 0], [0, 0, 5]])
+    assert value(pair) == Matrix.from_rows([[1, 0, 0], [0, Fraction(5, 4), 0], [0, 0, Fraction(5, 4)]])
 
 
 def test_eval_transition_propagates_eval_errors():
@@ -82,9 +96,10 @@ def test_eval_transition_propagates_eval_errors():
 
 def test_eval_transition_float_mode():
     tf = TransitionFamily("U", "V", exprs([["cos(t)"]]), ((q(0),),), ("t",))
-    rows = eval_transition(tf, (Fraction(1, 2),), EvalMode("float"))
+    big_d, rows = eval_transition(tf, (Fraction(1, 2),), EvalMode("float"))
     import math
 
+    assert big_d == 1 and type(rows[0][0]) is float
     assert abs(rows[0][0] - math.cos(0.5)) < 1e-12
 
 
@@ -165,7 +180,7 @@ def test_clutching_identity_at_overlap_samples(circle):
     fib = circle.fiber
     for tf in circle.transitions:
         for pt in tf.samples:
-            g = Matrix.from_rows(eval_transition(tf, pt))
+            g = value(eval_transition(tf, pt))
             cols = [g.col(j) for j in range(fib.dim)]
             for i in range(fib.dim):
                 for j in range(fib.dim):
@@ -237,6 +252,52 @@ def test_bundle_morphism_evaluates_exactly(circle):
     assert report.ok
     assert len(report.points) == sum(len(c.samples) for c in circle.charts)
     assert all(p.invertible for p in report.points)
+
+
+def test_bundle_morphism_points_match_the_fraction_checks(circle, monkeypatch):
+    """Each point's is_hom and invertible equal is_homomorphism and is_invertible on the value's Fraction rows.
+
+    The mutated stretch adds (x + 1)(x + 1/2)(x - 1/2)(x - 1), zero at every
+    chart sample but 0, to one entry, so it fails at one sample per chart.
+    One call compiles one defect plan per nonzero pattern of its values.
+    """
+    from lieyamaguti import algebra
+    from lieyamaguti.exprs import compile_matrix
+
+    compiled = []
+    plan = algebra._defect_plan
+
+    def counting(a, b, nonzero):
+        compiled.append(nonzero)
+        return plan(a, b, nonzero)
+
+    monkeypatch.setattr(algebra, "_defect_plan", counting)
+    shapes = {
+        "identity": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "zero": [["0"] * 3] * 3,
+        "stretch": [["1", "0", "0"], ["0", "1 + {x}^2", "0"], ["0", "0", "1 + {x}^2"]],
+        "mutated": [["1", "0", "0"], ["0", "1 + {x}^2", "0"],
+                    ["0", "0", "1 + {x}^2 + ({x} + 1)*({x} + 1/2)*({x} - 1/2)*({x} - 1)"]],
+        "not invertible": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "{x}"]],
+        "sample dependent": [["{x}", "0", "0"], ["0", "{x}", "0"], ["0", "0", "{x}^2"]],
+    }
+    for name, shape in shapes.items():
+        compiled.clear()
+        matrices = {c.name: exprs([[e.format(x=c.coords[0]) for e in row] for row in shape]) for c in circle.charts}
+        report = check_bundle_morphism(circle, circle, matrices)
+        plans = sorted(compiled)
+        want, patterns = [], set()
+        for c in circle.charts:
+            program = compile_matrix(matrices[c.name])
+            for pt in c.samples:
+                rows = program.rows(dict(zip(c.coords, pt)), "exact")
+                val = Matrix.from_rows(rows)
+                want.append((c.name, pt, is_homomorphism(val, circle.fiber, circle.fiber), val.is_invertible()))
+                patterns.add(tuple(k for k, x in enumerate(x for row in rows for x in row) if x))
+        assert [(p.chart, p.point, p.is_hom, p.invertible) for p in report.points] == want, name
+        assert plans == sorted(patterns), name
+        if name == "mutated":
+            assert [p.is_hom for p in report.points] == [p.point != (0,) for p in report.points]
 
 
 def test_bundle_morphism_requires_same_atlas(circle, product_bundle):

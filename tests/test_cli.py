@@ -1119,7 +1119,7 @@ def test_bundle_over_the_evaluation_budget_is_refused_before_any_evaluation(tmp_
     def refused(*args, **kwargs):
         raise AssertionError("a transition was evaluated")
 
-    monkeypatch.setattr("lieyamaguti.bundle._eval_rows", refused)
+    monkeypatch.setattr("lieyamaguti.bundle._eval_pair", refused)
     samples = [[f"{k}/5000"] for k in range(5000)]
     doc = {
         "fiber": {"dim": 1, "name": "line"},

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_denominators import SCALES, rebased
+from test_denominators import SCALES, cleared, rebased
 
 from lieyamaguti import example_3dim, meson
 from lieyamaguti.algebra import LYAlgebra
@@ -29,7 +29,6 @@ from lieyamaguti.bundle import (
     EvalMode,
     TransitionFamily,
     _automorphism_defect,
-    _cleared,
     _fibre,
     _singular,
     check_cocycle,
@@ -134,9 +133,9 @@ def constant_bundle(a: LYAlgebra, s: list) -> BundleSpec:
 def test_exact_gate_matches_fraction_oracle(case):
     a, s = case
     expected = oracle_defect(s, a)
-    assert _automorphism_defect(_cleared(s, EXACT), _fibre(a, EXACT), EXACT) == expected
+    assert _automorphism_defect(cleared(s, EXACT), _fibre(a, EXACT), EXACT) == expected
     singular = Matrix.from_rows(s).det() == 0
-    assert _singular(_cleared(s, EXACT)[1], EXACT) is singular
+    assert _singular(cleared(s, EXACT)[1], EXACT) is singular
     # end to end: the failure check_cocycle reports for the same value
     failures = [(f.kind, f.defect_norm, f.detail) for f in check_cocycle(constant_bundle(a, s)).failures]
     if singular:
@@ -153,7 +152,7 @@ def test_exact_gate_matches_fraction_oracle(case):
 def test_float_gate_matches_float_oracle(case):
     a, s = case
     rows = [[float(x) for x in row] for row in s]
-    got = _automorphism_defect(_cleared(rows, FLOAT), _fibre(a, FLOAT), FLOAT)
+    got = _automorphism_defect(cleared(rows, FLOAT), _fibre(a, FLOAT), FLOAT)
     expected = oracle_defect(rows, as_float(a))
     assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-12)
 
@@ -163,6 +162,6 @@ def test_automorphisms_pass_and_perturbations_fail():
     for a, automorphisms in FIBRES.values():
         s = automorphisms(Fraction(3, 5))
         assert oracle_defect(s, a) == 0
-        assert _automorphism_defect(_cleared(s, EXACT), _fibre(a, EXACT), EXACT) == 0
+        assert _automorphism_defect(cleared(s, EXACT), _fibre(a, EXACT), EXACT) == 0
         s[0][0] += Fraction(1, 10**6)
-        assert _automorphism_defect(_cleared(s, EXACT), _fibre(a, EXACT), EXACT) == oracle_defect(s, a) > 0
+        assert _automorphism_defect(cleared(s, EXACT), _fibre(a, EXACT), EXACT) == oracle_defect(s, a) > 0

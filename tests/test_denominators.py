@@ -113,6 +113,19 @@ def lowest_terms(values):
     return all(isinstance(x, Fraction) and x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1 for x in values)
 
 
+def cleared(rows, mode):
+    """The pair (D, S) of a matrix s, with S = D * s: the form the bundle gate holds.
+
+    In exact mode D is the LCM of the denominators of s and S a matrix of
+    ints; in float mode the pair is (1, s as floats).  The bundle computed it
+    from rows of Fractions this way before evaluation produced it directly.
+    """
+    if mode.kind != "exact":
+        return 1, [[float(x) for x in row] for row in rows]
+    den = math.lcm(*{x.denominator for row in rows for x in row})
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
 @pytest.mark.parametrize("base", [example_3dim(), cross_product_lie()], ids=["3dim", "crossproduct-lie"])
 def test_rebased_algebras_keep_validity(base):
     a = rebased(base)

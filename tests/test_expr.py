@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_denominators import cleared
 
+from lieyamaguti.bundle import EXACT, EvalMode
 from lieyamaguti.errors import EvalError, ExprSyntaxError, UnknownIdentifier
 from lieyamaguti.exprs import (
     MAX_POWER_BITS,
@@ -249,22 +251,29 @@ def _outcome(evaluate):
 
 
 def _both(matrix, env, kind):
-    """The program's and the walker's outcome on a matrix of expressions, entries walked row-major."""
+    """The program's outcome as rows and as the pair (D, S), and the walker's, entries walked row-major."""
     tree = tree_exact if kind == "exact" else tree_float
     program = compile_matrix(matrix)
     return (
         _outcome(lambda: program.rows(env, kind)),
+        _outcome(lambda: program.cleared(env, kind)),
         _outcome(lambda: [[tree(x, env) for x in row] for row in matrix]),
     )
+
+
+def _reprs(rows):
+    return [list(map(repr, row)) for row in rows]
 
 
 # A small pool of subtrees, combined into entries, so that one subtree occurs
 # in several entries and several times in one.  Values reach every refusal:
 # 0 divides and is raised to negative powers, sin/cos/exp see nonzero exact
 # arguments, exp(t) at t = 400 overflows when squared and exp(3t) raises,
-# t^70000 is over the exact power bound and overflows a float.
+# t^70000 is over the exact power bound and overflows a float.  t^2/t is t
+# only once its quotient is reduced (at t = 1/2, 2/4 before the gcd), so an
+# unreduced pair shows in the cleared D.
 _LEAVES = ["exp(t) * exp(t)", "t", "exp(3*t)", "t - t", "u", "0", "1", "2", "1/3", "-1", "exp(t)", "sin(u)",
-           "cos(t - u)", "t^70000", "t^-2"]
+           "cos(t - u)", "t^70000", "t^-2", "t^2/t"]
 _VALUES = [400, 0, 1, -1, Fraction(1, 2), 3, Fraction(-7, 3)]
 
 
@@ -283,17 +292,23 @@ def _pooled_matrix(draw):
 @given(_pooled_matrix(), st.sampled_from(_VALUES), st.sampled_from(_VALUES), st.booleans())
 @settings(max_examples=400, deadline=None)
 def test_program_agrees_with_the_tree_walker(matrix, t, u, bind_u):
+    """Rows and the pair (D, S) against the walker: equal values, or the same first error."""
     env = {"t": Fraction(t), "u": Fraction(u)} if bind_u else {"t": Fraction(t)}
-    got, want = _both(matrix, env, "exact")
+    got, pair, want = _both(matrix, env, "exact")
     assert got == want
     if got[0] == "ok":
         assert all(type(x) is Fraction for row in got[1] for x in row)
-    got, want = _both(matrix, env, "float")
+        assert pair == ("ok", cleared(want[1], EXACT))
+        assert all(type(x) is int for row in pair[1][1] for x in row)
+    else:
+        assert pair == want
+    got, pair, want = _both(matrix, env, "float")
     if got[0] == "ok":
         assert want[0] == "ok"
-        assert [list(map(repr, row)) for row in got[1]] == [list(map(repr, row)) for row in want[1]]
+        assert _reprs(got[1]) == _reprs(want[1])
+        assert pair[0] == "ok" and pair[1][0] == 1 and _reprs(pair[1][1]) == _reprs(want[1])
     else:
-        assert got == want
+        assert got == pair == want
 
 
 @pytest.mark.parametrize(
@@ -314,8 +329,29 @@ def test_program_agrees_with_the_tree_walker(matrix, t, u, bind_u):
 )
 def test_program_raises_the_first_error_in_entry_order(row, env, kind):
     matrix = [[parse_expr(x) for x in row]]
-    got, want = _both(matrix, {k: Fraction(v) for k, v in env.items()}, kind)
-    assert got[0] == "raise" and got == want
+    got, pair, want = _both(matrix, {k: Fraction(v) for k, v in env.items()}, kind)
+    assert got[0] == "raise" and got == pair == want
+
+
+def test_the_power_bound_is_judged_on_the_reduced_base():
+    """t^2/t at t = 2 is the pair (2, 1), not 4/2: 2^40000 has 40 001 bits, (4/2)^40000 would be refused."""
+    matrix = [[parse_expr("(t^2/t)^40000")]]
+    env = {"t": Fraction(2)}
+    program = compile_matrix(matrix)
+    assert program.cleared(env, "exact") == (1, [[2**40000]])
+    assert program.rows(env, "exact") == [[2**40000]] == [[tree_exact(matrix[0][0], env)]]
+    with pytest.raises(EvalError, match="exceeds"):
+        ev("(t^2/1)^40000", t=2)
+
+
+def test_the_pair_clears_every_denominator():
+    """D is the LCM of the reduced denominators; S = D s holds ints, literal and coordinate entries included."""
+    matrix = [[parse_expr(x) for x in row] for row in (["t", "1/6"], ["(1 - t^2)/(1 + t^2)", "2*t/(4 - 2)"])]
+    env = {"t": Fraction(1, 2)}
+    # values 1/2, 1/6, 3/5 and 1/2: D = 30
+    assert compile_matrix(matrix).cleared(env, "exact") == (30, [[15, 5], [18, 15]])
+    assert compile_matrix(matrix).cleared(env, "float") == (1, [[0.5, 1 / 6], [0.6, 0.5]])
+    assert compile_matrix([[parse_expr("t - t"), parse_expr("cos(t - t)")]]).cleared(env, "exact") == (1, [[0, 1]])
 
 
 def test_a_float_entry_is_checked_before_a_later_entry_overflows():

@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_denominators import SCALES, rebased
+from test_denominators import SCALES, cleared, rebased
 
 from lieyamaguti import adjoint, check_axioms, example_3dim, meson, semidirect, twisted_semidirect, zero_algebra
 from lieyamaguti.algebra import LYAlgebra, _from_entries, _map_defect
@@ -30,7 +30,6 @@ from lieyamaguti.bundle import (
     Chart,
     EvalMode,
     TransitionFamily,
-    _cleared,
     _fibre,
     _value,
     check_cocycle,
@@ -111,7 +110,7 @@ def test_fraction_defect_matches_dense(case, k):
 def test_integer_scaled_defect_matches_dense(case):
     """The bundle gate's (D, S) and den-scaled integer fibre, on both sides of the map."""
     a, b, s = case
-    big_d, ints = _cleared(s, EXACT)
+    big_d, ints = cleared(s, EXACT)
     (_, fa), (_, fb) = _fibre(a, EXACT), _fibre(b, EXACT)
     got = _map_defect(big_d, ints, fa, fb)
     assert got == dense_map_defect(big_d, ints, fa, fb)

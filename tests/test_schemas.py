@@ -142,3 +142,81 @@ def test_bundle_evaluation_work_counts_samples_and_triple_legs(monkeypatch):
     monkeypatch.setattr(schemas, "_EVAL_WORK", 249)
     with pytest.raises(SizeCapExceeded, match="reads 250 expression characters, over the evaluation budget 249"):
         schemas.bundle_from_json(fixture_circle_bundle())
+
+
+def _sampled_bundle(u_samples, v_samples, transition_samples, triple_samples=()) -> dict:
+    """A bundle over a 1-dimensional fibre with no structure constants, so the loader reads only sample literals."""
+    charts = [{"name": "U", "coords": ["t"], "samples": u_samples}, {"name": "V", "coords": ["s"], "samples": v_samples}]
+    transitions = [{"from": "U", "to": "V", "matrix": [["1"]], "samples": transition_samples}]
+    triples = [{"i": "U", "j": "V", "k": "U", "samples": list(triple_samples)}]
+    return {"fiber": {"dim": 1}, "charts": charts, "transitions": transitions, "triples": triples}
+
+
+def _refusal(literal) -> str:
+    with pytest.raises(ShapeMismatch) as err:
+        frac_from_json(literal)
+    return str(err.value)
+
+
+def test_int_and_string_sample_literals_repeat_freely():
+    from lieyamaguti.schemas import bundle_from_json
+
+    samples = [[1], ["1"], [1], ["1"], ["2/2"]]
+    assert bundle_from_json(_sampled_bundle(samples, [[0]], [[0]])).charts[0].samples == ((Fraction(1),),) * 5
+
+
+@pytest.mark.parametrize(
+    "samples, bad",
+    [
+        ([["1"], [1], [True]], True),
+        ([[1], [True], [1]], True),
+        ([[True], [1]], True),
+        ([[1], [1.0]], 1.0),
+        ([["1"], [1.0], [1]], 1.0),
+        ([[1], [None]], None),
+    ],
+)
+def test_true_and_float_sample_literals_are_refused_after_a_1(samples, bad):
+    """``true`` and ``1.0`` equal ``1`` in Python; a repeated ``1`` before them does not let them through."""
+    from lieyamaguti.schemas import bundle_from_json
+
+    with pytest.raises(ShapeMismatch) as err:
+        bundle_from_json(_sampled_bundle(samples, [[0]], [[0]]))
+    assert str(err.value) == f"chart 'U': a point in 'samples': {_refusal(bad)}"
+
+
+def test_a_bad_literal_is_refused_in_the_first_object_that_holds_it():
+    """A failed parse is not remembered: the same bad literal in a later object would name that object."""
+    from lieyamaguti.schemas import bundle_from_json
+
+    message = f"a point in 'samples': {_refusal('1/0')}"
+    obj = _sampled_bundle([["1"]], [["1/2"], ["1/0"]], [["1/0"]], [[["1/0"], ["0"], ["0"]]])
+    with pytest.raises(ShapeMismatch, match="^chart 'V': " + message):
+        bundle_from_json(obj)
+    obj = _sampled_bundle([["1"]], [["1/2"]], [["1"], ["1/0"]], [[["1/0"], ["0"], ["0"]]])
+    with pytest.raises(ShapeMismatch, match="^transition U->V: " + message):
+        bundle_from_json(obj)
+    obj = _sampled_bundle([["1"]], [["1/2"]], [["1"]], [[["1/2"], ["1"], ["1/0"]]])
+    with pytest.raises(ShapeMismatch, match="^triple overlap 0: " + message):
+        bundle_from_json(obj)
+
+
+def test_each_load_parses_each_distinct_sample_literal_once(monkeypatch):
+    """Three distinct (type, literal) keys among ten sample literals: three parses per load, in each of two loads."""
+    from lieyamaguti import schemas
+
+    parsed = []
+    parse = schemas.frac_from_json
+
+    def counting(v):
+        parsed.append(v)
+        return parse(v)
+
+    monkeypatch.setattr(schemas, "frac_from_json", counting)
+    obj = _sampled_bundle([["1"], [1], ["1/2"]], [["1/2"], ["1"]], [["1"], ["1/2"], [1]], [[["1"], [1], ["1"]]])
+    first = schemas.bundle_from_json(obj)
+    assert parsed == ["1", 1, "1/2"]
+    second = schemas.bundle_from_json(obj)
+    assert parsed == ["1", 1, "1/2"] * 2
+    assert first.charts == second.charts and first.transitions[0].samples == second.transitions[0].samples
+    assert first.transitions[0].samples == ((Fraction(1),), (Fraction(1, 2),), (Fraction(1),))
