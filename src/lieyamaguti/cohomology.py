@@ -50,7 +50,13 @@ level's work, which grows as that count times (2p+3)**3, is over the budget
 derived from the cap.  Kernels and images are read off the operator's rows
 (for an image, its columns) by ``linalg``'s sparse fraction-free
 elimination, which takes those int rows as they are; they are never
-densified.  The groups, the applied coboundaries and ``transport_defects``
+densified.  A group computes B first and eliminates the rows out sparse
+first (by entry count, ties in held order), stopping once their rank
+reaches cols - dim B, the most it can be when B <= Z.  There every row out,
+eliminated or not, is composed with the rows of the operator in, exactly,
+each product must vanish (delta o delta = 0), and Z is B's echelon basis;
+below the bound Z is the kernel of every row and B <= Z is tested against
+it.  The groups, the applied coboundaries and ``transport_defects``
 call the (algebra, module) guard ``representation._require_rep``; the
 ``*_matrix`` functions accept any algebra.
 
@@ -77,7 +83,7 @@ from .errors import (
     ShapeMismatch,
     SizeCapExceeded,
 )
-from .linalg import Matrix, SubspaceBasis, Vector, as_fraction, sparse_kernel, zero_vector
+from .linalg import Matrix, SubspaceBasis, Vector, _eliminate, _kernel, as_fraction, zero_vector
 from .representation import Representation, _check_shapes, _integer_data, _require_rep
 
 DEFAULT_SIZE_CAP = 50_000
@@ -187,7 +193,7 @@ class Cochain:
         return block if sign == 1 else tuple(-x for x in block)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
+        return not any(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -291,8 +297,9 @@ def _assemble(d: int, e: int, src: tuple, dst: tuple, terms, data, scale: int = 
     The e rows of each representative target tuple xs hold the sum of
     coeff * mat * h(tup) over the terms (coeff, mat, tup) of ``terms(data, xs)``:
     h is the source component of arity len(tup), mat is None for the identity
-    or else e rows of (col, coeff) entries, and the operator is that sum
-    divided by ``scale``.  A term whose mat is all zero is dropped, each
+    (c added to the e columns of h(tup), one per row) or else e rows of
+    (col, coeff) entries, and the operator is that sum divided by ``scale``.
+    A term whose mat is all zero is dropped, each
     distinct source tuple is located in its shape once per call (``located``
     maps it to its sign and first column), and an entry that cancels to 0 is
     dropped.
@@ -318,8 +325,12 @@ def _assemble(d: int, e: int, src: tuple, dst: tuple, terms, data, scale: int = 
                 if not sign:
                     continue
                 c = sign * coeff
-                for m, row in enumerate(rows):
-                    for l, x in mat[m] if mat is not None else ((m, 1),):
+                if mat is None:
+                    for k, row in enumerate(rows, col):
+                        row[k] = row.get(k, 0) + c
+                    continue
+                for row, entries in zip(rows, mat):
+                    for l, x in entries:
                         k = col + l
                         row[k] = row.get(k, 0) + c * x
             lines += (tuple((k, x) for k, x in row.items() if x) for row in rows)
@@ -327,7 +338,12 @@ def _assemble(d: int, e: int, src: tuple, dst: tuple, terms, data, scale: int = 
 
 
 def _weighted(coeff, tup: tuple, slot: int, weights: Sequence[tuple]):
-    """Terms of h(tup) with the argument in ``slot`` replaced by the sparse vector ``weights``."""
+    """Terms of h(tup) with the argument in ``slot`` replaced by the sparse vector ``weights``.
+
+    The term generators call it only for a nonempty ``weights``: most bracket
+    slots of a sparse algebra are empty, and a generator per slot would cost
+    more than its terms.
+    """
     args = list(tup)
     for l, w in weights:
         args[slot] = l
@@ -350,7 +366,8 @@ def _delta_terms(data: tuple, xs: tuple):
         x_a, x_b = xs[2 * p :]
         yield sgn_p * den, rho[x_a], head + (x_b,)
         yield -sgn_p * den, rho[x_b], head + (x_a,)
-        yield from _weighted(-sgn_p * den, head + (0,), 2 * p, binary[x_a][x_b])
+        if weights := binary[x_a][x_b]:
+            yield from _weighted(-sgn_p * den, head + (0,), 2 * p, weights)
         ks = range(1, p + 1)
     else:
         x_a, x_b, x_c = xs[2 * p :]
@@ -362,7 +379,8 @@ def _delta_terms(data: tuple, xs: tuple):
         reduced = xs[: 2 * k - 2] + xs[2 * k :]
         yield (-1) ** (k + 1), dmap[i][j], reduced
         for pos in range(2 * k, len(xs)):
-            yield from _weighted((-1) ** k, reduced, pos - 2, ternary[i][j][xs[pos]])
+            if weights := ternary[i][j][xs[pos]]:
+                yield from _weighted((-1) ** k, reduced, pos - 2, weights)
 
 
 def _delta_star_terms(data: tuple, xs: tuple):
@@ -371,7 +389,8 @@ def _delta_star_terms(data: tuple, xs: tuple):
     x0, x1, x2 = xs[:3]
     tail = xs[3:]
     for u, v, w in ((x0, x1, x2), (x1, x2, x0), (x2, x0, x1)):
-        yield from _weighted(den, (0, w) + tail, 0, binary[u][v])
+        if weights := binary[u][v]:
+            yield from _weighted(den, (0, w) + tail, 0, weights)
         if tail:
             yield 1, theta[u][tail[0]], (v, w)
         else:
@@ -600,18 +619,38 @@ def _cohomology(a: LYAlgebra, r: Representation, p: int, cap: int) -> Cohomology
 
     SizeCapExceeded is raised before assembly if C^(2p+3) has more than
     ``cap`` coordinates or the level's work is over the bound that
-    ``_check_work`` derives from ``cap``.  Containment B <= Z (every
-    composite of the operator in with an operator out vanishes) is tested
-    exactly and reported as ``delta_squared_zero``; failure raises
+    ``_check_work`` derives from ``cap``.
+
+    B comes first.  The held rows of the operators out go to elimination
+    sparse first: by entry count, ties in held order (delta_p's rows, then
+    delta*'s, each in target order).  If B <= Z, their rank is at most
+    cols - dim B, so elimination stops there.
+
+    - Rank bound reached: every out row, eliminated or not, is composed with
+      the rows of the operator in, exactly in integers, and every product
+      must vanish; that is B <= Z.  Then dim Z = dim B, and Z is B's
+      echelon basis.
+    - Otherwise every row was eliminated, Z is the kernel of the pivot rows,
+      and B <= Z is tested by reducing B's basis against Z's.
+
+    Either exact test is ``delta_squared_zero``; failure raises
     CocycleContainmentFailure, which signals a formula-transcription bug.
     """
     _require_rep(a, r)
     _check_work(_check_cap(a, r, p, cap), p, cap)
     into, out = _coboundaries(a, r, p)
     cols = out[0][2].cols
-    z = sparse_kernel(cols, itertools.chain.from_iterable(op.lines for _, _, op in out))
     b = into[0][2].image() if into else SubspaceBasis.from_sparse(cols, ())
-    contained = z.contains_basis(b)
+    bound = cols - b.dim
+    lines = sorted(itertools.chain.from_iterable(op.lines for _, _, op in out), key=len)
+    pivot_rows = _eliminate(map(dict, lines), bound)
+    if len(pivot_rows) == bound:
+        z = b
+        composites = (op @ op_in for _, _, op in out for _, _, op_in in into)
+        contained = not any(x for composite in composites for line in composite.lines for _, x in line)
+    else:
+        z = _kernel(cols, pivot_rows)
+        contained = z.contains_basis(b)
     if not contained:
         raise CocycleContainmentFailure(f"B is not contained in Z at level p={p}")
     return CohomologyResult(p, z.dim - b.dim, z, b, contained)

@@ -136,13 +136,20 @@ def _reduce(row: dict[int, int], pivot_rows: dict[int, dict[int, int]]) -> dict[
     return row
 
 
-def _eliminate(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Fraction-free sparse Gauss-Jordan elimination of integer rows.
+def _eliminate(rows: Iterable[dict[int, int]], stop: int | None = None) -> dict[int, dict[int, int]]:
+    """Fraction-free sparse Gauss-Jordan elimination of integer rows, in the order given.
 
     Returns ``{pivot column: row}`` for the span of ``rows``: each row is
     primitive, its pivot column holds its leading entry, and it is zero in
     every other pivot column.  Dividing a row by its pivot entry gives the
-    corresponding row of the reduced row echelon form.
+    corresponding row of the reduced row echelon form, whatever the order.
+    The order sets the work: a sparse pivot fills in less.  With a ``stop``
+    rank, elimination ends once a new pivot brings the count to ``stop``: the
+    rows not yet read are left alone, and the result spans only the rows
+    read, so its size shows that the rank of ``rows`` is at least ``stop``.
+    A caller that stops must vouch for the unread rows itself; the cohomology
+    groups pass rows sparse first, stop at cols - dim B and then compose
+    every row with the operator into the level (``cohomology._cohomology``).
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -157,6 +164,8 @@ def _eliminate(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
             if q in other:
                 pivot_rows[p] = _combine(other, row, q)
         pivot_rows[q] = row
+        if len(pivot_rows) == stop:
+            break
     return pivot_rows
 
 
@@ -447,12 +456,16 @@ class SubspaceBasis:
 
 
 def sparse_kernel(cols: int, rows: Iterable[Iterable[tuple[int, object]]]) -> SubspaceBasis:
-    """Basis of {v in Q^cols : row . v = 0 for every row}; rows are (col, value) entries.
+    """Basis of {v in Q^cols : row . v = 0 for every row}; rows are (col, value) entries."""
+    return _kernel(cols, _eliminate(_integer_rows(rows)))
+
+
+def _kernel(cols: int, pivot_rows: dict[int, dict[int, int]]) -> SubspaceBasis:
+    """The null space in Q^cols of every row that ``_eliminate`` reduced to ``pivot_rows``.
 
     Free column f gives the kernel vector with 1 at f and -R[f] / R[p] at
     each pivot p of the eliminated rows R.
     """
-    pivot_rows = _eliminate(_integer_rows(rows))
     kernel = {f: {f: 1} for f in range(cols) if f not in pivot_rows}
     for p, row in pivot_rows.items():
         lead = row[p]

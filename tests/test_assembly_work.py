@@ -3,7 +3,7 @@
 ``_assemble`` locates each distinct source tuple once per call and drops the
 terms whose matrix is all zero before locating anything; the elimination
 takes a held operator's int rows as they are and clears only rows holding a
-non-int.  The operators themselves are pinned entrywise in
+non-int, and a level whose rank bound is reached builds no kernel.  The operators themselves are pinned entrywise in
 ``test_cohomology``; these tests count the work.
 """
 
@@ -84,26 +84,41 @@ def test_zero_module_maps_never_reach_the_lookup(located, p):
     assert {tup for _, tup in located} == identity_terms
 
 
-def test_held_int_rows_are_not_cleared_again(monkeypatch):
-    """During h23(meson(4), adjoint) only rows holding a non-int reach ``_integer_row``."""
-    cleared = []
+@pytest.fixture()
+def cleared(monkeypatch):
+    """The entries of every row that reaches ``linalg._integer_row``, in call order."""
+    calls = []
     integer_row = lieyamaguti.linalg._integer_row
 
     def counting(entries):
         entries = list(entries)
-        cleared.append(entries)
+        calls.append(entries)
         return integer_row(entries)
 
     monkeypatch.setattr(lieyamaguti.linalg, "_integer_row", counting)
-    a = meson(4)
+    return calls
+
+
+def test_held_int_rows_are_not_cleared_again(cleared):
+    """During h23(meson(3), adjoint), which builds a kernel, only rows holding a non-int reach ``_integer_row``."""
+    a = meson(3)
     r = adjoint(a)
     res = h23(a, r)
-    assert (res.dim_z, res.dim_b) == (10, 10)
+    assert (res.dim_z, res.dim_b) == (7, 6)
     held = {line for op in a._operators[id(r)][2].values() for line in op.lines}
     assert held
     assert cleared
     assert all(any(type(x) is not int or not x for _, x in entries) for entries in cleared)
     assert not held & {tuple(entries) for entries in cleared}
+
+
+def test_a_level_at_its_rank_bound_clears_no_row(cleared):
+    """h23(meson(4), adjoint) has Z = B: elimination stops at the rank bound and builds no kernel."""
+    a = meson(4)
+    res = h23(a, adjoint(a))
+    assert (res.dim_z, res.dim_b) == (10, 10)
+    assert res.z_basis is res.b_basis
+    assert not cleared
 
 
 def test_kernel_rows_do_not_depend_on_the_entry_type():

@@ -1,4 +1,6 @@
+import collections
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -23,20 +25,25 @@ from lieyamaguti import (
 )
 import lieyamaguti.algebra
 import lieyamaguti.cohomology
+import lieyamaguti.linalg
 from lieyamaguti.cohomology import (
     Cochain,
     CochainPair,
+    _coboundaries,
     _cochain_groups,
+    _cohomology,
     _delta_op,
     _delta_star_op,
+    _Operator,
     _shape,
+    _space,
     cochain_dim,
     delta_matrix,
     delta_star_matrix,
     delta_zero_matrix,
     transport_defects,
 )
-from lieyamaguti.errors import ShapeMismatch, SizeCapExceeded
+from lieyamaguti.errors import CocycleContainmentFailure, ShapeMismatch, SizeCapExceeded
 from lieyamaguti.cli import run
 from lieyamaguti.fixtures import cross_product_lie, fixture, render
 from lieyamaguti.linalg import Matrix, SubspaceBasis, sparse_kernel
@@ -44,6 +51,7 @@ from lieyamaguti.representation import check_rlyb7
 
 from random_cochains import eval_vectors, random_c1, random_cochain, random_cochain_pair
 from test_denominators import rebased
+from test_semidirect_cohomology import AFF1_AD, HEIS_AD
 
 
 def test_cochain_dim_examples():
@@ -554,6 +562,130 @@ def test_groups_never_densify(monkeypatch):
     assert h23(a, r).dim == 9
     assert h_upper(a, r, 2).dim == 22
     assert transport_defects(a, r, 1, [(identity, identity)]) == [0]
+
+
+def test_cochain_zero_test():
+    d, e = 3, 2
+    zero = CochainPair.zero(1, d, e)
+    assert zero.f.is_zero() and zero.g.is_zero() and zero.is_zero()
+    flat = zero.flat()
+    flat[-1] = Fraction(1, 3)
+    last = CochainPair.from_flat(1, d, e, flat)
+    assert last.f.is_zero() and not last.g.is_zero() and not last.is_zero()
+    # below d = 3 delta* has an empty target, whose cochains are zero
+    a = meson(2)
+    r = adjoint(a)
+    parts = delta_star(a, r, CochainPair.from_flat(1, a.dim, r.e, range(1, 7)))
+    assert [(c.coeffs, c.is_zero()) for c in parts] == [((), True), ((), True)]
+
+
+@pytest.fixture()
+def eliminated(monkeypatch):
+    """Per ``_cohomology`` call: (rows the elimination read, rows offered in order, stop rank, rank)."""
+    calls = []
+    eliminate = lieyamaguti.cohomology._eliminate
+
+    def counting(rows, stop):
+        rows = list(rows)
+        read = []
+        pivots = eliminate((read.append(row) or row for row in rows), stop)
+        calls.append((len(read), [tuple(row.items()) for row in rows], stop, len(pivots)))
+        return pivots
+
+    monkeypatch.setattr(lieyamaguti.cohomology, "_eliminate", counting)
+    return calls
+
+
+def _every_row_eliminated(a, r, p):
+    """Z and B of level p by a full elimination of every row out, in held order."""
+    into, out = _coboundaries(a, r, p)
+    cols = out[0][2].cols
+    z = sparse_kernel(cols, itertools.chain.from_iterable(op.lines for _, _, op in out))
+    b = into[0][2].image() if into else SubspaceBasis(cols)
+    return z, b
+
+
+def _bound_cases(corpus):
+    for name, (a, ad) in corpus.items():
+        for p in (0, 1, 2):
+            yield f"{name}/adjoint/{p}", a, ad, p
+            yield f"{name}/trivial1/{p}", a, trivial_rep(a, 1), p
+    for name, a in (("aff1⋉ad", AFF1_AD), ("heis⋉ad", HEIS_AD)):
+        for p in (0, 1):
+            yield f"{name}/adjoint/{p}", a, adjoint(a), p
+            yield f"{name}/trivial1/{p}", a, trivial_rep(a, 1), p
+    for base in (example_3dim(), cross_product_lie()):
+        a = rebased(base)
+        for p in (1, 2):
+            yield f"rebased {base.name}/adjoint/{p}", a, adjoint(a), p
+            yield f"rebased {base.name}/trivial2/{p}", a, trivial_rep(a, 2), p
+
+
+def test_rank_bound_keeps_z_and_b(corpus, eliminated):
+    """``_cohomology``'s Z and B equal those of a full elimination, on both sides of the rank bound.
+
+    The rows go to the elimination sparse first, ties in held order.
+    """
+    paths = collections.Counter()
+    for key, a, r, p in _bound_cases(corpus):
+        res = _cohomology(a, r, p, lieyamaguti.cohomology.DEFAULT_SIZE_CAP)
+        z, b = _every_row_eliminated(a, r, p)
+        assert (res.z_basis.vectors, res.b_basis.vectors) == (z.vectors, b.vectors), key
+        assert res.delta_squared_zero
+        read, rows, stop, rank = eliminated[-1]
+        held = [line for _, _, op in _coboundaries(a, r, p)[1] for line in op.lines]
+        assert rows == sorted(held, key=len), key
+        offered = len(rows)
+        assert stop == z.ambient_dim - b.dim, key
+        if z.dim == b.dim:
+            assert rank == stop and res.z_basis is res.b_basis, key
+            paths["bound", read < offered] += 1
+        else:
+            assert read == offered and rank == z.ambient_dim - z.dim, key
+            paths["full"] += 1
+    # both paths run, and the bound skips rows somewhere
+    assert paths["full"] and paths["bound", True]
+
+
+def test_aff1_semidirect_adjoint_takes_the_full_path(eliminated):
+    r = adjoint(AFF1_AD)
+    res = h23(AFF1_AD, r)
+    assert (res.dim_z, res.dim_b, res.dim) == (19, 11, 8)
+    read, rows, stop, rank = eliminated[-1]
+    assert read == len(rows) and rank < stop
+
+
+@pytest.mark.parametrize("name, where", [("meson4", "skipped"), ("meson4", "eliminated"), ("3dim", "eliminated")])
+def test_a_corrupted_delta_1_row_fails_containment(name, where):
+    """One held delta_1 row no longer kills B: h23 raises, whether the bound skips that row or not.
+
+    meson(4) has Z = B and reaches its rank bound, so the composite check
+    catches the row; 3dim has H = 9, one row cannot lift its rank to the
+    bound, and the kernel's containment test catches it.
+    """
+    a = meson(4) if name == "meson4" else example_3dim()
+    r = adjoint(a)
+    into, out = _coboundaries(a, r, 1)
+    d0, d1 = into[0][2], out[0][2]
+    lines = [line for _, _, op in out for line in op.lines]
+    order = sorted(range(len(lines)), key=lambda i: len(lines[i]))
+    read = []
+    lieyamaguti.linalg._eliminate((read.append(i) or dict(lines[i]) for i in order), d1.cols - d0.image().dim)
+    # meson(4) reaches the bound before the last rows of delta_1
+    skipped = [i for i in order if i not in read and i < d1.rows]
+    assert bool(skipped) == (name == "meson4")
+    # a row whose entry in some column k with a nonzero delta_0 row k is doubled
+    victim = next(
+        i for i in (reversed(skipped) if where == "skipped" else read)
+        if i < d1.rows and any(d0.lines[k] for k, _ in lines[i])
+    )
+    k = next(k for k, _ in lines[victim] if d0.lines[k])
+    corrupted = list(d1.lines)
+    corrupted[victim] = tuple((col, 2 * x if col == k else x) for col, x in lines[victim])
+    a._operators[id(r)][2][_space(1), _space(2)] = _Operator(d1.cols, tuple(corrupted), d1.scale)
+    with pytest.raises(CocycleContainmentFailure):
+        h23(a, r)
+
 
 def test_validation_runs_once_per_entry_point(monkeypatch, rng, tmp_path, capsys):
     """A fresh algebra is validated once across every entry point; a CLI job validates once."""
