@@ -23,17 +23,18 @@ to the sign of sorting each group.
 
 The complex is indexed by level p: level 0 is C^1 and level p >= 1 is
 C^(2p,2p+1).  delta = (delta_I, delta_II) maps level p to level p + 1 for
-every p >= 0; delta_zero is delta at p = 0, one term generator for both.  The
-auxiliary delta* leaves level 1.  Each operator is sparse, defined only by
-its term generator and assembled on the representatives of its target shape
-from the integer tables of ``representation._integer_data``: with den the
-LCM of the denominators of the algebra and the module, rho and the binary
-bracket (weight 1) are cleared by den and get a second factor den, D, theta
-and the ternary bracket (weight 2) are cleared by den**2, and delta*'s
-identity term is den**2.  Assembly skips every term whose module map is
-zero (each rho, D and theta term of a trivial module) and locates each
-distinct source tuple in its shape once per operator, through a map from the
-tuple to its sign and column local to the call.  The operator is held as its
+every p >= 0; delta_zero is delta at p = 0, one assembly for both.  The
+auxiliary delta* leaves level 1.  Each operator is sparse, contracted from
+the integer tables of ``representation._integer_data``: with den the LCM of
+the denominators of the algebra and the module, rho and the binary bracket
+(weight 1) are cleared by den and get a second factor den, D, theta and the
+ternary bracket (weight 2) are cleared by den**2, and delta*'s identity term
+is den**2.  Assembly walks only the nonzero bracket slots and the nonzero
+rho, D and theta maps, and adds each into every row it reaches.  Rows and
+columns are found by index arithmetic over the pair basis: C(d, 2)
+increasing pairs per pair slot, times d for a trailing slot, times e.  So no
+argument tuple is built or looked up, and a zero module map (each rho, D and
+theta of a trivial module) costs nothing.  The operator is held as its
 rows, the e rows of each target tuple, each a tuple of nonzero (col, int)
 entries, together with the one scale den**2 that they are divided by.  It
 is assembled at most once per (algebra instance, module object) and held on
@@ -229,7 +230,7 @@ class CochainPair:
 
 
 # ---------------------------------------------------------------------------
-# coboundaries: one term generator each, assembled into a sparse operator
+# sparse operators: coboundaries contracted from the nonzero slots, transport from its terms
 
 
 class _Operator(NamedTuple):
@@ -292,7 +293,10 @@ class _Operator(NamedTuple):
 
 
 def _assemble(d: int, e: int, src: tuple, dst: tuple, terms, data, scale: int = 1) -> _Operator:
-    """Operator between the direct sums of the shapes with slot groups ``src`` and ``dst``.
+    """Operator between the direct sums of the shapes with slot groups ``src`` and ``dst``, from a term generator.
+
+    Transport maps are built here (``_transport_terms``); the coboundaries
+    are contracted from their nonzero slots instead.
 
     The e rows of each representative target tuple xs hold the sum of
     coeff * mat * h(tup) over the terms (coeff, mat, tup) of ``terms(data, xs)``:
@@ -333,69 +337,170 @@ def _assemble(d: int, e: int, src: tuple, dst: tuple, terms, data, scale: int = 
                     for l, x in entries:
                         k = col + l
                         row[k] = row.get(k, 0) + c * x
-            lines += (tuple((k, x) for k, x in row.items() if x) for row in rows)
+            lines += _lines(rows)
     return _Operator(cols, tuple(lines), scale)
 
 
-def _weighted(coeff, tup: tuple, slot: int, weights: Sequence[tuple]):
-    """Terms of h(tup) with the argument in ``slot`` replaced by the sparse vector ``weights``.
+def _frame(free: Sequence[tuple]) -> list:
+    """The (row, col) offset of every combination of the free slots, each given as (count, row stride, col stride)."""
+    frame = [(0, 0)]
+    for count, row_stride, col_stride in free:
+        frame = [(r + x * row_stride, c + x * col_stride) for r, c in frame for x in range(count)]
+    return frame
 
-    The term generators call it only for a nonempty ``weights``: most bracket
-    slots of a sparse algebra are empty, and a generator per slot would cost
-    more than its terms.
+
+def _scatter(rows: list, frame: list, row0: int, col0: int, entries: list) -> None:
+    """rows[row0 + r + m][col0 + c + l] += x for each (r, c) in ``frame`` and each (m, l, x) in ``entries``."""
+    for m, l, x in entries:
+        m += row0
+        l += col0
+        for r, c in frame:
+            row = rows[r + m]
+            k = c + l
+            row[k] = row.get(k, 0) + x
+
+
+def _entries(coeff: int, mat: list) -> list:
+    """(m, l, coeff * x) for each entry (l, x) of row m of a module map in row form."""
+    return [(m, l, coeff * x) for m, row in enumerate(mat) for l, x in row]
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_moves(d: int, z: int, l: int) -> tuple:
+    """(pair, pair, sign) for each y != z, l: the increasing pair of {z, y}, that of {l, y} once z is replaced by l."""
+    _, pair_of = _alternating(2, d)
+    moves = []
+    for y in range(d):
+        if y != z and y != l:
+            (s, q), (t, r) = pair_of[z, y], pair_of[l, y]
+            moves.append((q, r, s * t))
+    return tuple(moves)
+
+
+def _lines(rows: list) -> tuple:
+    """The accumulated rows as held lines: their nonzero entries, a row with none cancelled taken whole.
+
+    Each dict in ``rows`` is replaced by its line as soon as that is built,
+    so the dicts and the lines of a large operator are never all held at once.
     """
-    args = list(tup)
-    for l, w in weights:
-        args[slot] = l
-        yield coeff * w, None, tuple(args)
+    for n, row in enumerate(rows):
+        rows[n] = tuple(row.items()) if 0 not in row.values() else tuple((k, x) for k, x in row.items() if x)
+    return tuple(rows)
 
 
-def _delta_terms(data: tuple, xs: tuple):
-    """delta_I (f, g) on 2p+2 arguments and delta_II (f, g) on 2p+3 arguments, times den**2.
+def _delta_assembled(d: int, e: int, data: tuple, p: int) -> _Operator:
+    """delta_p times den**2, contracted from the nonzero slots of ``data`` (``representation._integer_data``).
 
-    ``data`` is ``representation._integer_data`` of the pair: rho and the
-    binary bracket carry one factor den and get a second here, D, theta and
-    the ternary bracket carry den**2.  At p = 0 every term reads the
-    one-argument component, so this is delta_zero on C^1.
+    Rows are delta_I's target C^(2p+2), then delta_II's C^(2p+3); columns
+    are level p.  A tuple of pair slots P_1, ..., P_n (plus a trailing slot
+    c) has the flat offset of its digits in the pair basis: ((P_1 * C(d, 2)
+    + P_2) ... ) * d + c, times e.  With (x_a, x_b) = P_(p+1), head = P_1 ..
+    P_p and sign (-1)**p, the terms are
+
+        delta_I:  sign (rho(x_a) g(head, x_b) - rho(x_b) g(head, x_a) - g(head, [x_a, x_b]))
+                  + sum_(k <= p) (-1)**(k+1) (D(P_k) f(P without P_k)
+                                              - sum_z f(P without P_k, z -> {P_k, z}))
+        delta_II: sign (theta(x_b, c) g(head, x_a) - theta(x_a, c) g(head, x_b))
+                  + sum_(k <= p+1) the same with g, c kept and among the slots z
+
+    where z runs over the slots after P_k, and f (g at p = 0) is the
+    2p-component and g the (2p+1)-component.
+    rho and the binary bracket carry one factor den and get a second here.
+    Each nonzero map and slot is added into every row it reaches: the pair
+    slot it fills fixes part of the row and column offset, and the other
+    slots run through a frame of offsets.
     """
     den, binary, ternary, rho, dmap, theta = data
-    p = (len(xs) - 2) // 2
-    sgn_p = (-1) ** p
-    head = xs[: 2 * p]
-    if len(xs) == 2 * p + 2:
-        x_a, x_b = xs[2 * p :]
-        yield sgn_p * den, rho[x_a], head + (x_b,)
-        yield -sgn_p * den, rho[x_b], head + (x_a,)
-        if weights := binary[x_a][x_b]:
-            yield from _weighted(-sgn_p * den, head + (0,), 2 * p, weights)
-        ks = range(1, p + 1)
-    else:
-        x_a, x_b, x_c = xs[2 * p :]
-        yield sgn_p, theta[x_b][x_c], head + (x_a,)
-        yield -sgn_p, theta[x_a][x_c], head + (x_b,)
-        ks = range(1, p + 2)
-    for k in ks:
-        i, j = xs[2 * k - 2], xs[2 * k - 1]
-        reduced = xs[: 2 * k - 2] + xs[2 * k :]
-        yield (-1) ** (k + 1), dmap[i][j], reduced
-        for pos in range(2 * k, len(xs)):
-            if weights := ternary[i][j][xs[pos]]:
-                yield from _weighted((-1) ** k, reduced, pos - 2, weights)
+    pairs, pair_of = _alternating(2, d)
+    nq, sign_p, n = len(pairs), (-1) ** p, p + 1
+    # strides of the pair slots: rows of delta_I, rows of delta_II, columns of f, columns of g
+    row_i = [nq ** (n - 1 - t) * e for t in range(n)]
+    row_ii = [x * d for x in row_i]
+    col_f = [nq ** (p - 1 - t) * e for t in range(p)]
+    col_g = [x * d for x in col_f]
+    start_ii = nq**n * e
+    start_g = nq**p * e if p else 0
+    rows = [{} for _ in range(start_ii * (d + 1))]
+    unit = [[(m, 1)] for m in range(e)]  # the identity map in row form
+
+    head = _frame([(nq, row_i[t], col_g[t]) for t in range(p)])
+    for u in range(d):
+        if any(rho[u]):
+            for v in range(d):
+                if v != u:
+                    s, q = pair_of[u, v]
+                    _scatter(rows, head, q * row_i[p], start_g + v * e, _entries(s * sign_p * den, rho[u]))
+    for q, (u, v) in enumerate(pairs):
+        for l, w in binary[u][v]:
+            _scatter(rows, head, q * row_i[p], start_g + l * e, _entries(-sign_p * den * w, unit))
+    head = _frame([(nq, row_ii[t], col_g[t]) for t in range(p)])
+    for v, c in itertools.product(range(d), repeat=2):
+        if any(theta[v][c]):
+            for u in range(d):
+                if u != v:
+                    s, q = pair_of[u, v]
+                    row0 = start_ii + q * row_ii[p] + c * e
+                    _scatter(rows, head, row0, start_g + u * e, _entries(s * sign_p, theta[v][c]))
+
+    d_maps = [(q, mat) for q, (i, j) in enumerate(pairs) if any(mat := dmap[i][j])]
+    t_terms = [(q, z, l, w) for q, (i, j) in enumerate(pairs) for z in range(d) for l, w in ternary[i][j][z]]
+    for row0, strides, col0, cols, trailing in ((0, row_i, 0, col_f, 0), (start_ii, row_ii, start_g, col_g, 1)):
+        tail = [(d, e, e)] * trailing
+        for k in range(p + trailing):
+            # pair slot k goes; a later slot t of the target is slot t - 1 of the source
+            sign_k = (-1) ** k
+            kept = {t: (nq, strides[t], cols[t - (t > k)]) for t in range(n) if t != k}
+            frame = _frame([*kept.values(), *tail])
+            for q, mat in d_maps:
+                _scatter(rows, frame, row0 + q * strides[k], col0, _entries(sign_k, mat))
+            if not t_terms:
+                continue
+            for t in range(k + 1, n):
+                frame = _frame([slot for u, slot in kept.items() if u != t] + tail)
+                for q, z, l, w in t_terms:
+                    for qt, qs, s in _pair_moves(d, z, l):
+                        at = row0 + q * strides[k] + qt * strides[t]
+                        _scatter(rows, frame, at, col0 + qs * kept[t][2], _entries(-sign_k * w * s, unit))
+            if trailing:
+                frame = _frame(list(kept.values()))
+                for q, z, l, w in t_terms:
+                    _scatter(rows, frame, row0 + q * strides[k] + z * e, col0 + l * e, _entries(-sign_k * w, unit))
+    return _Operator(start_g + nq**p * d * e, _lines(rows), den * den)
 
 
-def _delta_star_terms(data: tuple, xs: tuple):
-    """delta* (f, g) on (x1, x2, x3) and (x1, x2, x3, x4) times den**2: cyclic sums over x1, x2, x3."""
+def _delta_star_assembled(d: int, e: int, data: tuple) -> _Operator:
+    """delta* times den**2, from the nonzero slots of ``data``; rows delta*_I's (3,), then delta*_II's (3, 1).
+
+    Each cyclic order (u, v, w) of an increasing triple x1 < x2 < x3 adds
+    f([u, v], w) - rho(u) f(v, w) + g(u, v, w) to the triple's rows of
+    delta*_I, and g([u, v], w, x4) + theta(u, x4) f(v, w) to its rows of
+    delta*_II at every x4.
+    """
     den, binary, _, rho, _, theta = data
-    x0, x1, x2 = xs[:3]
-    tail = xs[3:]
-    for u, v, w in ((x0, x1, x2), (x1, x2, x0), (x2, x0, x1)):
-        if weights := binary[u][v]:
-            yield from _weighted(den, (0, w) + tail, 0, weights)
-        if tail:
-            yield 1, theta[u][tail[0]], (v, w)
-        else:
-            yield -den, rho[u], (v, w)
-            yield den * den, None, (u, v, w)
+    triples, triple_of = _alternating(3, d)
+    pairs, pair_of = _alternating(2, d)
+    start_ii, start_g = len(triples) * e, len(pairs) * e
+    rows = [{} for _ in range(start_ii * (d + 1))]
+    unit = [[(m, 1)] for m in range(e)]
+    point, fourth = [(0, 0)], _frame([(d, e, e)])
+    for (u, v, w), (sign, t) in triple_of.items():
+        if sign < 0:
+            continue
+        row_i, row_ii = t * e, start_ii + t * d * e
+        s, q = pair_of[u, v]
+        _scatter(rows, point, row_i, start_g + (q * d + w) * e, _entries(s * den * den, unit))
+        for l, x in binary[u][v]:
+            if l != w:
+                s, q = pair_of[l, w]
+                _scatter(rows, point, row_i, q * e, _entries(s * den * x, unit))
+                _scatter(rows, fourth, row_ii, start_g + q * d * e, _entries(s * den * x, unit))
+        s, q = pair_of[v, w]
+        if any(rho[u]):
+            _scatter(rows, point, row_i, q * e, _entries(-s * den, rho[u]))
+        for x4 in range(d):
+            if any(theta[u][x4]):
+                _scatter(rows, point, row_ii + x4 * e, q * e, _entries(s, theta[u][x4]))
+    return _Operator(start_g + len(pairs) * d * e, _lines(rows), den * den)
 
 
 def _minor(m, rows: tuple, cols: tuple):
@@ -433,12 +538,12 @@ def _transport_terms(data: tuple, xs: tuple):
         yield coeff, value, tup
 
 
-def _held(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, terms) -> _Operator:
-    """The operator of ``terms`` from ``src`` to ``dst``, assembled at most once and held on ``a``.
+def _held(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, assemble, *args) -> _Operator:
+    """The operator ``assemble(d, e, data, *args)`` from ``src`` to ``dst``, assembled at most once and held on ``a``.
 
     The entry for ``r`` in ``a._operators`` is found by id and confirmed by
     identity, so a module equal to ``r`` but not ``r`` gets its own operators.
-    It also holds ``_integer_data(a, r)``, cleared once per (algebra,
+    It also holds ``data = _integer_data(a, r)``, cleared once per (algebra,
     module) and read by every assembly, each with scale den**2.
     """
     entry = a._operators.get(id(r))
@@ -446,16 +551,16 @@ def _held(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, terms) -> _Op
         entry = a._operators[id(r)] = (r, _integer_data(a, r), {})
     _, data, ops = entry
     if (src, dst) not in ops:
-        ops[src, dst] = _assemble(a.dim, r.e, src, dst, terms, data, data[0] ** 2)
+        ops[src, dst] = assemble(a.dim, r.e, data, *args)
     return ops[src, dst]
 
 
 def _delta_op(a: LYAlgebra, r: Representation, p: int) -> _Operator:
-    return _held(a, r, _space(p), _space(p + 1), _delta_terms)
+    return _held(a, r, _space(p), _space(p + 1), _delta_assembled, p)
 
 
 def _delta_star_op(a: LYAlgebra, r: Representation) -> _Operator:
-    return _held(a, r, _space(1), _STAR_TARGET, _delta_star_terms)
+    return _held(a, r, _space(1), _STAR_TARGET, _delta_star_assembled)
 
 
 def _coboundaries(a: LYAlgebra, r: Representation, p: int) -> tuple[list, list]:
@@ -598,11 +703,11 @@ def _require_scan(n: int, what: str) -> None:
 def _check_work(largest: int, p: int, cap: int) -> None:
     """Refuse levels whose assembly work, ``largest`` * (2p+3)**3, is over ``cap`` * 7**3.
 
-    Each coordinate of C^(2p+3) (``largest`` of them) gets O(p**2) terms,
-    and each term builds and hashes an argument tuple of up to 2p + 3
-    entries to find it in the call's map of located tuples (a tuple not yet
-    there is located once, by walking its p + 1 slot groups), so assembly
-    grows as largest * (2p+3)**3 even where largest stays small
+    Each coordinate of C^(2p+3) (``largest`` of them) receives O(p**2)
+    contributions, one per (removed pair slot, later slot) placement of a
+    ternary term, each added by index arithmetic.  Each of those O(p**2)
+    placements also builds a frame of offsets over the other p slots, so
+    assembly grows as largest * (2p+3)**3 even where largest stays small
     (e * d on a 2-dim algebra).  Up to p = 2 the bound follows from the
     coordinate cap; above, a level counts at least one coordinate, since it
     still builds shapes of its arity.  Nothing p-sized is built or formatted.

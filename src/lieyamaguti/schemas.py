@@ -12,7 +12,9 @@ appear once in either format.
 ``frac_from_json`` is the one reader of rationals from outside, the CLI's
 --tol included.  It accepts what Fraction accepts ("1.5", "1e-9") but
 refuses a decimal exponent E whose 10**|E| would be longer than
-``exprs.MAX_POWER_BITS`` bits, before computing it.  Lists are read with
+``exprs.MAX_POWER_BITS`` bits, before computing it.  Algebra, cochain-pair
+and bundle-sample loads read it through one per-load memo, ``_rationals``,
+so each distinct literal is parsed once per load.  Lists are read with
 ``_list``/``_as_list``, which name the field they refuse.  Every algebra,
 bundle fibres included, has its dimension bounded before it is built
 (``cohomology._require_scan``), and every bundle its evaluation work, the
@@ -74,14 +76,35 @@ def frac_from_json(v) -> Fraction:
     raise ShapeMismatch(f"bad rational value {v!r} (use ints or 'p/q' strings)")
 
 
+def _rationals(v: list, parsed: dict) -> tuple[Fraction, ...]:
+    """``frac_from_json`` of each literal in ``v``, read once per load through the memo ``parsed``.
+
+    ``parsed`` maps (JSON type, literal) to the rational already read from
+    it in this load.  The type keeps ``true`` and ``1.0``, which are refused,
+    off the entry of ``1``; a refused literal is not remembered, so each
+    occurrence is refused where it stands.
+    """
+    out = []
+    for x in v:
+        key = (type(x), x) if type(x) in (int, str) else None
+        value = parsed.get(key)
+        if value is None:
+            value = frac_from_json(x)
+            if key is not None:
+                parsed[key] = value
+        out.append(value)
+    return tuple(out)
+
+
 def vec_to_json(v) -> list[str]:
     return [frac_to_str(x) for x in v]
 
 
-def vec_from_json(v, length: int | None = None) -> tuple[Fraction, ...]:
+def vec_from_json(v, length: int | None, parsed: dict) -> tuple[Fraction, ...]:
+    """A vector of rationals, read through the load's memo ``parsed`` (``_rationals``)."""
     if not isinstance(v, list):
         raise ShapeMismatch("expected a list of rationals")
-    out = tuple(frac_from_json(x) for x in v)
+    out = _rationals(v, parsed)
     if length is not None and len(out) != length:
         raise ShapeMismatch(f"expected a vector of length {length}, got {len(out)}")
     return out
@@ -141,12 +164,12 @@ def _entries_to_json(d: int, arity: int, value) -> list:
     return out
 
 
-def _entries_from_json(entries, arity: int, d: int, length: int, what: str):
+def _entries_from_json(entries, arity: int, d: int, length: int, what: str, parsed: dict):
     """Yield (0-based index tuple, vector) for each 1-based entry, in file order.
 
     An entry is [i, j, vector] (arity 2) or [i, j, k, vector] (arity 3) with
-    1 <= i < j <= d and 1 <= k <= d; each vector has ``length`` rationals.
-    An index tuple may appear once.
+    1 <= i < j <= d and 1 <= k <= d; each vector has ``length`` rationals,
+    read through the load's memo ``parsed``.  An index tuple may appear once.
     """
     form = "[i, j, vector]" if arity == 2 else "[i, j, k, vector]"
     if not isinstance(entries, list):
@@ -162,7 +185,7 @@ def _entries_from_json(entries, arity: int, d: int, length: int, what: str):
         if idx in seen:
             raise ShapeMismatch(f"duplicate {what} entry {idx}")
         seen.add(idx)
-        yield tuple(x - 1 for x in idx), vec_from_json(vec, length)
+        yield tuple(x - 1 for x in idx), vec_from_json(vec, length, parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +202,19 @@ def algebra_to_json(a: LYAlgebra) -> dict:
 
 
 def algebra_from_json(obj) -> LYAlgebra:
-    """The algebra of a JSON object; a dim over 27 (``cohomology._require_scan``) is refused first."""
+    """The algebra of a JSON object; a dim over 27 (``cohomology._require_scan``) is refused first.
+
+    Each distinct structure-constant literal is parsed once per call.
+    """
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ShapeMismatch("algebra JSON must be an object with a 'dim' field")
     d = _integer(obj["dim"], "'dim'")
     if d < 0:
         raise ShapeMismatch("'dim' must be a non-negative integer")
     _require_scan(d, "an algebra")
-    binary = dict(_entries_from_json(obj.get("binary", []), 2, d, d, "binary"))
-    ternary = dict(_entries_from_json(obj.get("ternary", []), 3, d, d, "ternary"))
+    parsed = {}
+    binary = dict(_entries_from_json(obj.get("binary", []), 2, d, d, "binary", parsed))
+    ternary = dict(_entries_from_json(obj.get("ternary", []), 3, d, d, "ternary", parsed))
     return from_sparse(d, binary, ternary, str(obj.get("name", "")))
 
 
@@ -240,9 +267,9 @@ def cochain_pair_from_json(obj, d: int, e: int) -> CochainPair:
     if not isinstance(obj, dict) or _integer(obj.get("p", 1), "'p'") != 1:
         raise ShapeMismatch("cochain JSON must be an object with p = 1")
     f, g = (_shape(groups, d, e) for groups in _pair_space(1))
-    flat = [0] * (f.dim + g.dim)
+    flat, parsed = [0] * (f.dim + g.dim), {}
     for key, arity, shape, shift in (("f", 2, f, 0), ("g", 3, g, f.dim)):
-        for idx, vec in _entries_from_json(obj.get(key, []), arity, d, e, key):
+        for idx, vec in _entries_from_json(obj.get(key, []), arity, d, e, key, parsed):
             base = shift + shape.offset(idx)[1]
             flat[base : base + e] = vec
     return CochainPair.from_flat(1, d, e, flat)
@@ -260,27 +287,16 @@ def _required(obj: dict, key: str, what: str):
 
 
 def _point(v, what: str, parsed: dict) -> tuple[Fraction, ...]:
-    """A sample point of the object ``what``; a bad one is refused naming the object and the field.
+    """A sample point of the object ``what``, read through the load's memo ``parsed`` (``_rationals``).
 
-    ``parsed`` maps (JSON type, literal) to the rational already read from it
-    in this load, so each distinct literal is parsed once; the type keeps
-    ``true`` and ``1.0``, which are refused, off the entry of ``1``.
+    A bad point is refused naming the object and the field.
     """
     if not isinstance(v, list):
         raise ShapeMismatch(f"{what}: a point in 'samples' must be a list of rationals, got {v!r}")
-    out = []
-    for x in v:
-        key = (type(x), x) if type(x) in (int, str) else None
-        value = parsed.get(key)
-        if value is None:
-            try:
-                value = frac_from_json(x)
-            except ShapeMismatch as exc:
-                raise ShapeMismatch(f"{what}: a point in 'samples': {exc}") from None
-            if key is not None:
-                parsed[key] = value
-        out.append(value)
-    return tuple(out)
+    try:
+        return _rationals(v, parsed)
+    except ShapeMismatch as exc:
+        raise ShapeMismatch(f"{what}: a point in 'samples': {exc}") from None
 
 
 def _entry(x, what: str, row: int, col: int):

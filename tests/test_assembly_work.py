@@ -1,10 +1,13 @@
 """Work per assembly and per elimination.
 
-``_assemble`` locates each distinct source tuple once per call and drops the
-terms whose matrix is all zero before locating anything; the elimination
-takes a held operator's int rows as they are and clears only rows holding a
-non-int, and a level whose rank bound is reached builds no kernel.  The operators themselves are pinned entrywise in
-``test_cohomology``; these tests count the work.
+The coboundaries are contracted from the nonzero slots by index arithmetic:
+they locate no argument tuple, and a zero module map adds nothing.
+``_assemble``, which builds the transport maps, locates each distinct source
+tuple once per call.  The elimination takes a held operator's int rows as
+they are and clears only rows holding a non-int, and a level whose rank
+bound is reached builds no kernel.  The operators themselves are pinned
+entrywise in ``test_cohomology`` and ``test_coboundary_oracle``; these tests
+count the work.
 """
 
 import collections
@@ -12,19 +15,21 @@ from fractions import Fraction
 
 import pytest
 
+import lieyamaguti.cohomology
 import lieyamaguti.linalg
 from lieyamaguti import adjoint, example_3dim, h23, meson, trivial_rep
 from lieyamaguti.cohomology import (
-    _STAR_TARGET,
     _assemble,
     _delta_op,
-    _delta_star_terms,
-    _delta_terms,
+    _delta_star_op,
     _Shape,
+    _shape,
     _space,
+    _transport_terms,
 )
 from lieyamaguti.linalg import sparse_kernel
-from lieyamaguti.representation import _integer_data
+
+from coboundary_terms import delta_star_terms, delta_terms, reference_operator
 
 
 @pytest.fixture()
@@ -41,47 +46,71 @@ def located(monkeypatch):
     return calls
 
 
-def _assemble_level(a, r, src, dst, terms):
-    data = _integer_data(a, r)
-    return _assemble(a.dim, r.e, src, dst, terms, data, data[0] ** 2)
-
-
 def test_each_source_tuple_is_located_once_per_assembly(located):
+    """A transport map locates each tuple once per call; a coboundary locates none."""
     a = example_3dim()
     r = adjoint(a)
+    # s on the module, and a dense map on the arguments, so every target tuple has many terms
+    s = [[0, 1, 0], [1, 0, 0], [0, 0, -1]]
+    data = ([[(l, x) for l, x in enumerate(row) if x] for row in s], [[1, 2, 0], [0, 1, 3], [1, 0, 1]], _space(2), {})
     seen = []
 
     def recording(data, xs):
-        for term in _delta_terms(data, xs):
+        for term in _transport_terms(data, xs):
             seen.append(term)
             yield term
 
     for _ in range(2):
         located.clear()
-        _assemble_level(a, r, _space(2), _space(3), recording)
+        _assemble(a.dim, r.e, _space(2), _space(2), recording, data)
         assert located, "nothing was located"
         assert max(collections.Counter(located).values()) == 1
     # the terms name each tuple many times over
     assert len(seen) > 2 * 2 * len(located)
     assert {tup for _, _, tup in seen} == {tup for _, tup in located}
+    located.clear()
+    for p in range(3):
+        _delta_op(a, r, p)
+    _delta_star_op(a, r)
+    assert located == []
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, "star"])
-def test_zero_module_maps_never_reach_the_lookup(located, p):
-    """On a trivial module every rho, D and theta term is dropped before its tuple is located."""
+def test_zero_module_maps_never_reach_the_lookup(monkeypatch, p):
+    """On a trivial module every rho, D and theta term is dropped before it reaches a row.
+
+    The contraction adds e entries for each bracket term of the reference
+    generator whose tuple is nonzero in its shape, and nothing for the terms
+    of the zero module maps, which the generator still yields.
+    """
     a = example_3dim()
     r = trivial_rep(a, 2)
-    zero_terms, identity_terms = set(), set()
+    added = []
+    scatter = lieyamaguti.cohomology._scatter
+
+    def counting(rows, frame, row0, col0, entries):
+        added.append(len(frame) * len(entries))
+        return scatter(rows, frame, row0, col0, entries)
+
+    monkeypatch.setattr(lieyamaguti.cohomology, "_scatter", counting)
+    op = _delta_star_op(a, r) if p == "star" else _delta_op(a, r, p)
+    terms = delta_star_terms if p == "star" else delta_terms
+    zero_terms, bracket_terms = [], []
 
     def recording(data, xs):
-        for coeff, mat, tup in (_delta_star_terms if p == "star" else _delta_terms)(data, xs):
-            (identity_terms if mat is None else zero_terms).add(tup)
+        for coeff, mat, tup in terms(data, xs):
+            (bracket_terms if mat is None else zero_terms).append(tup)
             yield coeff, mat, tup
 
-    src, dst = (_space(1), _STAR_TARGET) if p == "star" else (_space(p), _space(p + 1))
-    _assemble_level(a, r, src, dst, recording)
-    assert zero_terms - identity_terms, "every module-map tuple is also reached by a bracket term"
-    assert {tup for _, tup in located} == identity_terms
+    reference = reference_operator(a, r, p, recording)
+    assert [dict(line) for line in op.lines] == [dict(line) for line in reference.lines]
+    assert zero_terms, "the generator yields no module-map term"
+    shapes = [_shape(groups, a.dim, r.e) for groups in (_space(1) if p == "star" else _space(p))]
+    shapes = {shape.n: shape for shape in shapes}
+    nonzero = [tup for tup in bracket_terms if shapes[len(tup)].offset(tup)[0]]
+    # no call reaches the rows with nothing to add: a zero map is never visited
+    assert 0 not in added
+    assert sum(added) == r.e * len(nonzero)
 
 
 @pytest.fixture()

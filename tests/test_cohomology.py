@@ -255,9 +255,13 @@ def test_h23_size_cap(monkeypatch):
     def no_assembly(*args):
         raise AssertionError("assembled an operator over the cap")
 
-    monkeypatch.setattr(lieyamaguti.cohomology, "_assemble", no_assembly)
-    with pytest.raises(SizeCapExceeded, match="81 coordinates, cap is 80"):
-        h23(a, r, cap=80)
+    for name in ("_delta_assembled", "_delta_star_assembled"):
+        monkeypatch.setattr(lieyamaguti.cohomology, name, no_assembly)
+    # a fresh algebra holds no operator yet, so an assembly before the cap check would show
+    fresh = meson(3)
+    for b, s in ((a, r), (fresh, adjoint(fresh))):
+        with pytest.raises(SizeCapExceeded, match="81 coordinates, cap is 80"):
+            h23(b, s, cap=80)
 
 def test_cap_refuses_a_huge_level_without_building_it(monkeypatch):
     """C^(2p+3) has e * d * C(d, 2)**(p+1) coordinates, counted exactly up to 2**2048."""

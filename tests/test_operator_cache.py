@@ -1,7 +1,8 @@
 """Each coboundary is assembled once per (algebra instance, module object).
 
 An algebra holds its adjoint module and, per module, the operators assembled
-for it.  These tests count ``_assemble`` calls, check that a held operator
+for it.  These tests count operator builds (a coboundary, or a transport map
+through ``_assemble``), check that a held operator
 always equals a fresh assembly (algebras and modules that die and are
 replaced, modules derived from others, one module shared by two algebras),
 that the held values go with their algebra, and that a held operator cannot
@@ -39,15 +40,12 @@ from lieyamaguti import (
 from lieyamaguti.algebra import LYAlgebra
 from lieyamaguti.cli import run
 from lieyamaguti.cohomology import (
-    _STAR_TARGET,
-    _assemble,
     _check_work,
+    _delta_assembled,
     _delta_op,
+    _delta_star_assembled,
     _delta_star_op,
-    _delta_star_terms,
-    _delta_terms,
     _Operator,
-    _space,
     transport_defects,
 )
 from lieyamaguti.errors import SizeCapExceeded
@@ -60,14 +58,20 @@ from random_cochains import random_c1, random_cochain_pair
 
 @pytest.fixture()
 def assembled(monkeypatch):
-    """The term generator of every ``_assemble`` call, in call order."""
+    """The operator of every build, in call order: a level p for delta_p, "star", or "transport"."""
     calls = []
+    labels = {
+        "_delta_assembled": lambda d, e, data, p: p,
+        "_delta_star_assembled": lambda *args: "star",
+        "_assemble": lambda *args: "transport",
+    }
+    for name, label in labels.items():
 
-    def counting(d, e, src, dst, terms, *args):
-        calls.append(terms)
-        return _assemble(d, e, src, dst, terms, *args)
+        def counting(*args, build=getattr(lieyamaguti.cohomology, name), label=label):
+            calls.append(label(*args))
+            return build(*args)
 
-    monkeypatch.setattr(lieyamaguti.cohomology, "_assemble", counting)
+        monkeypatch.setattr(lieyamaguti.cohomology, name, counting)
     return calls
 
 
@@ -78,8 +82,8 @@ def _fresh(a, r, key):
     """The rows of the operator ``key`` (a level p, or "star"), assembled without the held copy."""
     data = _integer_data(a, r)
     if key == "star":
-        return _assemble(a.dim, r.e, _space(1), _STAR_TARGET, _delta_star_terms, data, data[0] ** 2).lines
-    return _assemble(a.dim, r.e, _space(key), _space(key + 1), _delta_terms, data, data[0] ** 2).lines
+        return _delta_star_assembled(a.dim, r.e, data).lines
+    return _delta_assembled(a.dim, r.e, data, key).lines
 
 
 def _entries(a, r, key):
@@ -99,11 +103,11 @@ def test_one_assembly_per_module_and_operator(assembled, rng):
         h23(a, r)
         transport_defects(a, r, 1, [])
     # delta_0, delta_1 and delta*, each once
-    assert len(assembled) == 3
+    assert assembled == [0, 1, "star"]
     assembled.clear()
     # transport assembles only its maps: one per space around level 1, per value
     assert transport_defects(a, r, 1, [(identity, identity)]) == [0]
-    assert len(assembled) == 4 and _delta_terms not in assembled
+    assert assembled == ["transport"] * 4
     assembled.clear()
     # derivations read h1's operator, on the one adjoint module the algebra holds
     assert adjoint(a) is r

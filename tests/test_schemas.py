@@ -220,3 +220,32 @@ def test_each_load_parses_each_distinct_sample_literal_once(monkeypatch):
     assert parsed == ["1", 1, "1/2"] * 2
     assert first.charts == second.charts and first.transitions[0].samples == second.transitions[0].samples
     assert first.transitions[0].samples == ((Fraction(1),), (Fraction(1, 2),), (Fraction(1),))
+
+
+def test_each_algebra_load_parses_each_distinct_literal_once(monkeypatch):
+    """meson(5)'s file holds 100 structure-constant literals, 3 of them distinct: three parses per load."""
+    from lieyamaguti import schemas
+
+    obj = algebra_to_json(meson(5))
+    literals = [x for entry in obj["binary"] + obj["ternary"] for x in entry[-1]]
+    assert (len(literals), len(set(literals))) == (100, 3)
+    parsed = []
+    parse = schemas.frac_from_json
+
+    def counting(v):
+        parsed.append(v)
+        return parse(v)
+
+    monkeypatch.setattr(schemas, "frac_from_json", counting)
+    for n in (1, 2):
+        assert schemas.algebra_from_json(obj) == meson(5)
+        assert sorted(parsed) == sorted([*set(literals)] * n)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1/0", "x", None])
+def test_structure_constants_after_a_1_are_refused_alike(bad):
+    """A memo entry for ``1`` lets neither ``true`` nor ``1.0`` through; a bad literal is refused as on its own."""
+    obj = {"dim": 3, "binary": [[1, 2, [1, "1", 0]], [1, 3, [1, bad, 0]]], "ternary": [[1, 2, 3, ["1", bad, 1]]]}
+    with pytest.raises(ShapeMismatch) as err:
+        algebra_from_json(obj)
+    assert str(err.value) == _refusal(bad)
