@@ -6,7 +6,8 @@ ternary one, the nonzero coordinates of [e_i, e_j] and {e_i, e_j, e_k}.
 ``bracket``, ``triple``, ``structure_lcm``, ``integer_tables``,
 ``_map_defect`` and the bundle gate read them and never visit a zero slot.
 The dense tensors ``binary`` and ``ternary`` are read-only views, built on
-first read, for JSON, the adjoint module, products and constructors.
+first read, for JSON, products and constructors; the adjoint module is read
+straight off the slots.
 Stored constants may violate the defining identities: validity is a
 predicate (``check_axioms``), not a type invariant.  An algebra is
 immutable, so its validity is computed at most once per instance (the
@@ -131,19 +132,10 @@ class LYAlgebra:
 
     @functools.cached_property
     def _adjoint(self):
-        """The adjoint module, built at most once per instance; ``representation.adjoint`` guards it."""
-        from .representation import Representation
+        """The adjoint module, read off the slots at most once per instance; ``representation.adjoint`` guards it."""
+        from .representation import _adjoint_module
 
-        d = self.dim
-
-        def columns(vectors) -> Matrix:
-            return Matrix(d, d, [v[i] for i in range(d) for v in vectors])
-
-        rng = range(d)
-        rho = tuple(columns([self.binary[i][j] for j in rng]) for i in rng)
-        dmap = tuple(tuple(columns([self.ternary[i][j][k] for k in rng]) for j in rng) for i in rng)
-        theta = tuple(tuple(columns([self.ternary[k][i][j] for k in rng]) for j in rng) for i in rng)
-        return Representation(d, rho, dmap, theta)
+        return _adjoint_module(self)
 
     @functools.cached_property
     def _operators(self) -> dict:

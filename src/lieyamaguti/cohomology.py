@@ -543,8 +543,9 @@ def _held(a: LYAlgebra, r: Representation, src: tuple, dst: tuple, assemble, *ar
 
     The entry for ``r`` in ``a._operators`` is found by id and confirmed by
     identity, so a module equal to ``r`` but not ``r`` gets its own operators.
-    It also holds ``data = _integer_data(a, r)``, cleared once per (algebra,
-    module) and read by every assembly, each with scale den**2.
+    It also holds ``data = _integer_data(a, r)``, the module's stored rows
+    indexed once per (algebra, module) and read by every assembly, each with
+    scale den**2.
     """
     entry = a._operators.get(id(r))
     if entry is None or entry[0] is not r:

@@ -1,8 +1,21 @@
 """Representations (rho, D, theta) of Lie-Yamaguti algebras.
 
-A representation on a module of dimension e stores rho as d endomorphisms and
-D, theta as d x d families of endomorphisms, all e x e matrices indexed by
-basis elements; bilinearity extends them to arbitrary arguments.
+A representation on a module of dimension e over an algebra with d basis
+elements has rho(e_i), D(e_i, e_j) and theta(e_i, e_j), each an e x e map;
+bilinearity extends them to arbitrary arguments.
+
+A module stores its nonzero maps only, cleared to integers (``_maps``): with
+den (``_den``) the LCM of every denominator of its entries, rho is scaled by
+den and D, theta by den**2, and each nonzero map is held as its e rows, each
+a tuple of nonzero (column, int) entries, keyed by i for rho and (i, j) for
+D and theta, in index order.  That form is canonical, so equality, hashing
+and pickling compare and keep it.  Every reader takes it as it is: the
+integer checks, the coboundary assembly (both through ``_integer_data``,
+which rescales only when the algebra's denominators raise den), the products
+and JSON.  The adjoint module is read straight off the algebra's nonzero
+structure constants, and a trivial module holds no map.  ``rho``, ``dmap``
+and ``theta`` are read-only dense views of e x e Matrices, built on first
+read; the public constructor takes such matrices and clears them once.
 
 The semi-direct product carries the brackets
 
@@ -32,40 +45,218 @@ validity guard, then the shape check.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import Sequence
 
-from .algebra import LYAlgebra, _from_entries, _require_valid, integer_tables
+from .algebra import LYAlgebra, _from_entries, _require_valid, integer_tables, structure_lcm
 from .errors import ShapeMismatch
-from .linalg import Matrix, scaled_sparse, zero_vector
+from .linalg import Matrix, denominator_lcm, scaled_sparse, zero_vector
 
 RLYB_CONDITIONS = ("RLYB1", "RLYB2", "RLYB3", "RLYB4", "RLYB5", "RLYB6")
 
+# The power of den that clears each group of maps: rho, then D and theta.
+_MAP_WEIGHTS = (1, 2, 2)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Representation:
-    """Basis-indexed data of a representation on an e-dimensional module, shape-checked once, when built."""
+    """The nonzero maps of a representation on an e-dimensional module, cleared to integers.
+
+    ``d`` is the number of basis elements the maps are indexed by, and
+    ``_maps`` is (rho, D, theta), each a tuple of (index, rows) over the
+    nonzero maps in index order, scaled by ``_den`` (rho) or ``_den**2``.
+    """
 
     e: int
-    rho: tuple  # rho[i]: e x e Matrix
-    dmap: tuple  # dmap[i][j]: e x e Matrix for D(e_i, e_j)
-    theta: tuple  # theta[i][j]: e x e Matrix for theta(e_i, e_j)
+    d: int
+    _den: int
+    _maps: tuple
 
-    def __post_init__(self):
-        """rho has d maps, D and theta are d x d families, and every map is e x e."""
-        d, e = len(self.rho), self.e
-        if any(m.rows != e or m.cols != e for m in self.rho):
+    def __init__(self, e: int, rho: Sequence[Matrix], dmap: Sequence, theta: Sequence):
+        """The module with these e x e maps: rho has d of them, D and theta are d x d families."""
+        if any(m.rows != e or m.cols != e for m in rho):
             raise ShapeMismatch("rho matrices must be e x e")
-        if any(len(fam) != d or any(len(row) != d for row in fam) for fam in (self.dmap, self.theta)):
-            raise ShapeMismatch("D/theta must be d x d families")
-        if any(m.rows != e or m.cols != e for fam in (self.dmap, self.theta) for row in fam for m in row):
+        _check_families(len(rho), dmap, theta)
+        if any(m.rows != e or m.cols != e for fam in (dmap, theta) for row in fam for m in row):
             raise ShapeMismatch("D/theta matrices must be e x e")
+        dmap, theta = ([[m.entries for m in row] for row in fam] for fam in (dmap, theta))
+        self._fill(e, len(rho), *_cleared(e, [m.entries for m in rho], dmap, theta))
+
+    def _fill(self, e: int, d: int, den: int, maps: tuple) -> None:
+        for name, value in zip(("e", "d", "_den", "_maps"), (e, d, den, maps)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_flat(cls, e: int, rho: Sequence, dmap: Sequence, theta: Sequence) -> "Representation":
+        """The module whose maps have these e*e exact entries row by row: d maps in rho, d x d families D and theta."""
+        _check_families(len(rho), dmap, theta)
+        return cls._stored(e, len(rho), *_cleared(e, rho, dmap, theta))
+
+    @classmethod
+    def _stored(cls, e: int, d: int, den: int, maps: tuple) -> "Representation":
+        """The module of a canonical stored form: den the LCM of its entries' denominators, no zero map."""
+        r = object.__new__(cls)
+        r._fill(e, d, den, maps)
+        return r
+
+    @functools.cached_property
+    def rho(self) -> tuple:
+        """rho[i] is the e x e Matrix of rho(e_i): a read-only dense view, built on first read."""
+        return self._view(0)
+
+    @functools.cached_property
+    def dmap(self) -> tuple:
+        """dmap[i][j] is the Matrix of D(e_i, e_j), likewise."""
+        return self._view(1)
+
+    @functools.cached_property
+    def theta(self) -> tuple:
+        """theta[i][j] is the Matrix of theta(e_i, e_j), likewise."""
+        return self._view(2)
+
+    def _view(self, group: int) -> tuple:
+        """``_maps[group]`` as exact Matrices indexed by basis element; a zero map is one shared zero Matrix."""
+        e, scale, zero = self.e, self._den ** _MAP_WEIGHTS[group], Matrix.zero(self.e, self.e)
+
+        def dense(rows: tuple) -> Matrix:
+            return _dense(rows, e, scale) if any(rows) else zero
+
+        table = self._indexed()[group]
+        return tuple(map(dense, table)) if group == 0 else tuple(tuple(map(dense, row)) for row in table)
+
+    def _indexed(self, k: int = 1) -> tuple:
+        """(rho, D, theta) as lists indexed by basis element, every map's rows times k**weight.
+
+        A zero map is e empty rows, one shared tuple; with k = 1 every
+        other map is its stored rows.
+        """
+        d, zero = self.d, ((),) * self.e
+        rho = [zero] * d
+        dmap, theta = ([[zero] * d for _ in range(d)] for _ in range(2))
+        groups = [_rescaled(group, k**w) for group, w in zip(self._maps, _MAP_WEIGHTS)]
+        for i, rows in groups[0]:
+            rho[i] = rows
+        for table, group in ((dmap, groups[1]), (theta, groups[2])):
+            for (i, j), rows in group:
+                table[i][j] = rows
+        return rho, dmap, theta
 
     def replace_theta(self, i: int, j: int, m: Matrix) -> "Representation":
-        theta = [list(row) for row in self.theta]
-        theta[i][j] = m
-        return Representation(self.e, self.rho, self.dmap, tuple(tuple(r) for r in theta))
+        """The module with theta(e_i, e_j) = m and every other map kept, on the stored form.
+
+        den becomes the LCM of the module's den and m's own.  When the
+        module's den divides m's own, that is the new module's LCM whatever
+        the replaced map held; otherwise the replaced map may have held the
+        only entry over some factor of den, so den is computed again from
+        the entries.
+        """
+        e, d = self.e, self.d
+        if m.rows != e or m.cols != e:
+            raise ShapeMismatch("D/theta matrices must be e x e")
+        i, j = range(d)[i], range(d)[j]
+        own = denominator_lcm(m.entries)
+        den = math.lcm(self._den, own)
+        rho, dmap, theta = (_rescaled(group, (den // self._den) ** w) for group, w in zip(self._maps, _MAP_WEIGHTS))
+        theta = [slot for slot in theta if slot[0] != (i, j)]
+        if any(rows := _rows(m.entries, e, den * den)):
+            theta = sorted([*theta, ((i, j), rows)])
+        maps = (rho, dmap, tuple(theta))
+        return Representation._stored(e, d, *(_lowest(den, maps) if den != own else (den, maps)))
+
+    def __getstate__(self) -> dict:
+        """The fields only: a copied or unpickled module builds its views again."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _check_families(d: int, dmap: Sequence, theta: Sequence) -> None:
+    if any(len(fam) != d or any(len(row) != d for row in fam) for fam in (dmap, theta)):
+        raise ShapeMismatch("D/theta must be d x d families")
+
+
+def _rows(entries: Sequence, e: int, scale: int) -> tuple:
+    """The e rows of a map given by its e*e exact entries row by row: nonzero (column, int) entries times scale."""
+    return tuple(tuple(scaled_sparse(entries[m * e : (m + 1) * e], scale)) for m in range(e))
+
+
+def _dense(rows: tuple, e: int, scale: int) -> Matrix:
+    """The e x e Matrix of a map in row form, its ints divided by scale."""
+    entries = [0] * (e * e)
+    for m, row in enumerate(rows):
+        for c, x in row:
+            entries[m * e + c] = Fraction(x, scale)
+    return Matrix(e, e, entries)
+
+
+def _rescaled(group: tuple, num: int, den: int = 1) -> tuple:
+    """Every map of a group with its ints times num / den, which must keep them integers."""
+    if num == den:
+        return group
+    return tuple((key, tuple(tuple((c, x * num // den) for c, x in row) for row in rows)) for key, rows in group)
+
+
+def _lowest(den: int, maps: tuple) -> tuple:
+    """(den, maps) with den lowered to the LCM of the entries' own denominators, the maps rescaled to it."""
+    scales = [den**w for w in _MAP_WEIGHTS]
+    entries = ((x, scale) for group, scale in zip(maps, scales) for _, rows in group for row in rows for _, x in row)
+    low = math.lcm(*{scale // math.gcd(x, scale) for x, scale in entries})
+    return low, tuple(_rescaled(group, low**w, den**w) for group, w in zip(maps, _MAP_WEIGHTS))
+
+
+def _cleared(e: int, rho: Sequence, dmap: Sequence, theta: Sequence) -> tuple:
+    """(den, maps) of the stored form, from each map's e*e exact entries row by row.
+
+    ``rho`` lists d maps, ``dmap`` and ``theta`` are d x d families; den is
+    the LCM of every denominator, and a map with no nonzero entry is left out.
+    """
+    d = len(rho)
+    den = denominator_lcm(x for entries in itertools.chain(rho, *dmap, *theta) for x in entries)
+    pairs = list(itertools.product(range(d), repeat=2))
+
+    def group(items, scale: int) -> tuple:
+        return tuple((key, _rows(entries, e, scale)) for key, entries in items if any(entries))
+
+    return den, (
+        group(enumerate(rho), den),
+        group((((i, j), dmap[i][j]) for i, j in pairs), den * den),
+        group((((i, j), theta[i][j]) for i, j in pairs), den * den),
+    )
+
+
+def _adjoint_module(a: LYAlgebra) -> Representation:
+    """rho(e_i) = [e_i, .], D(e_i, e_j) = {e_i, e_j, .} and theta(e_i, e_j) = {., e_i, e_j}, read off a's slots.
+
+    Row m of a map holds the m-th coordinates: the entry (m, c) of the
+    binary slot (i, j) goes to column j of rho(e_i), that of the ternary
+    slot (i, j, k) to column k of D(e_i, e_j) and column i of
+    theta(e_j, e_k), cleared as ``integer_tables`` clears it.  The slots come
+    in index order, so each row lists its columns in increasing order, and
+    every constant of a is an entry, so den is the algebra's.  No Matrix is
+    built.
+    """
+    d, den = a.dim, structure_lcm(a)
+    maps = ({}, {}, {})
+
+    def put(group: int, key, m: int, col: int, x: int) -> None:
+        rows = maps[group].get(key)
+        if rows is None:
+            rows = maps[group][key] = [[] for _ in range(d)]
+        rows[m].append((col, x))
+
+    for (i, j), entries in a._slots[0]:
+        for m, c in entries:
+            put(0, i, m, j, c.numerator * (den // c.denominator))
+    den2 = den * den
+    for (i, j, k), entries in a._slots[1]:
+        for m, c in entries:
+            x = c.numerator * (den2 // c.denominator)
+            put(1, (i, j), m, k, x)
+            put(2, (j, k), m, i, x)
+    stored = tuple(tuple((key, tuple(map(tuple, rows))) for key, rows in sorted(group.items())) for group in maps)
+    return Representation._stored(d, d, den, stored)
 
 
 @dataclass
@@ -88,7 +279,7 @@ class RepReport:
 
 def _check_shapes(a: LYAlgebra, r: Representation) -> None:
     """The module's basis is the algebra's; the rest of its shape was checked when it was built."""
-    if len(r.rho) != a.dim:
+    if r.d != a.dim:
         raise ShapeMismatch("representation is indexed by a different basis size")
 
 
@@ -104,21 +295,16 @@ RLYB_WEIGHTS = {"RLYB1": 2, "RLYB2": 3, "RLYB3": 3, "RLYB4": 4, "RLYB5": 3, "RLY
 
 
 def _integer_data(a: LYAlgebra, r: Representation):
-    """``integer_tables`` of a with den also clearing r, plus r cleared by den.
+    """``integer_tables`` of a with den also clearing r, plus r's maps at that den, indexed by basis element.
 
-    Returns ``(den, B, T, rho, dmap, theta)``; every matrix becomes a list of
-    its rows, each a list of nonzero (column, int) pairs.
+    Returns ``(den, B, T, rho, dmap, theta)``; every map is its e rows, each
+    a tuple of nonzero (column, int) pairs, and a zero map is e empty rows.
+    The maps are the module's stored rows unless the algebra's denominators
+    raise den past the module's, and then they are rescaled; nothing is
+    cleared again.
     """
-    mats = [*r.rho, *(m for row in r.dmap for m in row), *(m for row in r.theta for m in row)]
-    den, B, T = integer_tables(a, (x for m in mats for x in m.entries))
-
-    def rows(m: Matrix, scale: int) -> list:
-        return [scaled_sparse(m.row(i), scale) for i in range(m.rows)]
-
-    rho = [rows(m, den) for m in r.rho]
-    dmap = [[rows(m, den * den) for m in row] for row in r.dmap]
-    theta = [[rows(m, den * den) for m in row] for row in r.theta]
-    return den, B, T, rho, dmap, theta
+    den, B, T = integer_tables(a, (Fraction(1, r._den),))
+    return (den, B, T, *r._indexed(den // r._den))
 
 
 def _add_matrix(acc: list, e: int, c: int, m: list) -> None:
@@ -259,14 +445,10 @@ def check_rlyb7(a: LYAlgebra, r: Representation) -> bool:
 
 
 def trivial_rep(a: LYAlgebra, e: int) -> Representation:
-    z = Matrix.zero(e, e)
-    d = a.dim
-    return Representation(
-        e,
-        tuple(z for _ in range(d)),
-        tuple(tuple(z for _ in range(d)) for _ in range(d)),
-        tuple(tuple(z for _ in range(d)) for _ in range(d)),
-    )
+    """The module of dimension e on which every map is zero: it holds no map."""
+    if e < 0:
+        raise ShapeMismatch(f"matrix shape {e}x{e} is negative")
+    return Representation._stored(e, a.dim, 1, ((), (), ()))
 
 
 def adjoint(a: LYAlgebra) -> Representation:
@@ -308,8 +490,9 @@ def _product_algebra(a: LYAlgebra, r: Representation, tau, name: str) -> LYAlgeb
     """The brackets of g (+) V, handing ``_from_entries`` only the slots that can be nonzero.
 
     A slot of g is kept when it is nonzero in ``a`` or gets a twist
-    component, and a module column only when it is nonzero; the slots of g
-    are read from the views of ``a``.
+    component; the slots of g are read from the views of ``a``.  The module
+    slots are the nonzero columns of the module's stored maps, so a zero map
+    is never visited.
     """
     _check_shapes(a, r)
     d, e = a.dim, r.e
@@ -324,18 +507,28 @@ def _product_algebra(a: LYAlgebra, r: Representation, tau, name: str) -> LYAlgeb
             g = tau.g.eval_basis((i, j, k)) if tau is not None else ze
             if (i, j, k) in nonzero or any(g):
                 t[i, j, k] = a.ternary[i][j][k] + g
-        for c in range(e):
-            # {e_i, e_j, u} = D(e_i, e_j) u ; {u, e_i, e_j} = theta(e_i, e_j) u ;
-            # {e_i, u, e_j} = -theta(e_i, e_j) u, for every (i, j) so an invalid r shows
-            if any(v := r.dmap[i][j].col(c)):
-                t[i, j, d + c] = zd + v
-            if any(u := r.theta[i][j].col(c)):
-                t[d + c, i, j] = zd + u
-                t[i, d + c, j] = zd + tuple(-x for x in u)
-    for i in range(d):
-        for c in range(e):
-            # [e_i, u] = rho(e_i) u = -[u, e_i]
-            if any(u := r.rho[i].col(c)):
-                b[i, d + c] = zd + u
-                b[d + c, i] = zd + tuple(-x for x in u)
+    rho, dmap, theta = r._maps
+    den = r._den
+    # [e_i, u] = rho(e_i) u = -[u, e_i]
+    for i, rows in rho:
+        for c, u in _columns(rows, e, den):
+            b[i, d + c] = zd + u
+            b[d + c, i] = zd + tuple(-x for x in u)
+    # {e_i, e_j, u} = D(e_i, e_j) u ; {u, e_i, e_j} = theta(e_i, e_j) u ; {e_i, u, e_j} = -theta(e_i, e_j) u
+    for (i, j), rows in dmap:
+        for c, v in _columns(rows, e, den * den):
+            t[i, j, d + c] = zd + v
+    for (i, j), rows in theta:
+        for c, u in _columns(rows, e, den * den):
+            t[d + c, i, j] = zd + u
+            t[i, d + c, j] = zd + tuple(-x for x in u)
     return _from_entries(d + e, b, t, name)
+
+
+def _columns(rows: tuple, e: int, scale: int) -> list:
+    """(c, column c) for each nonzero column of a map in row form, its ints divided by scale."""
+    cols = {}
+    for m, row in enumerate(rows):
+        for c, x in row:
+            cols.setdefault(c, [0] * e)[m] = Fraction(x, scale)
+    return [(c, tuple(col)) for c, col in cols.items()]

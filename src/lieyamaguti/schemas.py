@@ -114,13 +114,16 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
     return [vec_to_json(m.row(i)) for i in range(m.rows)]
 
 
-def matrix_from_json(rows, shape: tuple[int, int] | None = None) -> Matrix:
+def _map_from_json(rows, e: int, parsed: dict) -> tuple[Fraction, ...]:
+    """The e*e entries, row by row, of an e x e module map given as a list of rows, read through the memo ``parsed``."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ShapeMismatch("expected a matrix as a list of rows")
-    m = Matrix.from_rows([[frac_from_json(x) for x in r] for r in rows])
-    if shape is not None and (m.rows, m.cols) != shape:
-        raise ShapeMismatch(f"expected a {shape[0]}x{shape[1]} matrix, got {m.rows}x{m.cols}")
-    return m
+    rows = [_rationals(r, parsed) for r in rows]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ShapeMismatch("ragged rows")
+    if (len(rows), len(rows[0])) != (e, e):
+        raise ShapeMismatch(f"expected a {e}x{e} matrix, got {len(rows)}x{len(rows[0])}")
+    return tuple(itertools.chain.from_iterable(rows))
 
 
 def _integer(v, what: str) -> int:
@@ -223,15 +226,30 @@ def algebra_from_json(obj) -> LYAlgebra:
 
 
 def representation_to_json(r: Representation) -> dict:
+    """The module's maps as e x e matrices of rational strings, written from its stored rows."""
+
+    def matrix(rows: tuple, scale: int) -> list[list[str]]:
+        out = [["0"] * r.e for _ in range(r.e)]
+        for m, row in enumerate(rows):
+            for c, x in row:
+                out[m][c] = frac_to_str(Fraction(x, scale))
+        return out
+
+    rho, dmap, theta = r._indexed()
+    den, den2 = r._den, r._den**2
     return {
         "e": r.e,
-        "rho": [matrix_to_json(m) for m in r.rho],
-        "D": [[matrix_to_json(m) for m in row] for row in r.dmap],
-        "theta": [[matrix_to_json(m) for m in row] for row in r.theta],
+        "rho": [matrix(m, den) for m in rho],
+        "D": [[matrix(m, den2) for m in row] for row in dmap],
+        "theta": [[matrix(m, den2) for m in row] for row in theta],
     }
 
 
 def representation_from_json(obj, d: int) -> Representation:
+    """The module of a JSON object, cleared straight into the stored form.
+
+    Each distinct entry literal is parsed once per call.
+    """
     if not isinstance(obj, dict) or "e" not in obj:
         raise ShapeMismatch("representation JSON must be an object with an 'e' field")
     e = _integer(obj["e"], "'e'")
@@ -240,15 +258,16 @@ def representation_from_json(obj, d: int) -> Representation:
     rho, dm, th = (_list(obj, key, "representation") for key in ("rho", "D", "theta"))
     if len(rho) != d or len(dm) != d or len(th) != d:
         raise ShapeMismatch("rho, D, theta must be indexed by the algebra basis")
+    parsed = {}
 
-    def family(key: str, rows: list) -> tuple:
-        return tuple(
-            tuple(matrix_from_json(m, (e, e)) for m in _as_list(row, f"representation: {key!r} row {n}"))
+    def family(key: str, rows: list) -> list:
+        return [
+            [_map_from_json(m, e, parsed) for m in _as_list(row, f"representation: {key!r} row {n}")]
             for n, row in enumerate(rows, 1)
-        )
+        ]
 
-    rho = tuple(matrix_from_json(m, (e, e)) for m in rho)
-    return Representation(e, rho, family("D", dm), family("theta", th))
+    rho = [_map_from_json(m, e, parsed) for m in rho]
+    return Representation._from_flat(e, rho, family("D", dm), family("theta", th))
 
 
 # ---------------------------------------------------------------------------

@@ -249,3 +249,57 @@ def test_structure_constants_after_a_1_are_refused_alike(bad):
     with pytest.raises(ShapeMismatch) as err:
         algebra_from_json(obj)
     assert str(err.value) == _refusal(bad)
+
+
+def _module_literals(obj) -> list:
+    maps = [*obj["rho"], *(m for row in obj["D"] + obj["theta"] for m in row)]
+    return [x for m in maps for row in m for x in row]
+
+
+def test_each_module_load_parses_each_distinct_literal_once(monkeypatch):
+    """meson(3)'s adjoint file holds 189 entry literals, 3 of them distinct: three parses per load."""
+    from lieyamaguti import schemas
+
+    obj = representation_to_json(adjoint(meson(3)))
+    literals = _module_literals(obj)
+    assert (len(literals), len(set(literals))) == (189, 3)
+    parsed = []
+    parse = schemas.frac_from_json
+
+    def counting(v):
+        parsed.append(v)
+        return parse(v)
+
+    monkeypatch.setattr(schemas, "frac_from_json", counting)
+    for n in (1, 2):
+        assert schemas.representation_from_json(obj, 3) == adjoint(meson(3))
+        assert sorted(parsed) == sorted([*set(literals)] * n)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1/0", "x", None])
+def test_module_entries_after_a_1_are_refused_alike(bad):
+    """In a module file too, a memo entry for ``1`` lets neither ``true`` nor ``1.0`` through."""
+    obj = representation_to_json(adjoint(example_3dim()))
+    obj["rho"][0] = [[1, "1", 0], [0, 1, 0], [0, 0, 1]]
+    obj["theta"][1][2] = [[1, "1", 0], [1, bad, 0], [0, 0, 0]]
+    with pytest.raises(ShapeMismatch) as err:
+        representation_from_json(obj, 3)
+    assert str(err.value) == _refusal(bad)
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ([["1", "0"], ["0", "1"], ["0", "0"]], "expected a 3x3 matrix, got 3x2"),
+        ([["1", "0", "0"], ["0", "1"], ["0", "0", "1"]], "ragged rows"),
+        ([], "expected a matrix as a list of rows"),
+        ([["1", "0", "0"], "0", ["0", "0", "1"]], "expected a matrix as a list of rows"),
+    ],
+    ids=["wrong-shape", "ragged", "empty", "row-not-a-list"],
+)
+def test_module_map_of_the_wrong_shape_is_refused(block, message):
+    obj = representation_to_json(adjoint(example_3dim()))
+    obj["D"][2][0] = block
+    with pytest.raises(ShapeMismatch) as err:
+        representation_from_json(obj, 3)
+    assert str(err.value) == message
