@@ -35,8 +35,12 @@ equivalent to the universally quantified identities.  It works on sparse
 integer structure constants (``integer_tables``): with den the LCM of every
 denominator, den * binary and den**2 * ternary are integer, each identity is
 homogeneous of weight w (``LY_WEIGHTS``), and its integer defect is den**w
-times the exact one.  Only a violated tuple's defect is converted back, to
-exact Fractions, for the report.
+times the exact one.  LY1 and LY2 are evaluated where a nonzero slot's
+mirror does not cancel it; LY3..LY6 are contracted from the nonzero slots,
+each slot adding its terms into the flat defect of every representative
+tuple it reaches, and the defects are read off in the documented scan order.
+The report keeps the integer defects and converts them back, to exact
+Fractions, when its ``violations`` are first read.
 
 Maps have one bracket-preservation defect, ``_map_defect``, for any scalar
 type: ``is_homomorphism`` and the bundle gate's automorphism check both run
@@ -61,7 +65,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -173,34 +177,56 @@ class LYAlgebra:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass
 class AxiomReport:
     """Violations of LY1..LY6, keyed by axiom name.
 
     Each violation is a pair (basis index tuple, defect vector).  The report
     is empty exactly when all six identities hold on every basis tuple, which
     by multilinearity means they hold identically.
+
+    ``check_axioms`` adds each violated tuple's integer defect, den**w times
+    the exact one (``LY_WEIGHTS``), and ``violations`` turns them into exact
+    Fractions on first read; ``ok`` and ``violated_axioms`` read the integer
+    defects, so a caller that reads only those builds no Fraction.
     """
 
-    violations: dict = field(default_factory=lambda: {ax: [] for ax in AXIOMS})
+    def __init__(self, den: int = 1):
+        self._den = den
+        self._found = {ax: [] for ax in AXIOMS}
 
     @property
     def ok(self) -> bool:
-        return all(not v for v in self.violations.values())
+        return not any(self._found.values())
 
     def violated_axioms(self) -> list[str]:
-        return [ax for ax in AXIOMS if self.violations[ax]]
+        return [ax for ax in AXIOMS if self._found[ax]]
 
-    def add(self, axiom: str, tup: tuple, defect: Vector) -> None:
-        self.violations[axiom].append((tup, defect))
+    def add(self, axiom: str, tup: tuple, defect: list) -> None:
+        """Add an integer defect, before ``violations`` is first read."""
+        self._found[axiom].append((tup, defect))
+
+    @functools.cached_property
+    def violations(self) -> dict:
+        """axiom -> [(basis tuple, defect as exact Fractions)], in scan order; built on first read."""
+        out = {}
+        for ax, found in self._found.items():
+            scale = self._den ** LY_WEIGHTS[ax]
+            out[ax] = [(tup, tuple(Fraction(x, scale) for x in defect)) for tup, defect in found]
+        return out
+
+    def __eq__(self, other) -> bool:
+        return type(other) is AxiomReport and self.violations == other.violations
+
+    def __repr__(self) -> str:
+        return f"AxiomReport(violations={self.violations!r})"
 
     def summary(self) -> str:
         if self.ok:
             return "all axioms hold"
         parts = []
         for ax in self.violated_axioms():
-            tup, _ = self.violations[ax][0]
-            parts.append(f"{ax} fails on {tuple(i + 1 for i in tup)} ({len(self.violations[ax])} tuples)")
+            found = self._found[ax]
+            parts.append(f"{ax} fails on {tuple(i + 1 for i in found[0][0])} ({len(found)} tuples)")
         return "; ".join(parts)
 
 
@@ -223,7 +249,11 @@ def integer_tables(a: LYAlgebra, extra: Iterable[Fraction] = ()) -> tuple[int, l
     holds den**2 * {e_i, e_j, e_k}, each as a list of nonzero (index, int)
     pairs.  Only the nonzero slots are filled; the rest stay empty.
     """
-    den = structure_lcm(a, extra)
+    return _tables_at(a, structure_lcm(a, extra))
+
+
+def _tables_at(a: LYAlgebra, den: int) -> tuple[int, list, list]:
+    """``integer_tables`` of ``a`` at a given multiple ``den`` of its denominators."""
     rng, den2 = range(a.dim), den * den
     b = [[[] for _ in rng] for _ in rng]
     t = [[[[] for _ in rng] for _ in rng] for _ in rng]
@@ -234,84 +264,199 @@ def integer_tables(a: LYAlgebra, extra: Iterable[Fraction] = ()) -> tuple[int, l
     return den, b, t
 
 
+def _slot_index(d: int, B: list, T: list) -> tuple:
+    """The nonzero slots of the tables B and T, listed and indexed by argument.
+
+    Returns ``(bslots, tslots, b_at, t_at)``: ``bslots`` lists (i, j, row)
+    and ``tslots`` (i, j, k, row) for each nonzero slot, in index order;
+    ``b_at[p][m]`` lists the slots of B with m in argument p as (the other
+    index, row), and ``t_at[p][m]`` those of T as (the other two, row).
+    """
+    rng = range(d)
+    bslots = [(i, j, row) for i in rng for j, row in enumerate(B[i]) if row]
+    tslots = [(i, j, k, row) for i in rng for j in rng for k, row in enumerate(T[i][j]) if row]
+    b_at = [[[] for _ in rng] for _ in range(2)]
+    t_at = [[[] for _ in rng] for _ in range(3)]
+    for i, j, row in bslots:
+        b_at[0][i].append((j, row))
+        b_at[1][j].append((i, row))
+    for i, j, k, row in tslots:
+        t_at[0][i].append((j, k, row))
+        t_at[1][j].append((i, k, row))
+        t_at[2][k].append((i, j, row))
+    return bslots, tslots, b_at, t_at
+
+
+def _blocks(acc: list, d: int):
+    """(b, acc[b*d : b*d + d]) for each run b of d entries of ``acc`` with a nonzero one, in order."""
+    last = -1
+    for n in itertools.compress(range(len(acc)), acc):
+        if n // d != last:
+            last = n // d
+            yield last, acc[last * d : last * d + d]
+
+
+@functools.lru_cache(maxsize=64)
+def _cyclic_targets(d: int, reduced: bool) -> tuple:
+    """The representative triples of LY3/LY4, and per (x, y, z) the triples whose cyclic sum has it as a term.
+
+    Triple (i, j, k) sums over (i, j, k), (j, k, i) and (k, i, j); the
+    second table is flat, (x * d + y) * d + z.
+    """
+    rng = range(d)
+    triples = tuple(itertools.combinations(rng, 3) if reduced else itertools.product(rng, rng, rng))
+    targets = [[] for _ in range(d**3)]
+    for t, (i, j, k) in enumerate(triples):
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            targets[(x * d + y) * d + z].append(t)
+    return triples, tuple(map(tuple, targets))
+
+
 def _ly_defects(d: int, B: list, T: list):
     """Yield (axiom, basis tuple, integer defect) for each violated identity.
 
     Works on the tables of ``integer_tables``, in the scan order documented
-    on ``check_axioms``; each defect is a dense list of d ints.
+    on ``check_axioms``; each defect is a list of d ints.  LY1 and LY2 are
+    evaluated on the tuples where a nonzero slot's mirror does not cancel
+    it, LY3..LY6 by contraction over the nonzero slots (``_cyclic_defects``,
+    ``_derivation_defects``); every other tuple has a zero defect.
     """
     rng = range(d)
+    slots = _slot_index(d, B, T)
+    bslots, tslots = slots[:2]
     reduced = True
-    for i, j in itertools.product(rng, rng):
+    # rows list their nonzero ints by index, so a defect vanishes exactly where the mirror slot holds the negated row
+    bad = {t for i, j, row in bslots if B[j][i] != [(n, -x) for n, x in row] for t in ((i, j), (j, i))}
+    for i, j in sorted(bad):
         acc = [0] * d
         for n, x in B[i][j] + B[j][i]:
             acc[n] += x
-        if any(acc):
-            reduced = False
-            yield "LY1", (i, j), acc
-    for i, j, k in itertools.product(rng, rng, rng):
+        reduced = False
+        yield "LY1", (i, j), acc
+    bad = {t for i, j, k, row in tslots if T[j][i][k] != [(n, -x) for n, x in row] for t in ((i, j, k), (j, i, k))}
+    for i, j, k in sorted(bad):
         acc = [0] * d
         for n, x in T[i][j][k] + T[j][i][k]:
             acc[n] += x
-        if any(acc):
-            reduced = False
-            yield "LY2", (i, j, k), acc
-
-    triples = list(itertools.combinations(rng, 3) if reduced else itertools.product(rng, rng, rng))
-    for i, j, k in triples:
-        # [[x, y], z] + {x, y, z}, cyclically
-        acc = [0] * d
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, c in B[x][y]:
-                for n, v in B[m][z]:
-                    acc[n] += c * v
-            for n, v in T[x][y][z]:
-                acc[n] += v
-        if any(acc):
-            yield "LY3", (i, j, k), acc
-    for (i, j, k), u in itertools.product(triples, rng):
-        # {[x, y], z, u}, cyclically in (x, y, z)
-        acc = [0] * d
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, c in B[x][y]:
-                for n, v in T[m][z][u]:
-                    acc[n] += c * v
-        if any(acc):
-            yield "LY4", (i, j, k, u), acc
+        reduced = False
+        yield "LY2", (i, j, k), acc
+    yield from _cyclic_defects(d, reduced, slots)
     pairs = list(itertools.combinations(rng, 2) if reduced else itertools.product(rng, rng))
-    for (i, j), (u, v) in itertools.product(pairs, pairs):
-        # {i, j, [u, v]} - [{i, j, u}, v] - [u, {i, j, v}]
-        tij = T[i][j]
-        acc = [0] * d
-        for m, c in B[u][v]:
-            for n, x in tij[m]:
-                acc[n] += c * x
-        for m, c in tij[u]:
-            for n, x in B[m][v]:
-                acc[n] -= c * x
-        for m, c in tij[v]:
-            for n, x in B[u][m]:
-                acc[n] -= c * x
-        if any(acc):
-            yield "LY5", (i, j, u, v), acc
-    for (i, j), (u, v), w in itertools.product(pairs, pairs, rng):
-        # {i, j, {u, v, w}} - {{i, j, u}, v, w} - {u, {i, j, v}, w} - {u, v, {i, j, w}}
-        tij = T[i][j]
-        acc = [0] * d
-        for m, c in T[u][v][w]:
-            for n, x in tij[m]:
-                acc[n] += c * x
-        for m, c in tij[u]:
-            for n, x in T[m][v][w]:
-                acc[n] -= c * x
-        for m, c in tij[v]:
-            for n, x in T[u][m][w]:
-                acc[n] -= c * x
-        for m, c in tij[w]:
-            for n, x in T[u][v][m]:
-                acc[n] -= c * x
-        if any(acc):
-            yield "LY6", (i, j, u, v, w), acc
+    yield from _derivation_defects(d, pairs, T, slots)
+
+
+def _cyclic_defects(d: int, reduced: bool, slots: tuple):
+    """LY3 and LY4 as ``_ly_defects`` yields them, summed from the nonzero slots into each representative triple.
+
+    LY3 at (i, j, k) is the cyclic sum of F(x, y, z) = [[x, y], z] + {x, y,
+    z}, LY4 at (i, j, k, u) that of G(x, y, z, u) = {[x, y], z, u}; each
+    term of F or G is added into every representative triple that has it in
+    its cyclic sum (``_cyclic_targets``), and each triple's block of the
+    flat accumulator holds its defect, in scan order.
+    """
+    bslots, tslots, b_at, t_at = slots
+    triples, targets = _cyclic_targets(d, reduced)
+    acc = [0] * (len(triples) * d)
+    for x, y, row in bslots:
+        xy = (x * d + y) * d
+        for m, c in row:
+            for z, row2 in b_at[0][m]:
+                for t in targets[xy + z]:
+                    for n, v in row2:
+                        acc[t * d + n] += c * v
+    for x, y, z, row in tslots:
+        for t in targets[(x * d + y) * d + z]:
+            for n, v in row:
+                acc[t * d + n] += v
+    for t, defect in _blocks(acc, d):
+        yield "LY3", triples[t], defect
+    acc = [0] * (len(triples) * d * d)
+    for x, y, row in bslots:
+        xy = (x * d + y) * d
+        for m, c in row:
+            for z, u, row2 in t_at[0][m]:
+                for t in targets[xy + z]:
+                    base = (t * d + u) * d
+                    for n, v in row2:
+                        acc[base + n] += c * v
+    for tu, defect in _blocks(acc, d):
+        t, u = divmod(tu, d)
+        yield "LY4", triples[t] + (u,), defect
+
+
+def _derivation_defects(d: int, pairs: list, T: list, slots: tuple):
+    """LY5 and LY6 as ``_ly_defects`` yields them: is each {i, j, .} of T a derivation of the brackets of ``slots``?
+
+    ``slots`` is ``_slot_index`` of the tables (B, T') whose brackets are
+    differentiated; ``_ly_defects`` passes T' = T.  Per representative pair
+    (i, j) with a nonzero {i, j, .}, one flat accumulator over (pair q,
+    then w, then n) collects
+
+        LY5 at (i, j, u, v):    {i, j, [u, v]} - [{i, j, u}, v] - [u, {i, j, v}]
+        LY6 at (i, j, u, v, w): {i, j, {u, v, w}} - {{i, j, u}, v, w}
+                                - {u, {i, j, v}, w} - {u, v, {i, j, w}}
+
+    from the nonzero slots, each indexed by the argument {i, j, .} fills;
+    a term on a pair (u, v) that is not representative is skipped.
+    """
+    bslots, tslots, b_at, t_at = slots
+    rng = range(d)
+    pos = [[-1] * d for _ in rng]
+    for q, (u, v) in enumerate(pairs):
+        pos[u][v] = q
+    maps = [((i, j), tij) for i, j in pairs if any(tij := T[i][j])]
+    # per coordinate m, the (flat offset, coefficient) of m in each inner bracket on a representative (u, v)
+    inner_b, inner_t = [[] for _ in rng], [[] for _ in rng]
+    for u, v, row in bslots:
+        if (q := pos[u][v]) >= 0:
+            for m, c in row:
+                inner_b[m].append((q * d, c))
+    for u, v, w, row in tslots:
+        if (q := pos[u][v]) >= 0:
+            for m, c in row:
+                inner_t[m].append(((q * d + w) * d, c))
+    for ij, tij in maps if bslots else ():  # every LY5 term has a binary bracket
+        acc = [0] * (len(pairs) * d)
+        for u, row in enumerate(tij):
+            for base, c in inner_b[u]:
+                for n, x in row:
+                    acc[base + n] += c * x
+            for m, c in row:
+                for v, row2 in b_at[0][m]:
+                    if (q := pos[u][v]) >= 0:
+                        for n, x in row2:
+                            acc[q * d + n] -= c * x
+                for w, row2 in b_at[1][m]:  # u -> {i, j, u} in the second argument
+                    if (q := pos[w][u]) >= 0:
+                        for n, x in row2:
+                            acc[q * d + n] -= c * x
+        for q, defect in _blocks(acc, d):
+            yield "LY5", ij + pairs[q], defect
+    for ij, tij in maps:
+        acc = [0] * (len(pairs) * d * d)
+        for u, row in enumerate(tij):
+            for base, c in inner_t[u]:
+                for n, x in row:
+                    acc[base + n] += c * x
+            for m, c in row:
+                for v, w, row2 in t_at[0][m]:
+                    if (q := pos[u][v]) >= 0:
+                        base = (q * d + w) * d
+                        for n, x in row2:
+                            acc[base + n] -= c * x
+                for v, w, row2 in t_at[1][m]:  # u -> {i, j, u} in the second argument: slot (v, m, w)
+                    if (q := pos[v][u]) >= 0:
+                        base = (q * d + w) * d
+                        for n, x in row2:
+                            acc[base + n] -= c * x
+                for v, w, row2 in t_at[2][m]:  # in the third argument: slot (v, w, m)
+                    if (q := pos[v][w]) >= 0:
+                        base = (q * d + u) * d
+                        for n, x in row2:
+                            acc[base + n] -= c * x
+        for qw, defect in _blocks(acc, d):
+            q, w = divmod(qw, d)
+            yield "LY6", ij + pairs[q] + (w,), defect
 
 
 def check_axioms(a: LYAlgebra, first_only: bool = False) -> AxiomReport:
@@ -324,16 +469,18 @@ def check_axioms(a: LYAlgebra, first_only: bool = False) -> AxiomReport:
     LY3..LY6 are alternating in their antisymmetric argument groups, so those
     identities are scanned on representative tuples only (strictly increasing
     where the defect alternates); the remaining tuples vanish identically.
-    When LY1 or LY2 fails, everything is scanned in full.
+    When LY1 or LY2 fails, everything is scanned in full.  The scan order is
+    LY1 to LY6, and within an identity the tuples in lexicographic order.
 
-    The identities are evaluated in integers on ``integer_tables(a)``; a
-    violated tuple's defect is reported as exact Fractions.
+    The identities are evaluated in integers on ``integer_tables(a)``, by
+    contraction over the nonzero slots (``_ly_defects``); the report keeps
+    each violated tuple's integer defect and builds its exact Fractions
+    when ``violations`` is first read.
     """
     den, B, T = integer_tables(a)
-    report = AxiomReport()
+    report = AxiomReport(den)
     for axiom, tup, acc in _ly_defects(a.dim, B, T):
-        scale = den ** LY_WEIGHTS[axiom]
-        report.add(axiom, tup, tuple(Fraction(x, scale) for x in acc))
+        report.add(axiom, tup, acc)
         if first_only:
             break
     return report

@@ -76,12 +76,17 @@ def _load_json(path: str):
 def _resolve_rep(args, a: alg.LYAlgebra, cap: int = coh.DEFAULT_SIZE_CAP) -> rep.Representation:
     """The module of --rep and --rep-dim; the one place every command builds it.
 
-    A trivial module whose e x e maps hold more than ``cap`` entries is
-    refused before they are built.
+    A trivial module holds no map, so nothing of size e x e is built here,
+    but ``cap`` still bounds its dimension: e * e may be at most ``cap``
+    (e <= 223 at the default cap).  The bounds each command applies later
+    grow only linearly in e (the coordinates of C^(2p+3) in
+    ``cohomology._check_cap``, the product's dimension d + e in
+    ``cohomology._require_scan``), so on their own they would admit far
+    larger modules.
     """
     e = args.rep_dim
     if args.rep == "trivial" and e > 0 and e * e > cap:
-        raise SizeCapExceeded(f"trivial module maps have {e}x{e} = {e * e} entries, cap is {cap}")
+        raise SizeCapExceeded(f"trivial module of dimension {e} is over the cap: e x e = {e * e}, cap is {cap}")
     if args.rep == "adjoint":
         return rep.adjoint(a)
     if args.rep == "trivial":

@@ -84,7 +84,7 @@ from .errors import (
     ShapeMismatch,
     SizeCapExceeded,
 )
-from .linalg import Matrix, SubspaceBasis, Vector, _eliminate, _kernel, as_fraction, zero_vector
+from .linalg import _ZERO, Matrix, SubspaceBasis, Vector, _eliminate, _kernel, as_fraction, zero_vector
 from .representation import Representation, _check_shapes, _integer_data, _require_rep
 
 DEFAULT_SIZE_CAP = 50_000
@@ -194,7 +194,11 @@ class Cochain:
         return block if sign == 1 else tuple(-x for x in block)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        """True iff every coefficient is 0; the shared zero ``_Operator.apply`` hands out is passed over by identity."""
+        for x in self.coeffs:
+            if x is not _ZERO and x:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -254,7 +258,7 @@ class _Operator(NamedTuple):
         return len(self.lines)
 
     def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        """The image of ``vec``: integer dot products with vec times the LCM L of its denominators."""
+        """The image of ``vec``: integer dot products with vec times the LCM of its denominators; 0 is ``_ZERO``."""
         big_l = math.lcm(*(x.denominator for x in vec))
         ints = [x.numerator * (big_l // x.denominator) for x in vec]
         den = big_l * self.scale
@@ -264,7 +268,7 @@ class _Operator(NamedTuple):
             for col, c in line:
                 if ints[col]:
                     acc += c * ints[col]
-            out.append(Fraction(acc, den))
+            out.append(Fraction(acc, den) if acc else _ZERO)
         return out
 
     def image(self) -> SubspaceBasis:

@@ -52,10 +52,14 @@ def qvec(values: Iterable) -> Vector:
     return tuple(map(as_fraction, values))
 
 
+# The one shared zero: every entry of a ``zero_vector`` and every 0 that ``cohomology._Operator.apply`` hands out.
+_ZERO = Fraction(0)
+
+
 @functools.lru_cache(maxsize=64)
 def zero_vector(n: int) -> Vector:
     """The zero vector of length n, one shared tuple per length while it is cached (every zero slot of a view)."""
-    return (Fraction(0),) * n
+    return (_ZERO,) * n
 
 
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:

@@ -35,8 +35,9 @@ RLYB1..RLYB7 are evaluated on sparse integer data: with den the LCM of every
 denominator of the algebra and the representation, rho and the binary
 bracket are scaled by den, and D, theta and the ternary bracket by den**2.
 Each condition is homogeneous of weight w (``RLYB_WEIGHTS``), so its integer
-defect is den**w times the exact one; a violated tuple's defect is reported
-as a Matrix of exact Fractions.
+defect is den**w times the exact one; the report keeps a violated tuple's
+integer defect and turns it into a Matrix of exact Fractions when its
+violations are first read.
 
 Every entry point that needs a valid algebra and a module shaped for it,
 here and in ``cohomology``, calls one guard, ``_require_rep``: the algebra's
@@ -48,11 +49,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import LYAlgebra, _from_entries, _require_valid, integer_tables, structure_lcm
+from .algebra import LYAlgebra, _from_entries, _require_valid, _tables_at, structure_lcm
 from .errors import ShapeMismatch
 from .linalg import Matrix, denominator_lcm, scaled_sparse, zero_vector
 
@@ -259,22 +260,54 @@ def _adjoint_module(a: LYAlgebra) -> Representation:
     return Representation._stored(d, d, den, stored)
 
 
-@dataclass
 class RepReport:
-    """Defects of RLYB1..RLYB6 plus the derived RLYB7 (informational)."""
+    """Defects of RLYB1..RLYB6 plus the derived RLYB7 (informational).
 
-    violations: dict = field(default_factory=lambda: {c: [] for c in RLYB_CONDITIONS})
-    rlyb7_violations: list = field(default_factory=list)
+    ``check_representation`` adds each violated tuple's integer defect, a
+    flat e*e list that is den**w times the exact one (``RLYB_WEIGHTS``);
+    ``violations`` and ``rlyb7_violations`` turn them into Matrices of exact
+    Fractions on first read, so a caller that reads only ``ok`` or
+    ``violated`` builds none.
+    """
+
+    def __init__(self, e: int = 0, den: int = 1):
+        self._e, self._den = e, den
+        self._found = {c: [] for c in RLYB_CONDITIONS}
+        self._rlyb7 = []
 
     @property
     def ok(self) -> bool:
-        return all(not v for v in self.violations.values())
+        return not any(self._found.values())
 
     def violated(self) -> list[str]:
-        return [c for c in RLYB_CONDITIONS if self.violations[c]]
+        return [c for c in RLYB_CONDITIONS if self._found[c]]
 
-    def add(self, cond: str, tup: tuple, defect: Matrix) -> None:
-        self.violations[cond].append((tup, defect))
+    def add(self, cond: str, tup: tuple, defect: list) -> None:
+        """Add an integer defect, before ``violations`` is first read."""
+        self._found[cond].append((tup, defect))
+
+    def _exact(self, cond: str, found: list) -> list:
+        scale = self._den ** RLYB_WEIGHTS[cond]
+        return [(tup, Matrix(self._e, self._e, [Fraction(x, scale) for x in acc])) for tup, acc in found]
+
+    @functools.cached_property
+    def violations(self) -> dict:
+        """condition -> [(basis tuple, defect Matrix)], in scan order; built on first read."""
+        return {c: self._exact(c, found) for c, found in self._found.items()}
+
+    @functools.cached_property
+    def rlyb7_violations(self) -> list:
+        """[(basis triple, defect Matrix)] of RLYB7, in scan order; built on first read."""
+        return self._exact("RLYB7", self._rlyb7)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is RepReport and (self.violations, self.rlyb7_violations) == (
+            other.violations,
+            other.rlyb7_violations,
+        )
+
+    def __repr__(self) -> str:
+        return f"RepReport(violations={self.violations!r}, rlyb7_violations={self.rlyb7_violations!r})"
 
 
 def _check_shapes(a: LYAlgebra, r: Representation) -> None:
@@ -303,7 +336,7 @@ def _integer_data(a: LYAlgebra, r: Representation):
     raise den past the module's, and then they are rescaled; nothing is
     cleared again.
     """
-    den, B, T = integer_tables(a, (Fraction(1, r._den),))
+    den, B, T = _tables_at(a, math.lcm(structure_lcm(a), r._den))
     return (den, B, T, *r._indexed(den // r._den))
 
 
@@ -406,30 +439,24 @@ def _rlyb7_defects(d: int, e: int, B, dmap):
             yield (i, j, k), acc
 
 
-def _exact(acc: list, e: int, den: int, cond: str) -> Matrix:
-    scale = den ** RLYB_WEIGHTS[cond]
-    return Matrix(e, e, [Fraction(x, scale) for x in acc])
-
-
 def check_representation(a: LYAlgebra, r: Representation, first_only: bool = False) -> RepReport:
     """Evaluate RLYB1-RLYB6 on all basis tuples; RLYB7 is reported as info.
 
     RLYB1 scans pairs, RLYB2/RLYB3/RLYB5 triples, RLYB4/RLYB6 quadruples
     (RLYB5 has only three arguments).  The conditions are evaluated in
-    integers on ``_integer_data``; a violated tuple's defect is reported as
-    a matrix of exact Fractions.  RLYB7 is skipped with ``first_only``.
+    integers on ``_integer_data``; the report keeps a violated tuple's
+    integer defect and builds its matrix of exact Fractions when the
+    violations are first read.  RLYB7 is skipped with ``first_only``.
     """
     _require_rep(a, r)
     den, B, T, rho, dmap, theta = _integer_data(a, r)
-    report = RepReport()
+    report = RepReport(r.e, den)
     for cond, tup, acc in _rlyb_defects(a.dim, r.e, B, T, rho, dmap, theta):
-        report.add(cond, tup, _exact(acc, r.e, den, cond))
+        report.add(cond, tup, acc)
         if first_only:
             return report
     if not first_only:
-        report.rlyb7_violations = [
-            (tup, _exact(acc, r.e, den, "RLYB7")) for tup, acc in _rlyb7_defects(a.dim, r.e, B, dmap)
-        ]
+        report._rlyb7 = list(_rlyb7_defects(a.dim, r.e, B, dmap))
     return report
 
 

@@ -249,9 +249,9 @@ def test_cohomology_cap_exit_3(tmp_path, capsys):
 
 
 def test_trivial_module_past_the_cap_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch):
-    """Every command bounds the trivial module's e x e maps: 224**2 > 50000 exits 3 without building them.
+    """Every command bounds the trivial module's dimension: 224**2 > 50000 exits 3 before the module is built.
 
-    ``cohomology`` bounds them by --cap; the commands without --cap by the
+    ``cohomology`` bounds it by --cap; the commands without --cap by the
     default cap.  ``rep-check``, ``semidirect`` and ``twist`` also refuse,
     before any product or check, a module whose product's LY scan of n**5
     tuples is over 50000 x 7**3, that is n = d + e > 27.
@@ -276,7 +276,8 @@ def test_trivial_module_past_the_cap_is_refused_before_it_is_built(tmp_path, cap
             code, report = run_cli(capsys, command, path, "--rep", "trivial", "--rep-dim", "224", *extra)
             assert code == 3, command
             assert (report["status"], report["payload"]) == ("error", {}), command
-            assert report["diagnostics"] == ["trivial module maps have 224x224 = 50176 entries, cap is 50000"]
+            refusal = "trivial module of dimension 224 is over the cap: e x e = 50176, cap is 50000"
+            assert report["diagnostics"] == [refusal]
         code, _ = run_cli(capsys, "cohomology", path, "--rep", "trivial", "--rep-dim", "3", "--cap", "8")
         assert code == 3
     monkeypatch.setattr("lieyamaguti.representation._product_algebra", refuse("_product_algebra"))
